@@ -50,11 +50,13 @@ best, trace = optimize_eradication_region(
 
 print("  n       Psi    population   length     area")
 for r in trace.records:
+    population, length, area = r.terms
     print(
-        f"{r.n:4d} {r.psi:9.5f} {r.population_term:11.5f}"
-        f" {r.length_term:9.5f} {r.area_term:9.5f}"
+        f"{r.n:4d} {r.cost:9.5f} {population:11.5f}"
+        f" {length:9.5f} {area:9.5f}"
     )
-print("stopped:", trace.stop_reason, "| sign variant:", trace.sign_variant)
+print("stopped:", trace.stop_reason,
+      "| sign variant:", trace.constants["sign_variant"])
 
 # How does the best region actually perform?  Run the population model
 # under the mollified effort on that region and watch the total count.

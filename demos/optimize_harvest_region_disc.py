@@ -44,9 +44,10 @@ best, trace = optimize_region(circle_levelset(grid), params, callback=snapshot)
 
 print("  n        J       adjoint    length     area    step")
 for r in trace.records:
+    adjoint, length, area = r.terms
     print(
-        f"{r.n:4d} {r.cost:10.5f} {r.adjoint_term:9.5f} {r.length_term:9.5f}"
-        f" {r.area_term:9.5f} {r.theta:7.3f}"
+        f"{r.n:4d} {r.cost:10.5f} {adjoint:9.5f} {length:9.5f}"
+        f" {area:9.5f} {r.theta:7.3f}"
     )
 print("stopped:", trace.stop_reason)
 print("best J: %.6f, mollified area %.4f" % (min(trace.costs()),

@@ -14,7 +14,6 @@ from .agestruct import (
     AgeDensityField,
     AgeModelParams,
     EradicabilityReport,
-    EradicationTrace,
     eradicability_verdict,
     eradication_velocity,
     evaluate_psi,
@@ -57,7 +56,7 @@ from .pde import (
     solve_sensitivity,
 )
 from .shapeopt import (
-    OptimizationTrace,
+    Trace,
     descent_velocity,
     evaluate_J,
     optimize_region,
@@ -90,7 +89,7 @@ __all__ = [
     "evaluate_J",
     "descent_velocity",
     "optimize_region",
-    "OptimizationTrace",
+    "Trace",
     "AgeModelParams",
     "AgeDensityField",
     "lotka_root",
@@ -103,7 +102,6 @@ __all__ = [
     "solve_eradication_adjoint",
     "eradication_velocity",
     "optimize_eradication_region",
-    "EradicationTrace",
     "RunConfig",
     "parse_config",
     "gaussian_density",

@@ -36,12 +36,12 @@ from .grid import GridSpec, ScalarField, curvature_divergence, simpson_integral_
 from .levelset import (
     LevelSetFunction,
     Mollifier,
-    evolve_phi,
     heaviside_mollified,
     region_area,
     region_length,
 )
 from .pde import _ImplicitStepper, _complete_with_ghost, interior_step_diagonals
+from .shapeopt import Trace, descend
 
 EIGEN_SHIFT = -1.0e-12
 EIGEN_TOL = 1.0e-8
@@ -440,6 +440,18 @@ def total_population(density: AgeDensityField) -> np.ndarray:
     return per_time
 
 
+def _measure_psi(phi: LevelSetFunction, model: AgeModelParams, penalties, m: Mollifier):
+    alpha, beta_weight = penalties
+    if alpha < 0.0 or beta_weight < 0.0:
+        raise ValueError("penalty weights must be nonnegative")
+    density = solve_age_structured(phi, model, control="mollified", m=m)
+    population = float(total_population(density)[-1])
+    length_term = alpha * region_length(phi, m)
+    area_term = beta_weight * region_area(phi, m)
+    terms = (population, length_term, area_term)
+    return population + length_term + area_term, terms, density
+
+
 def evaluate_psi(
     phi: LevelSetFunction,
     model: AgeModelParams,
@@ -453,18 +465,8 @@ def evaluate_psi(
     the first being the age-space integral of the final-time density
     (trapezoid in age, Simpson in space).
     """
-    alpha, beta_weight = penalties
-    if alpha < 0.0 or beta_weight < 0.0:
-        raise ValueError("penalty weights must be nonnegative")
-    density = solve_age_structured(phi, model, control="mollified", m=m)
-    population = float(total_population(density)[-1])
-    length_term = alpha * region_length(phi, m)
-    area_term = beta_weight * region_area(phi, m)
-    return population + length_term + area_term, (
-        population,
-        length_term,
-        area_term,
-    )
+    psi, terms, _ = _measure_psi(phi, model, penalties, m)
+    return psi, terms
 
 
 def solve_eradication_adjoint(
@@ -520,60 +522,6 @@ def solve_eradication_adjoint(
     return AgeDensityField(grid=grid, ages=model.ages, values=r)
 
 
-@dataclass
-class EradicationRecord:
-    """One accepted iterate of the eradication-region loop."""
-
-    n: int
-    psi: float
-    population_term: float
-    length_term: float
-    area_term: float
-    region_area: float
-    region_length: float
-    phi_change: float
-    theta: float
-
-
-@dataclass
-class EradicationTrace:
-    """Accepted iterates, stop reason and the sign variant used."""
-
-    records: list
-    stop_reason: str
-    sign_variant: str
-
-    def psis(self) -> np.ndarray:
-        return np.array([r.psi for r in self.records])
-
-    def write_csv(self, path) -> None:
-        import csv as _csv
-
-        with open(path, "w", newline="") as handle:
-            writer = _csv.writer(handle)
-            writer.writerow(ERADICATION_TRACE_COLUMNS)
-            last = len(self.records) - 1
-            for idx, r in enumerate(self.records):
-                reason = self.stop_reason if idx == last else ""
-                writer.writerow(
-                    [r.n]
-                    + [
-                        format(value, ".17g")
-                        for value in (
-                            r.psi,
-                            r.population_term,
-                            r.length_term,
-                            r.area_term,
-                            r.region_area,
-                            r.region_length,
-                            r.phi_change,
-                            r.theta,
-                        )
-                    ]
-                    + [self.sign_variant, reason]
-                )
-
-
 def eradication_velocity(
     phi: LevelSetFunction,
     density: AgeDensityField,
@@ -598,8 +546,7 @@ def eradication_velocity(
     steps = density.values.shape[0] - 1
     dt = model.da
     age_w = age_trapezoid_weights(model.Na, model.da)
-    time_w = np.full(steps + 1, dt)
-    time_w[0] = time_w[-1] = dt / 2.0
+    time_w = age_trapezoid_weights(steps, dt)
     product = dual.values * density.values
     merged = np.tensordot(age_w, np.tensordot(time_w, product, axes=(0, 0)), axes=(0, 0))
     data_term = model.L * merged
@@ -625,104 +572,30 @@ def optimize_eradication_region(
     sign_variant: str = "descent",
     callback=None,
 ):
-    """Shape the harvesting region to minimize Psi.
+    """Shape the harvesting region to minimize Psi by shapeopt.descend.
 
-    Same loop skeleton as the harvest-region optimizer: evaluate Psi,
-    stop on a small decrement, an increase (after up to 5 step-size
-    halvings), a small phi change, or the iteration budget.  Every step
-    is gated on an actual Psi decrease regardless of the sign variant.
-    Returns (best iterate by Psi, trace).
+    The age-structured model gives Psi and its dual the velocity.  Every
+    step is gated on an actual Psi decrease regardless of the sign
+    variant.  Returns (best iterate by Psi, trace).
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if sign_variant not in SIGN_VARIANTS:
         raise ValueError(f"sign_variant must be one of {SIGN_VARIANTS}")
-    if not (eps1 > 0.0 and eps2 > 0.0 and theta0 > 0.0):
-        raise ValueError("eps1, eps2 and theta0 must be positive")
 
-    def measure(candidate):
-        density = solve_age_structured(candidate, model, control="mollified", m=m)
-        population = float(total_population(density)[-1])
-        length_term = penalties[0] * region_length(candidate, m)
-        area_term = penalties[1] * region_area(candidate, m)
-        psi = population + length_term + area_term
-        return psi, (population, length_term, area_term), density
+    def direction(phi, density):
+        dual = solve_eradication_adjoint(phi, density, model, m)
+        return eradication_velocity(
+            phi, density, dual, model, penalties, sign_variant
+        )
 
-    def distance(a, b):
-        diff = a.phi.values - b.phi.values
-        return float(np.sqrt(simpson_integral_2d(ScalarField(a.grid, diff * diff))))
-
-    records: list = []
-    stop = None
-    pending_stop = None
-    phi = phi0
-    best_phi = phi0
-    best_psi = np.inf
-    psi_prev = np.inf
-    phi_change = 0.0
-    theta_used = 0.0
-    n = 1
-    try:
-        psi, parts, density = measure(phi)
-        while True:
-            record = EradicationRecord(
-                n=n,
-                psi=psi,
-                population_term=parts[0],
-                length_term=parts[1],
-                area_term=parts[2],
-                region_area=region_area(phi, m),
-                region_length=region_length(phi, m),
-                phi_change=phi_change,
-                theta=theta_used,
-            )
-            records.append(record)
-            if psi < best_psi:
-                best_psi = psi
-                best_phi = phi
-            if callback is not None:
-                callback(n, phi, record)
-            if pending_stop is not None:
-                stop = pending_stop
-                break
-            if abs(psi - psi_prev) < eps1:
-                stop = "J tolerance"
-                break
-            if psi >= psi_prev:
-                stop = "J increase"
-                break
-            if n >= max_iter:
-                stop = "iteration budget"
-                break
-            dual = solve_eradication_adjoint(phi, density, model, m)
-            velocity, curvature_weight = eradication_velocity(
-                phi, density, dual, model, penalties, sign_variant
-            )
-            theta = theta0
-            accepted = False
-            closest_gap = np.inf
-            for _ in range(6):
-                phi_next = evolve_phi(phi, velocity, theta, m, alpha=curvature_weight)
-                psi_next, parts_next, density_next = measure(phi_next)
-                if psi_next < psi:
-                    accepted = True
-                    break
-                closest_gap = min(closest_gap, abs(psi_next - psi))
-                theta *= 0.5
-            if not accepted:
-                stop = "J tolerance" if closest_gap < eps1 else "J increase"
-                break
-            phi_change = distance(phi_next, phi)
-            theta_used = theta
-            psi_prev = psi
-            phi = phi_next
-            psi = psi_next
-            parts = parts_next
-            density = density_next
-            n += 1
-            if phi_change < eps2:
-                pending_stop = "phi tolerance"
-    except SolverFailure as exc:
-        exc.trace = EradicationTrace(records, "solver failure", sign_variant)
-        raise
-    return best_phi, EradicationTrace(records, stop, sign_variant)
+    return descend(
+        phi0,
+        lambda phi: _measure_psi(phi, model, penalties, m),
+        direction,
+        m,
+        Trace(ERADICATION_TRACE_COLUMNS, {"sign_variant": sign_variant}),
+        max_iter=max_iter,
+        eps1=eps1,
+        eps2=eps2,
+        theta0=theta0,
+        callback=callback,
+    )

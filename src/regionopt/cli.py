@@ -47,12 +47,6 @@ def _region_snapshot_callback(out_dir: str, every: int):
     return callback
 
 
-def _dump_partial_trace(exc, out_dir: str) -> None:
-    trace = getattr(exc, "trace", None)
-    if trace is not None:
-        trace.write_csv(os.path.join(out_dir, "trace.csv"))
-
-
 def _run_forward(config: RunConfig, out_dir: str, snapshot_every: int) -> int:
     grid = config.grid
     control = SpaceTimeField.constant(grid, config.control_level)
@@ -86,17 +80,13 @@ def _run_optimize_region(
     config: RunConfig, out_dir: str, paper_mode: bool, snapshot_every: int
 ) -> int:
     callback = _region_snapshot_callback(out_dir, snapshot_every)
-    try:
-        best, trace = optimize_region(
-            config.phi0,
-            config.control,
-            max_iter=config.max_iter,
-            paper_mode=paper_mode,
-            callback=callback,
-        )
-    except SolverFailure as exc:
-        _dump_partial_trace(exc, out_dir)
-        raise
+    best, trace = optimize_region(
+        config.phi0,
+        config.control,
+        max_iter=config.max_iter,
+        paper_mode=paper_mode,
+        callback=callback,
+    )
     trace.write_csv(os.path.join(out_dir, "trace.csv"))
     write_region_pgm(best, os.path.join(out_dir, "omega_final.pgm"))
     m = config.control.mollifier
@@ -128,22 +118,18 @@ def _run_optimize_eradication(
 ) -> int:
     callback = _region_snapshot_callback(out_dir, snapshot_every)
     model = config.age_model
-    try:
-        best, trace = optimize_eradication_region(
-            config.phi0,
-            model,
-            (config.alpha, config.beta),
-            config.mollifier,
-            max_iter=config.max_iter,
-            eps1=config.eps1,
-            eps2=config.eps2,
-            theta0=config.theta0,
-            sign_variant=config.sign_variant,
-            callback=callback,
-        )
-    except SolverFailure as exc:
-        _dump_partial_trace(exc, out_dir)
-        raise
+    best, trace = optimize_eradication_region(
+        config.phi0,
+        model,
+        (config.alpha, config.beta),
+        config.mollifier,
+        max_iter=config.max_iter,
+        eps1=config.eps1,
+        eps2=config.eps2,
+        theta0=config.theta0,
+        sign_variant=config.sign_variant,
+        callback=callback,
+    )
     trace.write_csv(os.path.join(out_dir, "trace.csv"))
     write_region_pgm(best, os.path.join(out_dir, "omega_final.pgm"))
     density = solve_age_structured(
@@ -162,8 +148,8 @@ def _run_optimize_eradication(
             ("command", "optimize-eradication"),
             ("iterations", trace.records[-1].n),
             ("stop_reason", trace.stop_reason),
-            ("sign_variant", trace.sign_variant),
-            ("final_psi", format(min(trace.psis()), ".17g")),
+            ("sign_variant", config.sign_variant),
+            ("final_psi", format(min(trace.costs()), ".17g")),
             ("final_region_area", format(region_area(best, config.mollifier), ".17g")),
             ("population_initial", format(population[0], ".17g")),
             ("population_final", format(population[-1], ".17g")),
@@ -181,10 +167,15 @@ def run(
     """Execute the configured pipeline, writing artifacts into out_dir.
 
     out_dir defaults to the config's output directory and is created if
-    absent.  Returns the process exit status.
+    absent.  paper_mode applies to optimize-region only.  Returns the
+    process exit status; a failed descent leaves its partial trace.csv.
     """
     if snapshot_every < 1:
         raise ConfigError(f"snapshot-every must be >= 1, got {snapshot_every}")
+    if paper_mode and config.command != "optimize-region":
+        raise ConfigError(
+            f"--paper-mode applies to optimize-region only, not {config.command}"
+        )
     target = out_dir if out_dir is not None else config.output
     os.makedirs(target, exist_ok=True)
     try:
@@ -196,6 +187,9 @@ def run(
             return _run_eradicability(config, target)
         return _run_optimize_eradication(config, target, snapshot_every)
     except SolverFailure as exc:
+        trace = getattr(exc, "trace", None)
+        if trace is not None:
+            trace.write_csv(os.path.join(target, "trace.csv"))
         print(f"{config.command}: solver failure: {exc}", file=sys.stderr)
         return 3
     except ConvergenceFailure as exc:
@@ -220,7 +214,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--paper-mode",
         action="store_true",
-        help="take every descent step at the nominal size, no backtracking",
+        help="optimize-region only: take every step at full size, no backtracking",
     )
     parser.add_argument(
         "--snapshot-every",

@@ -32,7 +32,7 @@ from .pde import ControlProblemParams
 COMMANDS = ("forward", "optimize-region", "eradicability", "optimize-eradication")
 
 _SECTION_KEYS = {
-    "run": ("command", "output", "seed"),
+    "run": ("command", "output"),
     "grid": ("N", "M", "T"),
     "model": ("d", "a", "y0", "L", "u"),
     "penalty": ("alpha", "beta"),
@@ -103,11 +103,8 @@ class RunConfig:
 
     command: str
     output: str
-    seed: int
     grid: GridSpec
     phi0: LevelSetFunction
-    d: float
-    L: float
     control_level: float
     alpha: float
     beta: float
@@ -286,7 +283,6 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"grid section rejected: {exc}") from None
 
     output = _get_raw(parser, "run", "output") or "out"
-    seed = _get_int(parser, "run", "seed", fallback=0)
     d = _get_float(parser, "model", "d")
     L = _get_float(parser, "model", "L")
     control_level = _get_float(parser, "model", "u", fallback=0.0)
@@ -298,6 +294,9 @@ def parse_config(path) -> RunConfig:
     max_iter = _get_int(parser, "convergence", "max_iter", fallback=200)
     if max_iter < 1:
         raise ConfigError(f"convergence.max_iter must be >= 1, got {max_iter}")
+    for key, value in (("eps1", eps1), ("eps2", eps2), ("theta0", theta0)):
+        if not value > 0.0:
+            raise ConfigError(f"convergence.{key} must be positive, got {value}")
 
     mollifier = None
     eps = _get_float(parser, "mollifier", "eps")
@@ -394,11 +393,8 @@ def parse_config(path) -> RunConfig:
     return RunConfig(
         command=command,
         output=output,
-        seed=seed,
         grid=grid,
         phi0=phi0,
-        d=d,
-        L=L,
         control_level=control_level,
         alpha=alpha,
         beta=beta,

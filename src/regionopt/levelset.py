@@ -30,6 +30,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
+from .errors import SolverFailure
 from .grid import GridSpec, ScalarField, gradient_magnitude, simpson_integral_2d
 
 
@@ -42,12 +43,6 @@ class Mollifier:
     def __post_init__(self):
         if not (self.eps > 0.0):
             raise ValueError(f"mollifier width must be positive, got {self.eps}")
-
-    def heaviside(self, z):
-        return heaviside_mollified(z, self)
-
-    def delta(self, z):
-        return delta_mollified(z, self)
 
 
 @dataclass
@@ -182,7 +177,7 @@ def evolve_phi(
     )
     out = spsolve(a, rhs)
     if not np.all(np.isfinite(out)):
-        raise RuntimeError("implicit level-set step produced non-finite values")
+        raise SolverFailure("implicit level-set step produced non-finite values")
     return LevelSetFunction(ScalarField(grid, out.reshape(p.shape)))
 
 

@@ -84,8 +84,6 @@ class ControlProblemParams:
             raise ValueError(f"L must be nonnegative, got {self.L}")
         if self.alpha < 0.0 or self.beta < 0.0:
             raise ValueError("penalty weights must be nonnegative")
-        if not (self.eps1 > 0.0 and self.eps2 > 0.0 and self.theta0 > 0.0):
-            raise ValueError("eps1, eps2 and theta0 must be positive")
         if self.a.grid != self.y0.grid:
             raise ValueError("a and y0 live on different grids")
         if np.any(self.y0.values < 0.0) or not np.any(self.y0.values > 0.0):

@@ -1,6 +1,6 @@
-"""Outer descent loop that reshapes the harvesting region.
+"""Outer descent loop that reshapes a control region, and the harvest cost.
 
-The cost of a region encoded by the level-set function phi is
+The cost of a harvest region encoded by the level-set function phi is
 
     J(phi) = int y0 p(x, 0) dx + alpha * length + beta * area,
 
@@ -11,16 +11,17 @@ effort.  Its shape derivative yields the nodal descent velocity
 
 where r is the forward sensitivity; the interface-length penalty enters
 as a curvature term treated semi-implicitly inside evolve_phi.  The loop
-evaluates J, stops on a small decrement or an increase, otherwise steps
-phi along v and repeats.  When a step increases J the step size is
-halved and retried a few times before giving up; a pure descent mode
-disables that retry and stops on the first increase.
+(descend, shared with the eradication cost of the agestruct module)
+evaluates the cost, stops on a small decrement or an increase, otherwise
+steps phi along the velocity and repeats.  When a step increases the cost
+the step size is halved and retried a few times before giving up; a pure
+descent mode disables that retry and stops on the first increase.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .errors import SolverFailure
 from .grid import ScalarField, SpaceTimeField, simpson_integral_2d, simpson_weights
 from .levelset import (
     LevelSetFunction,
+    Mollifier,
     evolve_phi,
     heaviside_mollified,
     region_area,
@@ -39,8 +41,8 @@ from .pde import (
     solve_sensitivity,
 )
 
-INITIAL_COST = 1.0e6
-MAX_BACKTRACKS = 5
+# the nominal step and up to five halvings of it
+MAX_TRIALS = 6
 
 TRACE_COLUMNS = (
     "n",
@@ -58,13 +60,11 @@ TRACE_COLUMNS = (
 
 @dataclass
 class IterationRecord:
-    """One accepted iterate of the outer loop."""
+    """One accepted iterate; terms are the three summands of cost."""
 
     n: int
     cost: float
-    adjoint_term: float
-    length_term: float
-    area_term: float
+    terms: tuple
     region_area: float
     region_length: float
     phi_change: float
@@ -72,11 +72,17 @@ class IterationRecord:
 
 
 @dataclass
-class OptimizationTrace:
-    """Accepted iterates in order plus the reason the loop stopped."""
+class Trace:
+    """Accepted iterates in order plus the reason the loop stopped.
 
-    records: list
-    stop_reason: str
+    columns is the CSV header; constants maps each column between theta
+    and stop_reason to its value on every row.
+    """
+
+    columns: tuple = TRACE_COLUMNS
+    constants: dict = field(default_factory=dict)
+    records: list = field(default_factory=list)
+    stop_reason: str | None = None
 
     def costs(self) -> np.ndarray:
         return np.array([r.cost for r in self.records])
@@ -84,40 +90,35 @@ class OptimizationTrace:
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
-            writer.writerow(TRACE_COLUMNS)
+            writer.writerow(self.columns)
             last = len(self.records) - 1
             for idx, r in enumerate(self.records):
                 reason = self.stop_reason if idx == last else ""
+                values = (
+                    r.cost,
+                    *r.terms,
+                    r.region_area,
+                    r.region_length,
+                    r.phi_change,
+                    r.theta,
+                )
                 writer.writerow(
                     [r.n]
-                    + [
-                        format(value, ".17g")
-                        for value in (
-                            r.cost,
-                            r.adjoint_term,
-                            r.length_term,
-                            r.area_term,
-                            r.region_area,
-                            r.region_length,
-                            r.phi_change,
-                            r.theta,
-                        )
-                    ]
+                    + [format(value, ".17g") for value in values]
+                    + list(self.constants.values())
                     + [reason]
                 )
 
 
-def _cost_from_adjoint(
-    phi: LevelSetFunction, adjoint: SpaceTimeField, params: ControlProblemParams
-):
-    grid = params.grid
+def _measure_J(phi: LevelSetFunction, params: ControlProblemParams):
+    adjoint = solve_adjoint(phi, params)
     adjoint_term = simpson_integral_2d(
-        ScalarField(grid, params.y0.values * adjoint.values[0])
+        ScalarField(params.grid, params.y0.values * adjoint.values[0])
     )
     length_term = params.alpha * region_length(phi, params.mollifier)
     area_term = params.beta * region_area(phi, params.mollifier)
     total = adjoint_term + length_term + area_term
-    return total, (adjoint_term, length_term, area_term)
+    return total, (adjoint_term, length_term, area_term), adjoint
 
 
 def evaluate_J(phi: LevelSetFunction, params: ControlProblemParams):
@@ -126,10 +127,8 @@ def evaluate_J(phi: LevelSetFunction, params: ControlProblemParams):
     Solves the adjoint internally and returns (J, (adjoint term,
     weighted length term, weighted area term)).
     """
-    if phi.grid != params.grid:
-        raise ValueError("phi is not on the problem grid")
-    adjoint = solve_adjoint(phi, params)
-    return _cost_from_adjoint(phi, adjoint, params)
+    cost, terms, _ = _measure_J(phi, params)
+    return cost, terms
 
 
 def descent_velocity(
@@ -160,69 +159,71 @@ def _phi_distance(a: LevelSetFunction, b: LevelSetFunction) -> float:
     return float(np.sqrt(simpson_integral_2d(ScalarField(a.grid, diff * diff))))
 
 
-def optimize_region(
+def descend(
     phi0: LevelSetFunction,
-    params: ControlProblemParams,
-    max_iter: int = 200,
+    measure,
+    direction,
+    m: Mollifier,
+    trace: Trace,
+    *,
+    max_iter: int,
+    eps1: float,
+    eps2: float,
+    theta0: float,
     paper_mode: bool = False,
     callback=None,
 ):
     """Run the outer descent loop from phi0.
 
-    Each pass solves the adjoint, evaluates J, checks the stopping rules
-    (small decrement, increase, small phi change, iteration budget),
-    then solves the sensitivity and moves phi one semi-implicit step
-    along the descent velocity.  An increase triggers step-size halving
-    with up to 5 retries unless paper_mode is set, in which case the
-    first increase stops the loop on the spot.
+    measure(phi) returns (cost, its three terms, solver state) and
+    direction(phi, state) returns (velocity, curvature weight).  Each
+    pass evaluates the cost, checks the stopping rules (small decrement,
+    increase, small phi change, iteration budget), then moves phi one
+    semi-implicit step along the velocity.  An increase triggers
+    step-size halving with up to 5 retries unless paper_mode is set, in
+    which case the first increase stops the loop on the spot.
 
-    Returns (best iterate by cost, trace).  Solver failures re-raise
-    with the partial trace attached as exc.trace.  The optional callback
-    receives (n, phi, record) after each accepted iterate.
+    Fills trace and returns (best iterate by cost, trace).  Solver
+    failures re-raise with the partial trace attached as exc.trace.  The
+    optional callback receives (n, phi, record) after each accepted
+    iterate.
 
     Stop reasons: "J tolerance", "J increase", "phi tolerance",
     "iteration budget".
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if phi0.grid != params.grid:
-        raise ValueError("phi0 is not on the problem grid")
-    m = params.mollifier
-    records: list = []
-    stop = None
-    pending_stop = None
+    if not (eps1 > 0.0 and eps2 > 0.0 and theta0 > 0.0):
+        raise ValueError("eps1, eps2 and theta0 must be positive")
     phi = phi0
     best_phi = phi0
     best_cost = np.inf
-    cost_prev = INITIAL_COST
+    cost_prev = np.inf
     phi_change = 0.0
-    theta_used = 0.0
+    theta = 0.0
     n = 1
     try:
-        adjoint = solve_adjoint(phi, params)
-        cost, parts = _cost_from_adjoint(phi, adjoint, params)
+        cost, terms, state = measure(phi)
         while True:
             record = IterationRecord(
                 n=n,
                 cost=cost,
-                adjoint_term=parts[0],
-                length_term=parts[1],
-                area_term=parts[2],
+                terms=terms,
                 region_area=region_area(phi, m),
                 region_length=region_length(phi, m),
                 phi_change=phi_change,
-                theta=theta_used,
+                theta=theta,
             )
-            records.append(record)
+            trace.records.append(record)
             if cost < best_cost:
                 best_cost = cost
                 best_phi = phi
             if callback is not None:
                 callback(n, phi, record)
-            if pending_stop is not None:
-                stop = pending_stop
+            if n > 1 and phi_change < eps2:
+                stop = "phi tolerance"
                 break
-            if abs(cost - cost_prev) < params.eps1:
+            if abs(cost - cost_prev) < eps1:
                 stop = "J tolerance"
                 break
             if cost >= cost_prev:
@@ -231,40 +232,65 @@ def optimize_region(
             if n >= max_iter:
                 stop = "iteration budget"
                 break
-            sensitivity = solve_sensitivity(phi, adjoint, params)
-            velocity = descent_velocity(phi, adjoint, sensitivity, params)
-            theta = params.theta0
-            attempts = 1 if paper_mode else MAX_BACKTRACKS + 1
-            accepted = False
+            velocity, curvature_weight = direction(phi, state)
+            theta = theta0
             closest_gap = np.inf
-            for _ in range(attempts):
-                phi_next = evolve_phi(phi, velocity, theta, m, alpha=params.alpha)
-                adjoint_next = solve_adjoint(phi_next, params)
-                cost_next, parts_next = _cost_from_adjoint(
-                    phi_next, adjoint_next, params
-                )
+            for _ in range(1 if paper_mode else MAX_TRIALS):
+                phi_next = evolve_phi(phi, velocity, theta, m, alpha=curvature_weight)
+                cost_next, terms_next, state_next = measure(phi_next)
                 if paper_mode or cost_next < cost:
-                    accepted = True
                     break
                 closest_gap = min(closest_gap, abs(cost_next - cost))
                 theta *= 0.5
-            if not accepted:
-                # No step decreased J; the non-decrease rule fires, with
-                # the small-decrement clause taking precedence when some
-                # trial landed within the J tolerance.
-                stop = "J tolerance" if closest_gap < params.eps1 else "J increase"
+            else:
+                # No step decreased the cost; the non-decrease rule fires,
+                # with the small-decrement clause taking precedence when
+                # some trial landed within the tolerance.
+                stop = "J tolerance" if closest_gap < eps1 else "J increase"
                 break
             phi_change = _phi_distance(phi_next, phi)
-            theta_used = theta
             cost_prev = cost
             phi = phi_next
-            adjoint = adjoint_next
             cost = cost_next
-            parts = parts_next
+            terms = terms_next
+            state = state_next
             n += 1
-            if phi_change < params.eps2:
-                pending_stop = "phi tolerance"
     except SolverFailure as exc:
-        exc.trace = OptimizationTrace(records, "solver failure")
+        trace.stop_reason = "solver failure"
+        exc.trace = trace
         raise
-    return best_phi, OptimizationTrace(records, stop)
+    trace.stop_reason = stop
+    return best_phi, trace
+
+
+def optimize_region(
+    phi0: LevelSetFunction,
+    params: ControlProblemParams,
+    max_iter: int = 200,
+    paper_mode: bool = False,
+    callback=None,
+):
+    """Minimize J from phi0 by descend: the adjoint gives J, the
+    sensitivity the velocity, and alpha weighs the implicit curvature.
+
+    Returns (best iterate by cost, trace).  Solver failures re-raise
+    with the partial trace attached as exc.trace.
+    """
+
+    def direction(phi, adjoint):
+        sensitivity = solve_sensitivity(phi, adjoint, params)
+        return descent_velocity(phi, adjoint, sensitivity, params), params.alpha
+
+    return descend(
+        phi0,
+        lambda phi: _measure_J(phi, params),
+        direction,
+        params.mollifier,
+        Trace(),
+        max_iter=max_iter,
+        eps1=params.eps1,
+        eps2=params.eps2,
+        theta0=params.theta0,
+        paper_mode=paper_mode,
+        callback=callback,
+    )

@@ -8,7 +8,6 @@ import pytest
 from regionopt.agestruct import (
     AgeModelParams,
     ERADICATION_TRACE_COLUMNS,
-    EradicationTrace,
     age_trapezoid_weights,
     eigen_operator_matrix,
     eradicability_verdict,
@@ -450,7 +449,7 @@ def test_heavy_area_penalty_shrinks_region():
     areas = [r.region_area for r in trace.records]
     assert len(areas) >= 2
     assert all(b < a for a, b in zip(areas, areas[1:]))
-    psis = trace.psis()
+    psis = trace.costs()
     assert np.all(np.diff(psis) < 0.0)
 
 
@@ -465,8 +464,8 @@ def test_printed_variant_still_gated_on_decrease():
         max_iter=4,
         sign_variant="printed",
     )
-    assert trace.sign_variant == "printed"
-    psis = trace.psis()
+    assert trace.constants["sign_variant"] == "printed"
+    psis = trace.costs()
     assert np.all(np.diff(psis) < 0.0)
 
 
@@ -483,6 +482,6 @@ def test_eradication_trace_csv(tmp_path):
     assert rows[0] == list(ERADICATION_TRACE_COLUMNS)
     assert len(rows) == len(trace.records) + 1
     assert rows[-1][-1] == trace.stop_reason
-    assert all(row[-2] == trace.sign_variant for row in rows[1:])
+    assert all(row[-2] == trace.constants["sign_variant"] for row in rows[1:])
     for row, record in zip(rows[1:], trace.records):
-        assert float(row[1]) == record.psi
+        assert float(row[1]) == record.cost

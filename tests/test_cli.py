@@ -403,6 +403,29 @@ def test_exit_code_for_solver_failure(tmp_path):
     assert rows[-1][-1] == "solver failure"
 
 
+def test_paper_mode_rejected_outside_optimize_region(tmp_path, capsys):
+    path = write_config(tmp_path, FORWARD_TEXT)
+    out = tmp_path / "fw"
+    status = main(["--config", str(path), "--out", str(out), "--paper-mode"])
+    assert status == 2
+    assert "optimize-region only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_seed_is_an_unknown_key(tmp_path, capsys):
+    text = TEST1_TEXT.replace("[run]", "[run]\nseed = 7")
+    path = write_config(tmp_path, text)
+    assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown key run.seed" in capsys.readouterr().err
+
+
+def test_eradication_convergence_settings_checked_at_parse(tmp_path, capsys):
+    text = ERADICATION_TEXT.replace("max_iter = 3", "max_iter = 3\neps1 = 0")
+    path = write_config(tmp_path, text)
+    assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "convergence.eps1 must be positive" in capsys.readouterr().err
+
+
 def test_output_directory_from_config(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     text = TEST1_TEXT.replace("[run]", "[run]\noutput = made_here").replace(

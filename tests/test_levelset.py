@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from regionopt.errors import SolverFailure
 from regionopt.grid import GridSpec, ScalarField
 from regionopt.levelset import (
     LevelSetFunction,
@@ -248,6 +249,15 @@ def test_evolve_phi_validation():
     other = ScalarField.constant(GridSpec(6, 2, 1.0), 0.0)
     with pytest.raises(ValueError):
         evolve_phi(phi, other, 0.1, Mollifier(1.0))
+
+
+def test_evolve_phi_non_finite_implicit_step_is_solver_failure():
+    g = GridSpec(4, 2, 1.0)
+    phi = circle_levelset(g)
+    vel = ScalarField.constant(g, 0.0)
+    vel.values[2, 2] = np.nan
+    with pytest.raises(SolverFailure, match="non-finite"):
+        evolve_phi(phi, vel, 0.1, Mollifier(1.0), alpha=0.4)
 
 
 def test_write_region_pgm(tmp_path):

@@ -16,7 +16,7 @@ from regionopt.levelset import (
 from regionopt.pde import ControlProblemParams, solve_adjoint, solve_sensitivity
 from regionopt.shapeopt import (
     TRACE_COLUMNS,
-    OptimizationTrace,
+    Trace,
     descent_velocity,
     evaluate_J,
     optimize_region,
@@ -162,6 +162,20 @@ def test_paper_mode_accepts_then_checks():
     assert trace.stop_reason == "phi tolerance"
 
 
+def test_first_cost_above_a_million_still_descends():
+    # The first iterate is compared against +inf, so a cost of any size
+    # can take a step; J(circle) here is about 4.59e6.
+    grid = GridSpec(N=20, M=20, T=1.0)
+    params = make_params(grid, beta=1.0e7)
+    _, trace = optimize_region(circle_levelset(grid), params, max_iter=200)
+    costs = trace.costs()
+    assert len(costs) == 3
+    assert costs[0] > 1.0e6
+    assert costs[1] < 25.0
+    assert np.all(np.diff(costs) < 0.0)
+    assert trace.stop_reason == "phi tolerance"
+
+
 def test_callback_sees_every_record():
     grid = GridSpec(N=10, M=10, T=1.0)
     params = make_params(grid)
@@ -189,7 +203,7 @@ def test_solver_failure_carries_partial_trace():
     with pytest.raises(SolverFailure) as excinfo:
         optimize_region(circle_levelset(grid), params, max_iter=5)
     trace = excinfo.value.trace
-    assert isinstance(trace, OptimizationTrace)
+    assert isinstance(trace, Trace)
     assert trace.stop_reason == "solver failure"
     assert len(trace.records) >= 1
 
