@@ -17,10 +17,10 @@ u on the control region.  Two questions are answered here:
   beta * area, by the same level-set descent as the harvest problem.
 
 The solver locks the time step to the age step, so aging is an exact
-shift along characteristics, and reuses the banded implicit machinery
-of the pde module for diffusion and decay at each age level.  Mortality
-is sampled finitely on the age grid; whatever is transported past the
-maximal age A flows out of the system.
+shift along characteristics, and reuses the implicit step solver of the
+pde module for diffusion and decay, all age levels of a time step in one
+batched solve.  Mortality is sampled finitely on the age grid; whatever
+is transported past the maximal age A flows out of the system.
 """
 
 from __future__ import annotations
@@ -385,8 +385,8 @@ def solve_age_structured(
 
     Each time step (dt = age step) shifts every age level up one cell
     along the aging characteristic, applies the implicit diffusion and
-    decay solve per level (decay rate mu(a) + M(P) + u, with the
-    logistic pressure P = int y da lagged at the previous time level),
+    decay solve to all levels at once (decay rate mu(a) + M(P) + u, with
+    the logistic pressure P = int y da lagged at the previous time level),
     and closes with the renewal integral for the newborn level, handled
     implicitly in its own weight.  Density transported past the maximal
     age flows out.  control selects no harvesting ("off"), the sharp
@@ -413,16 +413,17 @@ def solve_age_structured(
     slope = model.logistic_slope
     for k in range(steps):
         pressure = np.tensordot(weights, y[k], axes=(0, 0))[1:-1, 1:-1]
-        for level in range(model.Na, 0, -1):
-            e1 = dt * (mu[level] + slope * pressure + effort)
-            interior = stepper.step(e1, y[k][level - 1][1:-1, 1:-1])
-            low = interior.min()
-            if low < -1.0e-12:
-                raise SolverFailure(
-                    f"density lost positivity at time level {k + 1}, age "
-                    f"level {level}: min = {low:.3e}"
-                )
-            y[k + 1][level] = _complete_with_ghost(interior, grid.N)
+        e1 = dt * (mu[1:, None, None] + slope * pressure + effort)
+        interior = stepper.step(e1, y[k][:-1, 1:-1, 1:-1])
+        low = interior.min(axis=(1, 2))
+        failing = np.flatnonzero(low < -1.0e-12)
+        if failing.size:
+            level = failing[-1] + 1
+            raise SolverFailure(
+                f"density lost positivity at time level {k + 1}, age "
+                f"level {level}: min = {low[level - 1]:.3e}"
+            )
+        y[k + 1][1:] = _complete_with_ghost(interior, grid.N)
         births = np.tensordot(weights[1:] * beta[1:], y[k + 1][1:], axes=(0, 0))
         y[k + 1][0] = births / (1.0 - newborn_weight)
     return AgeDensityField(grid=grid, ages=model.ages, values=y)
@@ -511,13 +512,9 @@ def solve_eradication_adjoint(
             -slope * coupling[1:-1, 1:-1]
             + np.multiply.outer(beta, r[k + 1][0][1:-1, 1:-1])
         )
-        for level in range(model.Na):
-            e1 = dt * (
-                mu[level] + slope * pressure[1:-1, 1:-1] + harvested
-            )
-            rhs = r[k + 1][level + 1][1:-1, 1:-1] + source[level]
-            interior = stepper.step(e1, rhs)
-            r[k][level] = _complete_with_ghost(interior, grid.N)
+        e1 = dt * (mu[:-1, None, None] + slope * pressure[1:-1, 1:-1] + harvested)
+        interior = stepper.step(e1, r[k + 1][1:, 1:-1, 1:-1] + source[:-1])
+        r[k][:-1] = _complete_with_ghost(interior, grid.N)
         r[k][model.Na] = 0.0
     return AgeDensityField(grid=grid, ages=model.ages, values=r)
 

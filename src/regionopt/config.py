@@ -389,6 +389,14 @@ def parse_config(path) -> RunConfig:
             )
         except ValueError as exc:
             raise ConfigError(f"agestruct section rejected: {exc}") from None
+        # Only the age-structured march closes the renewal step implicitly.
+        newborn = age_model.fertility_samples[0] * age_model.da / 2.0
+        if command == "optimize-eradication" and newborn >= 1.0:
+            raise ConfigError(
+                "agestruct.fertility at age 0 times half the age step is "
+                f"{newborn:.6g} >= 1: the renewal step is ill-posed; refine "
+                "agestruct.Na or lower the fertility at age 0"
+            )
 
     return RunConfig(
         command=command,

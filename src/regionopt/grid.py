@@ -218,13 +218,11 @@ def curvature_divergence(field: ScalarField, eta: float = 1.0e-8) -> ScalarField
 
 def write_field_csv(field: ScalarField, path) -> None:
     """Write a field as CSV rows x1,x2,value with 17 significant digits."""
-    x = field.grid.nodes()
-    lines = ["x1,x2,value"]
-    for i in range(field.grid.N + 1):
-        for j in range(field.grid.N + 1):
-            lines.append(f"{x[i]:.17g},{x[j]:.17g},{field.values[i, j]:.17g}")
+    x = [f"{v:.17g}," for v in field.grid.nodes().tolist()]
+    values = [f"{v:.17g}\n" for v in field.values.ravel().tolist()]
+    rows = [xi + xj for xi in x for xj in x]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("x1,x2,value\n" + "".join(map(str.__add__, rows, values)))
 
 
 def read_field_csv(path, grid: GridSpec) -> ScalarField:

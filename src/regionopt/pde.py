@@ -14,11 +14,14 @@ leaves one linear system per time step for the (N-1)^2 interior nodes
 
 with lam = d dt / h^2, E1 the per-node reaction coefficient times dt,
 and c the number of interior neighbors (2 at interior-block corners, 3
-along its edges, 4 in the middle).  Unknowns are ordered row-major,
-v_22, v_23, ..., v_2N, v_32, ..., so each row has at most five nonzeros
-at offsets {0, +-1, +-(N-1)}: a banded system solved by banded
-elimination (LAPACK) in the production path; tests check it against a
-dense Gaussian-elimination oracle.
+along its edges, 4 in the middle).  In matrix form this is
+(I + lam L + diag(E1)) v = rhs, where L is the graph Laplacian of the
+interior grid with Neumann closure.  The DCT-II diagonalizes L exactly,
+so the step solver runs conjugate gradients on the five-point stencil,
+preconditioned by the exact inverse at the mean diagonal 1 + mean(E1),
+applied through the DCT matrix.  It solves a whole batch of blocks at
+once (all age levels of one time step); tests check it against a dense
+Gaussian-elimination oracle.
 
 Nonlinear reaction terms are lagged at the previously computed time
 level, so every step stays linear.
@@ -29,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import SolverFailure
 from .grid import GridSpec, ScalarField, SpaceTimeField
@@ -39,6 +41,9 @@ from .levelset import (
     delta_mollified,
     heaviside_mollified,
 )
+
+CG_TOL = 1.0e-13
+CG_MAX_ITER = 100
 
 
 @dataclass
@@ -99,43 +104,6 @@ class ControlProblemParams:
         return self.d * g.dt / (g.h * g.h)
 
 
-@dataclass
-class BandedSystem:
-    """One interior-node system in diagonal-ordered banded storage.
-
-    Row q <-> interior node (i, j) through q = (i-2)(N-1) + (j-1) with
-    1-based i, j; ab follows the LAPACK layout ab[bw + q - c, c] = A[q, c]
-    with bandwidth bw = N - 1.
-    """
-
-    n: int
-    bandwidth: int
-    ab: np.ndarray
-    rhs: np.ndarray
-
-    def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        bw = self.bandwidth
-        for off in range(-bw, bw + 1):
-            row = bw - off
-            if off >= 0:
-                np.fill_diagonal(a[:, off:], self.ab[row, off:])
-            else:
-                np.fill_diagonal(a[-off:, :], self.ab[row, : self.n + off])
-        return a
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros_like(x)
-        bw = self.bandwidth
-        for off in (0, 1, -1, bw, -bw):
-            row = bw - off
-            if off >= 0:
-                y[: self.n - off] += self.ab[row, off:] * x[off:]
-            else:
-                y[-off:] += self.ab[row, : self.n + off] * x[: self.n + off]
-        return y
-
-
 def interior_step_diagonals(N: int, lam: float, e1_interior: np.ndarray):
     """Raw five-band diagonals of the step matrix for any N >= 3.
 
@@ -162,91 +130,107 @@ def interior_step_diagonals(N: int, lam: float, e1_interior: np.ndarray):
     return main, off1, offb
 
 
-def _banded_template(N: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Banded storage with off-diagonals filled; main diagonal to be set."""
-    n1 = N - 1
-    n = n1 * n1
-    main, off1, offb = interior_step_diagonals(N, lam, np.zeros((n1, n1)))
-    ab = np.zeros((2 * n1 + 1, n))
-    ab[n1 - 1, 1:] = off1
-    ab[n1 + 1, :-1] = off1
-    ab[0, n1:] = offb
-    ab[2 * n1, : n - n1] = offb
-    base_main = main - 1.0  # lam * degree part; caller adds 1 + E1
-    return ab, base_main
+def dct_matrix(n: int) -> np.ndarray:
+    """Orthonormal DCT-II matrix; its rows are the eigenvectors of the
+    Neumann path Laplacian of n nodes, with eigenvalues 4 sin^2(pi k / 2n)."""
+    k = np.arange(n)[:, None]
+    q = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * np.arange(n) + 1) / (2 * n))
+    q[0] /= np.sqrt(2.0)
+    return q
 
 
-def assemble_step_matrix(params: ControlProblemParams, reaction: ScalarField) -> BandedSystem:
-    """Build the banded step matrix for a per-node reaction coefficient.
+class _ImplicitStepper:
+    """Step solver for one (N-1)^2 interior block or a batch of them.
 
-    `reaction` holds the E1 values (dt times the implicit reaction part)
-    on the full grid; only its interior block enters the matrix.
+    The operator is applied as a five-point stencil; blocks are the last
+    two axes, any leading axis is a batch of independent systems.
     """
-    if reaction.grid != params.grid:
-        raise ValueError("reaction field is not on the problem grid")
-    N = params.grid.N
-    main, off1, offb = interior_step_diagonals(
-        N, params.lam, reaction.values[1:-1, 1:-1]
-    )
-    n1 = N - 1
-    n = n1 * n1
-    ab = np.zeros((2 * n1 + 1, n))
-    ab[n1, :] = main
-    ab[n1 - 1, 1:] = off1
-    ab[n1 + 1, :-1] = off1
-    ab[0, n1:] = offb
-    ab[2 * n1, : n - n1] = offb
-    return BandedSystem(n=n, bandwidth=n1, ab=ab, rhs=np.zeros(n))
+
+    def __init__(self, N: int, lam: float):
+        n1 = N - 1
+        self.lam = lam
+        main = interior_step_diagonals(N, lam, np.zeros((n1, n1)))[0]
+        self.main = main.reshape(n1, n1)
+        self.q = dct_matrix(n1)
+        eig = 4.0 * np.sin(0.5 * np.pi * np.arange(n1) / n1) ** 2
+        self.lap_eigs = lam * (eig[:, None] + eig[None, :])
+
+    def apply(self, e1: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The product (I + lam L + diag(E1)) x."""
+        lam = self.lam
+        y = (self.main + e1) * x
+        y[..., 1:, :] -= lam * x[..., :-1, :]
+        y[..., :-1, :] -= lam * x[..., 1:, :]
+        y[..., :, 1:] -= lam * x[..., :, :-1]
+        y[..., :, :-1] -= lam * x[..., :, 1:]
+        return y
+
+    def precondition(self, shift: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The exact inverse of shift I + lam L applied to r, in the DCT basis."""
+        q = self.q
+        return q.T @ ((q @ r @ q.T) / (shift + self.lap_eigs)) @ q
+
+    def step(self, e1: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        return linear_solve(self, e1, rhs)[0]
 
 
-def linear_solve(system: BandedSystem) -> np.ndarray:
-    """Solve the banded system and verify the residual.
+def linear_solve(stepper: _ImplicitStepper, e1: np.ndarray, rhs: np.ndarray):
+    """Solve (I + lam L + diag(E1)) v = rhs by preconditioned CG.
 
-    Raises SolverFailure when elimination breaks down or the residual
-    exceeds 1e-10 relative to the right-hand side.
+    The preconditioner is the exact inverse at the mean diagonal
+    1 + mean(E1), so a uniform E1 is solved by the initial guess alone.
+    Each batch member has its own reductions and stops once its max-norm
+    residual is at most CG_TOL * max(|rhs|, 1).  Returns (v, iterations).
+    Raises SolverFailure on non-finite values, after CG_MAX_ITER
+    iterations, or when the true residual exceeds 1e-10 * max(|rhs|, 1).
     """
-    try:
-        x = solve_banded(
-            (system.bandwidth, system.bandwidth), system.ab, system.rhs
-        )
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure(f"banded elimination failed: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise SolverFailure("banded elimination produced non-finite values")
-    scale = max(np.abs(system.rhs).max(), 1.0)
-    resid = np.abs(system.matvec(x) - system.rhs).max()
-    if resid > 1.0e-10 * scale:
-        raise SolverFailure(
-            f"linear solve residual {resid:.3e} exceeds 1e-10 * {scale:.3e}"
-        )
-    return x
+    axes = (-2, -1)
+    scale = np.maximum(np.abs(rhs).max(axis=axes, keepdims=True), 1.0)
+    shift = 1.0 + np.mean(e1, axis=axes, keepdims=True)
+    x = stepper.precondition(shift, rhs)
+    r = rhs - stepper.apply(e1, x)
+    p = stepper.precondition(shift, r)
+    rz = np.sum(r * p, axis=axes, keepdims=True)
+    iterations = 0
+    while True:
+        rmax = np.abs(r).max(axis=axes, keepdims=True)
+        if not np.all(np.isfinite(rmax)):
+            raise SolverFailure("conjugate gradients produced non-finite values")
+        active = rmax > CG_TOL * scale
+        if not active.any():
+            break
+        if iterations == CG_MAX_ITER:
+            raise SolverFailure(
+                f"conjugate gradients did not converge in {CG_MAX_ITER} "
+                f"iterations: relative residual {(rmax / scale).max():.3e}"
+            )
+        ap = stepper.apply(e1, p)
+        pap = np.sum(p * ap, axis=axes, keepdims=True)
+        alpha = np.divide(rz, pap, out=np.zeros_like(rz), where=active)
+        x = x + alpha * p
+        r = r - alpha * ap
+        z = stepper.precondition(shift, r)
+        rz_new = np.sum(r * z, axis=axes, keepdims=True)
+        beta = np.divide(rz_new, rz, out=np.zeros_like(rz), where=active)
+        p = z + beta * p
+        rz = rz_new
+        iterations += 1
+    resid = np.abs(stepper.apply(e1, x) - rhs).max(axis=axes, keepdims=True)
+    resid = (resid / scale).max()
+    if resid > 1.0e-10:
+        raise SolverFailure(f"linear solve relative residual {resid:.3e} exceeds 1e-10")
+    return x, iterations
 
 
 def _complete_with_ghost(interior: np.ndarray, N: int) -> np.ndarray:
     """Extend interior values to the full grid by the Neumann ghost copy."""
-    full = np.empty((N + 1, N + 1))
-    full[1:-1, 1:-1] = interior
-    full[0, 1:-1] = interior[0]
-    full[-1, 1:-1] = interior[-1]
-    full[:, 0] = full[:, 1]
-    full[:, -1] = full[:, -2]
+    full = np.empty(interior.shape[:-2] + (N + 1, N + 1))
+    full[..., 1:-1, 1:-1] = interior
+    full[..., 0, 1:-1] = interior[..., 0, :]
+    full[..., -1, 1:-1] = interior[..., -1, :]
+    full[..., :, 0] = full[..., :, 1]
+    full[..., :, -1] = full[..., :, -2]
     return full
-
-
-class _ImplicitStepper:
-    """Reusable one-step solver; only the main diagonal changes per step."""
-
-    def __init__(self, N: int, lam: float):
-        self.N = N
-        self.n1 = N - 1
-        self.ab, self.base_main = _banded_template(N, lam)
-
-    def step(self, e1_interior: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        self.ab[self.n1, :] = 1.0 + self.base_main + e1_interior.ravel()
-        sys = BandedSystem(
-            n=self.n1 * self.n1, bandwidth=self.n1, ab=self.ab, rhs=rhs.ravel()
-        )
-        return linear_solve(sys).reshape(self.n1, self.n1)
 
 
 def _check_nonnegative(level: np.ndarray, k: int, what: str) -> None:

@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from regionopt import agestruct
 from regionopt.agestruct import (
     AgeModelParams,
     ERADICATION_TRACE_COLUMNS,
@@ -320,6 +321,19 @@ def test_model_validation():
         )
     with pytest.raises(ValueError):
         solve_age_structured(uniform_phi(grid, -1.0), basic_model(), control="what")
+
+
+def test_positivity_failure_names_highest_failing_age_level(monkeypatch):
+    class NegativeLevels(agestruct._ImplicitStepper):
+        def step(self, e1, rhs):
+            out = super().step(e1, rhs)
+            out[[2, 5]] = -1.0  # age levels 3 and 6 of the batch
+            return out
+
+    monkeypatch.setattr(agestruct, "_ImplicitStepper", NegativeLevels)
+    grid = spatial_grid(N=4)
+    with pytest.raises(SolverFailure, match="time level 1, age level 6: min"):
+        solve_age_structured(uniform_phi(grid, -1.0), basic_model(Na=10), control="off")
 
 
 def test_psi_zero_density_is_penalties_only():

@@ -426,6 +426,16 @@ def test_eradication_convergence_settings_checked_at_parse(tmp_path, capsys):
     assert "convergence.eps1 must be positive" in capsys.readouterr().err
 
 
+def test_ill_posed_renewal_step_rejected_at_parse(tmp_path, capsys):
+    text = ERADICATION_TEXT.replace("fertility = 1.5", "fertility = 50")
+    path = write_config(tmp_path, text)
+    out = tmp_path / "o"
+    assert main(["--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "agestruct.fertility" in err and "2.5 >= 1" in err
+    assert not out.exists()
+
+
 def test_output_directory_from_config(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     text = TEST1_TEXT.replace("[run]", "[run]\noutput = made_here").replace(

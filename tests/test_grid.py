@@ -196,6 +196,23 @@ def test_field_csv_roundtrip(tmp_path):
     assert path.read_text().splitlines()[0] == "x1,x2,value"
 
 
+def test_field_csv_bytes_match_per_row_format(tmp_path):
+    g = GridSpec(8, 2, 1.0)
+    rng = np.random.default_rng(29)
+    values = rng.standard_normal((9, 9)) * 10.0 ** rng.integers(-300, 300, (9, 9))
+    values[0, :3] = (-0.0, 5e-324, -1.7976931348623157e308)
+    values[4, 4] = 1.0 / 3.0
+    f = ScalarField(g, values)
+    x = g.nodes()
+    rows = ["x1,x2,value"]
+    for i in range(9):
+        for j in range(9):
+            rows.append(f"{x[i]:.17g},{x[j]:.17g},{values[i, j]:.17g}")
+    path = tmp_path / "field.csv"
+    write_field_csv(f, path)
+    assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+
 def test_field_csv_rejects_wrong_grid(tmp_path):
     g = GridSpec(8, 2, 1.0)
     f = ScalarField.constant(g, 1.0)

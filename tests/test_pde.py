@@ -1,14 +1,16 @@
 """Tests for the implicit solvers behind the harvested diffusion model.
 
-The banded production solver is checked against a dense Gaussian
-elimination oracle implemented here, and the matrix assembly against an
-independent node-by-node construction from the neighbor-count rule.
+The step solver (DCT-preconditioned conjugate gradients on the
+five-point stencil) is checked against a dense Gaussian elimination
+oracle implemented here, and the stencil and the band diagonals against
+an independent node-by-node construction from the neighbor-count rule.
 Spatially uniform problems reduce every solver to a scalar recurrence
 with a known closed form, which pins the time stepping exactly.
 """
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from regionopt.errors import SolverFailure
 from regionopt.grid import (
@@ -24,10 +26,10 @@ from regionopt.levelset import (
     delta_mollified,
     heaviside_mollified,
 )
+from regionopt import pde
 from regionopt.pde import (
-    BandedSystem,
     ControlProblemParams,
-    assemble_step_matrix,
+    _ImplicitStepper,
     bang_bang_control,
     interior_step_diagonals,
     linear_solve,
@@ -66,7 +68,7 @@ def gauss_solve(matrix, rhs):
 def dense_from_neighbor_rule(N, lam, e1):
     """Step matrix built entry by entry from the interior-neighbor count.
 
-    Independent of the banded assembly: nodes are visited in grid order
+    Independent of the stencil and the band diagonals: nodes are visited in grid order
     and each row gets 1 + (number of interior neighbors) * lam + E1 on
     the diagonal and -lam per neighbor.
     """
@@ -123,58 +125,86 @@ def test_interior_diagonals_validation():
 def test_assembled_matrix_matches_neighbor_rule():
     rng = np.random.default_rng(7)
     for N in (4, 8):
-        grid = GridSpec(N=N, M=10, T=0.5)
-        params = make_params(grid)
-        reaction = ScalarField(grid, rng.uniform(0.0, 0.3, (N + 1, N + 1)))
-        system = assemble_step_matrix(params, reaction)
-        dense = dense_from_neighbor_rule(
-            N, params.lam, reaction.values[1:-1, 1:-1]
-        )
-        assert np.allclose(system.to_dense(), dense, rtol=0, atol=1e-13)
+        e1 = rng.uniform(0.0, 0.3, (N - 1, N - 1))
+        main, off1, offb = interior_step_diagonals(N, 0.8, e1)
+        assembled = sparse.diags(
+            [main, off1, off1, offb, offb], [0, 1, -1, N - 1, 1 - N]
+        ).toarray()
+        dense = dense_from_neighbor_rule(N, 0.8, e1)
+        assert np.allclose(assembled, dense, rtol=0, atol=1e-13)
 
 
-def test_assemble_rejects_mismatched_reaction_grid():
-    grid = GridSpec(N=4, M=10, T=0.5)
-    other = GridSpec(N=6, M=10, T=0.5)
-    params = make_params(grid)
-    with pytest.raises(ValueError):
-        assemble_step_matrix(params, ScalarField.constant(other, 0.0))
-
-
-def test_banded_solve_agrees_with_dense_elimination():
+def test_step_solve_agrees_with_dense_elimination():
     rng = np.random.default_rng(11)
-    grid = GridSpec(N=8, M=10, T=0.5)
-    params = make_params(grid)
-    for _ in range(5):
-        reaction = ScalarField(grid, rng.uniform(0.0, 0.5, (9, 9)))
-        system = assemble_step_matrix(params, reaction)
-        system.rhs = rng.standard_normal(system.n)
-        x = linear_solve(system)
-        x_ref = gauss_solve(system.to_dense(), system.rhs)
-        scale = max(np.abs(x_ref).max(), 1.0)
-        assert np.abs(x - x_ref).max() <= 1e-10 * scale
+    for N in (3, 4, 8):
+        for lam in (0.3, 7.0):
+            stepper = _ImplicitStepper(N, lam)
+            for _ in range(3):
+                e1 = rng.uniform(-0.5, 0.5, (N - 1, N - 1))
+                rhs = rng.standard_normal((N - 1, N - 1))
+                x = stepper.step(e1, rhs)
+                x_ref = gauss_solve(dense_from_neighbor_rule(N, lam, e1), rhs.ravel())
+                scale = max(np.abs(x_ref).max(), 1.0)
+                assert np.abs(x.ravel() - x_ref).max() <= 1e-12 * scale
+
+
+def test_batched_step_equals_single_solves():
+    rng = np.random.default_rng(13)
+    stepper = _ImplicitStepper(8, 2.0)
+    e1 = rng.uniform(-0.5, 0.5, (3, 7, 7))
+    e1[1] = 0.25  # one member converges before the others
+    rhs = rng.standard_normal((3, 7, 7))
+    batch = stepper.step(e1, rhs)
+    assert batch.shape == (3, 7, 7)
+    for b in range(3):
+        single = stepper.step(e1[b], rhs[b])
+        assert np.abs(batch[b] - single).max() <= 1e-14 * max(np.abs(single).max(), 1.0)
+
+
+def test_uniform_reaction_needs_no_cg_iteration():
+    rng = np.random.default_rng(17)
+    N, lam = 6, 0.4
+    stepper = _ImplicitStepper(N, lam)
+    rhs = rng.standard_normal((N - 1, N - 1))
+    # 1 + E1 = -0.5 is indefinite, not rejected: the preconditioner is exact.
+    for value in (0.3, -1.5):
+        e1 = np.full((N - 1, N - 1), value)
+        x, iterations = linear_solve(stepper, e1, rhs)
+        assert iterations == 0
+        x_ref = gauss_solve(dense_from_neighbor_rule(N, lam, e1), rhs.ravel())
+        assert np.abs(x.ravel() - x_ref).max() <= 1e-12 * max(np.abs(x_ref).max(), 1.0)
 
 
 def test_matvec_agrees_with_dense_product():
     rng = np.random.default_rng(3)
-    grid = GridSpec(N=6, M=10, T=0.5)
-    params = make_params(grid)
-    reaction = ScalarField(grid, rng.uniform(0.0, 0.5, (7, 7)))
-    system = assemble_step_matrix(params, reaction)
-    for _ in range(5):
-        x = rng.standard_normal(system.n)
-        assert np.allclose(
-            system.matvec(x), system.to_dense() @ x, rtol=1e-13, atol=1e-13
-        )
+    for N in (3, 6):
+        stepper = _ImplicitStepper(N, 0.9)
+        e1 = rng.uniform(0.0, 0.5, (N - 1, N - 1))
+        dense = dense_from_neighbor_rule(N, 0.9, e1)
+        x = rng.standard_normal((5, N - 1, N - 1))
+        y = stepper.apply(e1, x)
+        for b in range(5):
+            assert np.allclose(
+                y[b].ravel(), dense @ x[b].ravel(), rtol=1e-13, atol=1e-13
+            )
 
 
-def test_linear_solve_reports_breakdown():
-    ab = np.zeros((3, 4))
-    ab[1] = 1.0
-    ab[1, 2] = 0.0
-    system = BandedSystem(n=4, bandwidth=1, ab=ab, rhs=np.ones(4))
-    with pytest.raises(SolverFailure):
-        linear_solve(system)
+def test_linear_solve_reports_breakdown(monkeypatch):
+    stepper = _ImplicitStepper(4, 1.0)
+    e1 = np.zeros((3, 3))
+    rhs = np.ones((3, 3))
+    bad = e1.copy()
+    bad[1, 1] = np.nan
+    rhs_bad = rhs.copy()
+    rhs_bad[0, 2] = np.inf
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(SolverFailure, match="non-finite"):
+            stepper.step(bad, rhs)
+        with pytest.raises(SolverFailure, match="non-finite"):
+            stepper.step(e1, rhs_bad)
+    monkeypatch.setattr(pde, "CG_MAX_ITER", 0)
+    with pytest.raises(SolverFailure, match="did not converge"):
+        stepper.step(np.diag([0.0, 0.4, 0.1]), rhs)
 
 
 def test_forward_uniform_growth_closed_form():
