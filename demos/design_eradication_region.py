@@ -18,7 +18,6 @@ from regionopt import (
     checkerboard_levelset,
     gaussian_density,
     optimize_eradication_region,
-    solve_age_structured,
     total_population,
     write_region_pgm,
 )
@@ -40,7 +39,7 @@ model = AgeModelParams(
 )
 m = Mollifier(1.0)
 
-best, trace = optimize_eradication_region(
+best, trace, density = optimize_eradication_region(
     checkerboard_levelset(grid),
     model,
     penalties=(0.1, 0.4),
@@ -58,9 +57,9 @@ for r in trace.records:
 print("stopped:", trace.stop_reason,
       "| sign variant:", trace.constants["sign_variant"])
 
-# How does the best region actually perform?  Run the population model
-# under the mollified effort on that region and watch the total count.
-density = solve_age_structured(best, model, control="mollified", m=m)
+# How does the best region actually perform?  The descent returns the
+# population density under the mollified effort on that region; watch
+# the total count.
 population = total_population(density)
 print("population under the designed effort: %.5f -> %.5f"
       % (population[0], population[-1]))

@@ -18,7 +18,6 @@ from regionopt import (
     checkerboard_levelset,
     gaussian_density,
     optimize_region,
-    region_area,
     write_region_pgm,
 )
 
@@ -39,13 +38,13 @@ params = ControlProblemParams(
 phi0 = checkerboard_levelset(grid)
 write_region_pgm(phi0, out / "checkerboard_initial.pgm")
 
-best, trace = optimize_region(phi0, params)
+best, trace, _ = optimize_region(phi0, params)
 
 costs = trace.costs()
 print("iterations:", len(trace.records), "stop:", trace.stop_reason)
 print("J: %.5f -> %.5f, strictly decreasing: %s" % (
     costs[0], costs[-1], bool((costs[1:] < costs[:-1]).all())))
-print("mollified area of the final region: %.4f" % region_area(best, params.mollifier))
+print("mollified area of the final region: %.4f" % trace.best().region_area)
 
 trace.write_csv(out / "checkerboard_trace.csv")
 write_region_pgm(best, out / "checkerboard_final.pgm")

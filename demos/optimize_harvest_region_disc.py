@@ -40,7 +40,7 @@ def snapshot(n, phi, record):
     write_region_pgm(phi, out / f"disc_omega_{n:04d}.pgm")
 
 
-best, trace = optimize_region(circle_levelset(grid), params, callback=snapshot)
+best, trace, _ = optimize_region(circle_levelset(grid), params, callback=snapshot)
 
 print("  n        J       adjoint    length     area    step")
 for r in trace.records:
@@ -50,8 +50,8 @@ for r in trace.records:
         f" {area:9.5f} {r.theta:7.3f}"
     )
 print("stopped:", trace.stop_reason)
-print("best J: %.6f, mollified area %.4f" % (min(trace.costs()),
-                                             trace.records[-1].region_area))
+record = trace.best()
+print("best J: %.6f, mollified area %.4f" % (record.cost, record.region_area))
 
 trace.write_csv(out / "disc_trace.csv")
 write_region_pgm(best, out / "disc_omega_final.pgm")

@@ -26,6 +26,7 @@ is transported past the maximal age A flows out of the system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import sparse
@@ -33,15 +34,9 @@ from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceFailure, SolverFailure
 from .grid import GridSpec, ScalarField, curvature_divergence, simpson_integral_2d
-from .levelset import (
-    LevelSetFunction,
-    Mollifier,
-    heaviside_mollified,
-    region_area,
-    region_length,
-)
+from .levelset import LevelSetFunction, Mollifier, heaviside_mollified
 from .pde import _ImplicitStepper, _complete_with_ghost, interior_step_diagonals
-from .shapeopt import Trace, descend
+from .shapeopt import Trace, descend, penalised_cost
 
 EIGEN_SHIFT = -1.0e-12
 EIGEN_TOL = 1.0e-8
@@ -64,7 +59,7 @@ ERADICATION_TRACE_COLUMNS = (
 )
 
 
-def _age_samples(spec, ages: np.ndarray, name: str, maximum=None) -> np.ndarray:
+def _age_samples(spec, ages: np.ndarray, name: str) -> np.ndarray:
     if callable(spec):
         values = np.asarray(spec(ages), dtype=float)
         values = np.broadcast_to(values, ages.shape).copy()
@@ -80,8 +75,6 @@ def _age_samples(spec, ages: np.ndarray, name: str, maximum=None) -> np.ndarray:
         raise ValueError(f"{name} samples must be finite on the age grid")
     if np.any(values < 0.0):
         raise ValueError(f"{name} must be nonnegative")
-    if maximum is not None and np.any(values > maximum):
-        raise ValueError(f"{name} must not exceed {maximum}")
     return values
 
 
@@ -441,16 +434,9 @@ def total_population(density: AgeDensityField) -> np.ndarray:
     return per_time
 
 
-def _measure_psi(phi: LevelSetFunction, model: AgeModelParams, penalties, m: Mollifier):
-    alpha, beta_weight = penalties
-    if alpha < 0.0 or beta_weight < 0.0:
-        raise ValueError("penalty weights must be nonnegative")
+def _final_population(phi: LevelSetFunction, model: AgeModelParams, m: Mollifier):
     density = solve_age_structured(phi, model, control="mollified", m=m)
-    population = float(total_population(density)[-1])
-    length_term = alpha * region_length(phi, m)
-    area_term = beta_weight * region_area(phi, m)
-    terms = (population, length_term, area_term)
-    return population + length_term + area_term, terms, density
+    return float(total_population(density)[-1]), density
 
 
 def evaluate_psi(
@@ -466,7 +452,8 @@ def evaluate_psi(
     the first being the age-space integral of the final-time density
     (trapezoid in age, Simpson in space).
     """
-    psi, terms, _ = _measure_psi(phi, model, penalties, m)
+    measure = partial(_final_population, model=model, m=m)
+    psi, terms, *_ = penalised_cost(phi, measure, penalties, m)
     return psi, terms
 
 
@@ -573,7 +560,7 @@ def optimize_eradication_region(
 
     The age-structured model gives Psi and its dual the velocity.  Every
     step is gated on an actual Psi decrease regardless of the sign
-    variant.  Returns (best iterate by Psi, trace).
+    variant.  Returns (best iterate by Psi, trace, its age density).
     """
     if sign_variant not in SIGN_VARIANTS:
         raise ValueError(f"sign_variant must be one of {SIGN_VARIANTS}")
@@ -586,10 +573,11 @@ def optimize_eradication_region(
 
     return descend(
         phi0,
-        lambda phi: _measure_psi(phi, model, penalties, m),
+        partial(_final_population, model=model, m=m),
         direction,
         m,
         Trace(ERADICATION_TRACE_COLUMNS, {"sign_variant": sign_variant}),
+        penalties=penalties,
         max_iter=max_iter,
         eps1=eps1,
         eps2=eps2,

@@ -21,13 +21,12 @@ import numpy as np
 from .agestruct import (
     eradicability_verdict,
     optimize_eradication_region,
-    solve_age_structured,
     total_population,
 )
 from .config import RunConfig, parse_config
 from .errors import ConfigError, ConvergenceFailure, SolverFailure
 from .grid import ScalarField, SpaceTimeField, write_field_csv
-from .levelset import region_area, region_length, write_region_pgm
+from .levelset import write_region_pgm
 from .pde import solve_forward
 from .shapeopt import optimize_region
 
@@ -80,25 +79,28 @@ def _run_optimize_region(
     config: RunConfig, out_dir: str, paper_mode: bool, snapshot_every: int
 ) -> int:
     callback = _region_snapshot_callback(out_dir, snapshot_every)
-    best, trace = optimize_region(
+    best, trace, _ = optimize_region(
         config.phi0,
         config.control,
         max_iter=config.max_iter,
+        eps1=config.eps1,
+        eps2=config.eps2,
+        theta0=config.theta0,
         paper_mode=paper_mode,
         callback=callback,
     )
     trace.write_csv(os.path.join(out_dir, "trace.csv"))
     write_region_pgm(best, os.path.join(out_dir, "omega_final.pgm"))
-    m = config.control.mollifier
+    record = trace.best()
     _write_summary(
         out_dir,
         [
             ("command", "optimize-region"),
             ("iterations", trace.records[-1].n),
             ("stop_reason", trace.stop_reason),
-            ("final_cost", format(min(trace.costs()), ".17g")),
-            ("final_region_area", format(region_area(best, m), ".17g")),
-            ("final_region_length", format(region_length(best, m), ".17g")),
+            ("final_cost", format(record.cost, ".17g")),
+            ("final_region_area", format(record.region_area, ".17g")),
+            ("final_region_length", format(record.region_length, ".17g")),
         ],
     )
     return 0
@@ -118,7 +120,7 @@ def _run_optimize_eradication(
 ) -> int:
     callback = _region_snapshot_callback(out_dir, snapshot_every)
     model = config.age_model
-    best, trace = optimize_eradication_region(
+    best, trace, density = optimize_eradication_region(
         config.phi0,
         model,
         (config.alpha, config.beta),
@@ -132,9 +134,6 @@ def _run_optimize_eradication(
     )
     trace.write_csv(os.path.join(out_dir, "trace.csv"))
     write_region_pgm(best, os.path.join(out_dir, "omega_final.pgm"))
-    density = solve_age_structured(
-        best, model, control="mollified", m=config.mollifier
-    )
     final = density.values[-1]
     for level in range(model.Na + 1):
         write_field_csv(
@@ -142,6 +141,7 @@ def _run_optimize_eradication(
             os.path.join(out_dir, f"density_a{level:04d}.csv"),
         )
     population = total_population(density)
+    record = trace.best()
     _write_summary(
         out_dir,
         [
@@ -149,8 +149,8 @@ def _run_optimize_eradication(
             ("iterations", trace.records[-1].n),
             ("stop_reason", trace.stop_reason),
             ("sign_variant", config.sign_variant),
-            ("final_psi", format(min(trace.costs()), ".17g")),
-            ("final_region_area", format(region_area(best, config.mollifier), ".17g")),
+            ("final_psi", format(record.cost, ".17g")),
+            ("final_region_area", format(record.region_area, ".17g")),
             ("population_initial", format(population[0], ".17g")),
             ("population_final", format(population[-1], ".17g")),
         ],

@@ -172,27 +172,6 @@ def _field_spec(raw, grid, presets, base_dir, what) -> ScalarField:
     )
 
 
-def _levelset_spec(raw, grid, base_dir) -> LevelSetFunction:
-    try:
-        return LevelSetFunction(ScalarField.constant(grid, float(raw)))
-    except ValueError:
-        pass
-    if raw == "circle":
-        return circle_levelset(grid)
-    if raw == "checkerboard":
-        return checkerboard_levelset(grid)
-    path = _resolve_existing_path(base_dir, raw)
-    if path is not None:
-        try:
-            return LevelSetFunction(read_field_csv(path, grid))
-        except ValueError as exc:
-            raise ConfigError(f"levelset.init: bad field file {raw}: {exc}") from None
-    raise ConfigError(
-        "levelset.init must be a number, a preset (checkerboard, circle), "
-        f"or an existing CSV path; got {raw!r}"
-    )
-
-
 def read_age_samples_csv(path, ages: np.ndarray) -> np.ndarray:
     """Read an ``age,value`` CSV whose age column matches the age grid."""
     with open(path, newline="") as handle:
@@ -306,7 +285,18 @@ def parse_config(path) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"mollifier.eps rejected: {exc}") from None
 
-    phi0 = _levelset_spec(_get_raw(parser, "levelset", "init"), grid, base_dir)
+    phi0 = LevelSetFunction(
+        _field_spec(
+            _get_raw(parser, "levelset", "init"),
+            grid,
+            {
+                "circle": lambda g: circle_levelset(g).phi,
+                "checkerboard": lambda g: checkerboard_levelset(g).phi,
+            },
+            base_dir,
+            "levelset.init",
+        )
+    )
 
     growth = None
     raw_a = _get_raw(parser, "model", "a")
@@ -330,9 +320,6 @@ def parse_config(path) -> RunConfig:
                 alpha=alpha,
                 beta=beta,
                 mollifier=mollifier,
-                eps1=eps1,
-                eps2=eps2,
-                theta0=theta0,
             )
         except ValueError as exc:
             raise ConfigError(f"model/penalty settings rejected: {exc}") from None

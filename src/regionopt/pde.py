@@ -48,7 +48,7 @@ CG_MAX_ITER = 100
 
 @dataclass
 class ControlProblemParams:
-    """Model data and loop settings for the harvest problem.
+    """Model data of the harvest problem.
 
     Attributes
     ----------
@@ -64,11 +64,6 @@ class ControlProblemParams:
         Interface-length and region-area penalty weights, >= 0.
     mollifier : Mollifier
         Regularization used for both phi and 1 + p.
-    eps1, eps2 : float
-        Stopping tolerances on the cost decrement and the L2 change of
-        phi in the outer loop.
-    theta0 : float
-        Initial descent step size.
     """
 
     d: float
@@ -78,9 +73,6 @@ class ControlProblemParams:
     alpha: float
     beta: float
     mollifier: Mollifier
-    eps1: float = 1.0e-3
-    eps2: float = 1.0e-3
-    theta0: float = 0.05
 
     def __post_init__(self):
         if not (self.d > 0.0):
@@ -109,8 +101,8 @@ def interior_step_diagonals(N: int, lam: float, e1_interior: np.ndarray):
 
     Returns (main, off1, offb): the main diagonal 1 + c lam + E1, the
     +-1 diagonal (j-neighbors, zeroed across block boundaries) and the
-    +-(N-1) diagonal (i-neighbors).  Kept separate from the validated
-    grid path so the small-N structure stays testable.
+    +-(N-1) diagonal (i-neighbors).  The step solver takes its main
+    diagonal at E1 = 0; eigen_operator_matrix assembles all five bands.
     """
     if N < 3:
         raise ValueError(f"interior block needs N >= 3, got {N}")

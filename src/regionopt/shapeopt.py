@@ -12,16 +12,18 @@ effort.  Its shape derivative yields the nodal descent velocity
 where r is the forward sensitivity; the interface-length penalty enters
 as a curvature term treated semi-implicitly inside evolve_phi.  The loop
 (descend, shared with the eradication cost of the agestruct module)
-evaluates the cost, stops on a small decrement or an increase, otherwise
-steps phi along the velocity and repeats.  When a step increases the cost
-the step size is halved and retried a few times before giving up; a pure
-descent mode disables that retry and stops on the first increase.
+adds the two penalties to the data term of each iterate, stops on a
+small decrement or an increase, otherwise steps phi along the velocity
+and repeats.  When a step increases the cost the step size is halved
+and retried a few times before giving up; a pure descent mode disables
+that retry and stops on the first increase.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -87,6 +89,10 @@ class Trace:
     def costs(self) -> np.ndarray:
         return np.array([r.cost for r in self.records])
 
+    def best(self) -> IterationRecord:
+        """The first record of lowest cost: the iterate descend returns."""
+        return min(self.records, key=lambda r: r.cost)
+
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
@@ -110,15 +116,29 @@ class Trace:
                 )
 
 
-def _measure_J(phi: LevelSetFunction, params: ControlProblemParams):
+def _adjoint_term(phi: LevelSetFunction, params: ControlProblemParams):
     adjoint = solve_adjoint(phi, params)
-    adjoint_term = simpson_integral_2d(
+    term = simpson_integral_2d(
         ScalarField(params.grid, params.y0.values * adjoint.values[0])
     )
-    length_term = params.alpha * region_length(phi, params.mollifier)
-    area_term = params.beta * region_area(phi, params.mollifier)
-    total = adjoint_term + length_term + area_term
-    return total, (adjoint_term, length_term, area_term), adjoint
+    return term, adjoint
+
+
+def penalised_cost(phi: LevelSetFunction, measure, penalties, m: Mollifier):
+    """Region cost of phi as (cost, terms, area, length, state).
+
+    measure(phi) gives (data term, state); terms = (data, alpha * length,
+    beta * area) with the mollified region_area and region_length, and
+    cost is their sum in that order.
+    """
+    alpha, beta = penalties
+    if alpha < 0.0 or beta < 0.0:
+        raise ValueError("penalty weights must be nonnegative")
+    data, state = measure(phi)
+    area = region_area(phi, m)
+    length = region_length(phi, m)
+    terms = (data, alpha * length, beta * area)
+    return data + terms[1] + terms[2], terms, area, length, state
 
 
 def evaluate_J(phi: LevelSetFunction, params: ControlProblemParams):
@@ -127,7 +147,9 @@ def evaluate_J(phi: LevelSetFunction, params: ControlProblemParams):
     Solves the adjoint internally and returns (J, (adjoint term,
     weighted length term, weighted area term)).
     """
-    cost, terms, _ = _measure_J(phi, params)
+    measure = partial(_adjoint_term, params=params)
+    penalties = (params.alpha, params.beta)
+    cost, terms, *_ = penalised_cost(phi, measure, penalties, params.mollifier)
     return cost, terms
 
 
@@ -166,6 +188,7 @@ def descend(
     m: Mollifier,
     trace: Trace,
     *,
+    penalties,
     max_iter: int,
     eps1: float,
     eps2: float,
@@ -175,18 +198,21 @@ def descend(
 ):
     """Run the outer descent loop from phi0.
 
-    measure(phi) returns (cost, its three terms, solver state) and
-    direction(phi, state) returns (velocity, curvature weight).  Each
-    pass evaluates the cost, checks the stopping rules (small decrement,
-    increase, small phi change, iteration budget), then moves phi one
-    semi-implicit step along the velocity.  An increase triggers
-    step-size halving with up to 5 retries unless paper_mode is set, in
-    which case the first increase stops the loop on the spot.
+    measure(phi) returns (data term, solver state), to which
+    penalised_cost adds the length and area penalties = (alpha, beta)
+    once per evaluated phi; direction(phi, state) returns (velocity,
+    curvature weight).  Each pass evaluates the cost, checks the
+    stopping rules (small decrement, increase, small phi change,
+    iteration budget), then moves phi one semi-implicit step along the
+    velocity.  An increase triggers step-size halving with up to 5
+    retries unless paper_mode is set, in which case the first increase
+    stops the loop on the spot.
 
-    Fills trace and returns (best iterate by cost, trace).  Solver
-    failures re-raise with the partial trace attached as exc.trace.  The
-    optional callback receives (n, phi, record) after each accepted
-    iterate.
+    Fills trace and returns (best_phi, trace, best_state): the iterate
+    of lowest cost, whose record is trace.best(), and its solver state.
+    Solver failures re-raise with the partial trace attached as
+    exc.trace.  The optional callback receives (n, phi, record) after
+    each accepted iterate.
 
     Stop reasons: "J tolerance", "J increase", "phi tolerance",
     "iteration budget".
@@ -196,28 +222,28 @@ def descend(
     if not (eps1 > 0.0 and eps2 > 0.0 and theta0 > 0.0):
         raise ValueError("eps1, eps2 and theta0 must be positive")
     phi = phi0
-    best_phi = phi0
-    best_cost = np.inf
+    best_phi = best_state = best_cost = None
     cost_prev = np.inf
     phi_change = 0.0
     theta = 0.0
     n = 1
     try:
-        cost, terms, state = measure(phi)
+        cost, terms, area, length, state = penalised_cost(phi, measure, penalties, m)
         while True:
             record = IterationRecord(
                 n=n,
                 cost=cost,
                 terms=terms,
-                region_area=region_area(phi, m),
-                region_length=region_length(phi, m),
+                region_area=area,
+                region_length=length,
                 phi_change=phi_change,
                 theta=theta,
             )
             trace.records.append(record)
-            if cost < best_cost:
+            if best_cost is None or cost < best_cost:
                 best_cost = cost
                 best_phi = phi
+                best_state = state
             if callback is not None:
                 callback(n, phi, record)
             if n > 1 and phi_change < eps2:
@@ -237,10 +263,10 @@ def descend(
             closest_gap = np.inf
             for _ in range(1 if paper_mode else MAX_TRIALS):
                 phi_next = evolve_phi(phi, velocity, theta, m, alpha=curvature_weight)
-                cost_next, terms_next, state_next = measure(phi_next)
-                if paper_mode or cost_next < cost:
+                trial = penalised_cost(phi_next, measure, penalties, m)
+                if paper_mode or trial[0] < cost:
                     break
-                closest_gap = min(closest_gap, abs(cost_next - cost))
+                closest_gap = min(closest_gap, abs(trial[0] - cost))
                 theta *= 0.5
             else:
                 # No step decreased the cost; the non-decrease rule fires,
@@ -251,29 +277,32 @@ def descend(
             phi_change = _phi_distance(phi_next, phi)
             cost_prev = cost
             phi = phi_next
-            cost = cost_next
-            terms = terms_next
-            state = state_next
+            cost, terms, area, length, state = trial
             n += 1
     except SolverFailure as exc:
         trace.stop_reason = "solver failure"
         exc.trace = trace
         raise
     trace.stop_reason = stop
-    return best_phi, trace
+    return best_phi, trace, best_state
 
 
 def optimize_region(
     phi0: LevelSetFunction,
     params: ControlProblemParams,
     max_iter: int = 200,
+    eps1: float = 1.0e-3,
+    eps2: float = 1.0e-3,
+    theta0: float = 0.05,
     paper_mode: bool = False,
     callback=None,
 ):
     """Minimize J from phi0 by descend: the adjoint gives J, the
     sensitivity the velocity, and alpha weighs the implicit curvature.
 
-    Returns (best iterate by cost, trace).  Solver failures re-raise
+    eps1 and eps2 are the stopping tolerances on the cost decrement and
+    on the L2 change of phi, theta0 the initial step size.  Returns
+    (best iterate by cost, trace, its adjoint).  Solver failures re-raise
     with the partial trace attached as exc.trace.
     """
 
@@ -283,14 +312,15 @@ def optimize_region(
 
     return descend(
         phi0,
-        lambda phi: _measure_J(phi, params),
+        partial(_adjoint_term, params=params),
         direction,
         params.mollifier,
         Trace(),
+        penalties=(params.alpha, params.beta),
         max_iter=max_iter,
-        eps1=params.eps1,
-        eps2=params.eps2,
-        theta0=params.theta0,
+        eps1=eps1,
+        eps2=eps2,
+        theta0=theta0,
         paper_mode=paper_mode,
         callback=callback,
     )

@@ -259,7 +259,7 @@ def test_criterion_5_reference_runs(tmp_path):
         ("disc", circle_levelset(grid)),
         ("checkerboard", checkerboard_levelset(grid)),
     ):
-        best, trace = optimize_region(phi0, params, max_iter=200)
+        best, trace, _ = optimize_region(phi0, params, max_iter=200)
         costs = trace.costs()
         area = region_area(best, params.mollifier)
         masks = []

@@ -437,7 +437,7 @@ def test_velocity_variants():
 def test_loop_trivial_stop_by_tolerance():
     grid = spatial_grid(N=8)
     model = basic_model(Na=10, L=0.0)
-    best, trace = optimize_eradication_region(
+    best, trace, _ = optimize_eradication_region(
         circle_levelset(grid), model, (0.0, 0.0), Mollifier(1.0), max_iter=10
     )
     assert len(trace.records) == 1
@@ -447,7 +447,7 @@ def test_loop_trivial_stop_by_tolerance():
 def test_loop_budget_of_one():
     grid = spatial_grid(N=8)
     model = basic_model(Na=10)
-    _, trace = optimize_eradication_region(
+    _, trace, _ = optimize_eradication_region(
         circle_levelset(grid), model, (0.1, 0.1), Mollifier(1.0), max_iter=1
     )
     assert len(trace.records) == 1
@@ -457,7 +457,7 @@ def test_loop_budget_of_one():
 def test_heavy_area_penalty_shrinks_region():
     grid = spatial_grid(N=10)
     model = basic_model(Na=10, T=0.5)
-    best, trace = optimize_eradication_region(
+    best, trace, _ = optimize_eradication_region(
         uniform_phi(grid, 1.0), model, (0.0, 5.0), Mollifier(1.0), max_iter=6
     )
     areas = [r.region_area for r in trace.records]
@@ -470,7 +470,7 @@ def test_heavy_area_penalty_shrinks_region():
 def test_printed_variant_still_gated_on_decrease():
     grid = spatial_grid(N=8)
     model = basic_model(Na=10, T=0.5)
-    _, trace = optimize_eradication_region(
+    _, trace, _ = optimize_eradication_region(
         circle_levelset(grid),
         model,
         (0.1, 0.1),
@@ -486,7 +486,7 @@ def test_printed_variant_still_gated_on_decrease():
 def test_eradication_trace_csv(tmp_path):
     grid = spatial_grid(N=8)
     model = basic_model(Na=10, T=0.5)
-    _, trace = optimize_eradication_region(
+    _, trace, _ = optimize_eradication_region(
         circle_levelset(grid), model, (0.1, 0.1), Mollifier(1.0), max_iter=3
     )
     path = tmp_path / "trace.csv"
@@ -499,3 +499,17 @@ def test_eradication_trace_csv(tmp_path):
     assert all(row[-2] == trace.constants["sign_variant"] for row in rows[1:])
     for row, record in zip(rows[1:], trace.records):
         assert float(row[1]) == record.cost
+
+
+def test_best_state_is_the_density_of_the_best_iterate():
+    grid = spatial_grid(N=8)
+    model = basic_model(Na=10, T=0.5)
+    m = Mollifier(1.0)
+    best, trace, density = optimize_eradication_region(
+        circle_levelset(grid), model, (0.1, 0.1), m, max_iter=3
+    )
+    assert len(trace.records) >= 2
+    fresh = solve_age_structured(best, model, control="mollified", m=m)
+    assert np.array_equal(density.values, fresh.values)
+    psi, terms = evaluate_psi(best, model, (0.1, 0.1), m)
+    assert (psi, terms) == (trace.best().cost, trace.best().terms)

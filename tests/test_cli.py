@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from regionopt import agestruct, cli, shapeopt
 from regionopt.cli import main, run
 from regionopt.config import gaussian_density, parse_config, read_age_samples_csv
 from regionopt.errors import ConfigError
@@ -67,7 +68,7 @@ def test_parse_reference_harvest_config(tmp_path):
     assert params.L == 1.0
     assert (params.alpha, params.beta) == (0.4, 0.6)
     assert params.mollifier.eps == 1.0
-    assert (params.eps1, params.eps2, params.theta0) == (0.001, 0.001, 0.05)
+    assert (config.eps1, config.eps2, config.theta0) == (0.001, 0.001, 0.05)
     assert np.all(params.a.values == 3.0)
     assert np.allclose(
         params.y0.values, gaussian_density(config.grid).values, rtol=0, atol=0
@@ -352,6 +353,32 @@ def test_eradication_run_is_deterministic(tmp_path):
     assert len(density_files) == 11
     summary = read_summary(first)
     assert summary["sign_variant"] == "descent"
+
+
+def test_eradication_run_solves_the_age_model_once_per_evaluated_phi(
+    tmp_path, monkeypatch
+):
+    # One age solve for the start and one per trial step (one evolve_phi
+    # each); the density files come from the best iterate's own solve.
+    counts = {"solve_age_structured": 0, "evolve_phi": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    solve = counted("solve_age_structured", agestruct.solve_age_structured)
+    for module in (agestruct, cli):
+        monkeypatch.setattr(module, "solve_age_structured", solve, raising=False)
+    monkeypatch.setattr(
+        shapeopt, "evolve_phi", counted("evolve_phi", shapeopt.evolve_phi)
+    )
+    path = write_config(tmp_path, ERADICATION_TEXT)
+    assert run(parse_config(path), out_dir=str(tmp_path / "o")) == 0
+    assert counts["evolve_phi"] >= 1
+    assert counts["solve_age_structured"] == counts["evolve_phi"] + 1
 
 
 def test_exit_code_for_missing_config(tmp_path):

@@ -1,10 +1,12 @@
 """Tests for the outer region-descent loop and its cost evaluation."""
 
 import csv
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from regionopt import shapeopt
 from regionopt.errors import SolverFailure
 from regionopt.grid import GridSpec, ScalarField, SpaceTimeField
 from regionopt.levelset import (
@@ -99,7 +101,7 @@ def test_cost_components_far_outside_region():
 def test_trivial_loop_stops_at_first_iterate():
     grid = GridSpec(N=10, M=10, T=1.0)
     params = make_params(grid, L=0.0, alpha=0.0, beta=0.0)
-    best, trace = optimize_region(circle_levelset(grid), params, max_iter=10)
+    best, trace, _ = optimize_region(circle_levelset(grid), params, max_iter=10)
     assert len(trace.records) == 1
     assert trace.records[0].n == 1
     assert trace.records[0].cost == 0.0
@@ -109,7 +111,7 @@ def test_trivial_loop_stops_at_first_iterate():
 def test_budget_of_one_gives_single_record():
     grid = GridSpec(N=10, M=10, T=1.0)
     params = make_params(grid)
-    best, trace = optimize_region(circle_levelset(grid), params, max_iter=1)
+    best, trace, _ = optimize_region(circle_levelset(grid), params, max_iter=1)
     assert len(trace.records) == 1
     assert trace.stop_reason == "iteration budget"
 
@@ -124,7 +126,7 @@ def test_max_iter_validation():
 def test_loop_decreases_cost_on_small_problem():
     grid = GridSpec(N=10, M=10, T=1.0)
     params = make_params(grid)
-    best, trace = optimize_region(circle_levelset(grid), params, max_iter=8)
+    best, trace, _ = optimize_region(circle_levelset(grid), params, max_iter=8)
     costs = trace.costs()
     assert len(costs) >= 3
     assert np.all(np.diff(costs) < 0.0)
@@ -136,7 +138,7 @@ def test_loop_decreases_cost_on_small_problem():
 def test_first_record_has_zero_step_fields():
     grid = GridSpec(N=10, M=10, T=1.0)
     params = make_params(grid)
-    _, trace = optimize_region(circle_levelset(grid), params, max_iter=3)
+    _, trace, _ = optimize_region(circle_levelset(grid), params, max_iter=3)
     assert trace.records[0].phi_change == 0.0
     assert trace.records[0].theta == 0.0
     for record in trace.records[1:]:
@@ -146,7 +148,7 @@ def test_first_record_has_zero_step_fields():
 def test_returned_phi_has_lowest_recorded_cost():
     grid = GridSpec(N=10, M=10, T=1.0)
     params = make_params(grid)
-    best, trace = optimize_region(circle_levelset(grid), params, max_iter=5)
+    best, trace, _ = optimize_region(circle_levelset(grid), params, max_iter=5)
     J_best, _ = evaluate_J(best, params)
     assert J_best == pytest.approx(trace.costs().min(), rel=1e-12)
 
@@ -154,7 +156,7 @@ def test_returned_phi_has_lowest_recorded_cost():
 def test_paper_mode_accepts_then_checks():
     grid = GridSpec(N=10, M=10, T=1.0)
     params = make_params(grid, L=0.0, alpha=0.0, beta=0.0)
-    best, trace = optimize_region(
+    best, trace, _ = optimize_region(
         circle_levelset(grid), params, max_iter=10, paper_mode=True
     )
     assert len(trace.records) == 2
@@ -167,7 +169,7 @@ def test_first_cost_above_a_million_still_descends():
     # can take a step; J(circle) here is about 4.59e6.
     grid = GridSpec(N=20, M=20, T=1.0)
     params = make_params(grid, beta=1.0e7)
-    _, trace = optimize_region(circle_levelset(grid), params, max_iter=200)
+    _, trace, _ = optimize_region(circle_levelset(grid), params, max_iter=200)
     costs = trace.costs()
     assert len(costs) == 3
     assert costs[0] > 1.0e6
@@ -180,7 +182,7 @@ def test_callback_sees_every_record():
     grid = GridSpec(N=10, M=10, T=1.0)
     params = make_params(grid)
     seen = []
-    _, trace = optimize_region(
+    _, trace, _ = optimize_region(
         circle_levelset(grid),
         params,
         max_iter=3,
@@ -211,7 +213,7 @@ def test_solver_failure_carries_partial_trace():
 def test_trace_csv_round_trip(tmp_path):
     grid = GridSpec(N=10, M=10, T=1.0)
     params = make_params(grid)
-    _, trace = optimize_region(circle_levelset(grid), params, max_iter=3)
+    _, trace, _ = optimize_region(circle_levelset(grid), params, max_iter=3)
     path = tmp_path / "trace.csv"
     trace.write_csv(path)
     with open(path, newline="") as handle:
@@ -224,3 +226,42 @@ def test_trace_csv_round_trip(tmp_path):
         assert float(row[7]) == record.phi_change
     assert rows[-1][-1] == trace.stop_reason
     assert all(row[-1] == "" for row in rows[1:-1])
+
+
+def test_region_geometry_computed_once_per_evaluated_phi(monkeypatch):
+    # Every evaluated phi (the start and each trial step) solves one
+    # adjoint; its area and length are computed once with it.
+    counts = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("solve_adjoint", "region_area", "region_length"):
+        monkeypatch.setattr(shapeopt, name, counted(name, getattr(shapeopt, name)))
+    grid = GridSpec(N=10, M=10, T=1.0)
+    _, trace, _ = optimize_region(circle_levelset(grid), make_params(grid), max_iter=5)
+    assert counts["solve_adjoint"] >= len(trace.records) >= 3
+    assert counts["region_area"] == counts["solve_adjoint"]
+    assert counts["region_length"] == counts["solve_adjoint"]
+
+
+@pytest.mark.parametrize("paper_mode", [False, True])
+def test_best_state_is_the_adjoint_of_the_best_iterate(paper_mode):
+    # With theta0 = 10 the paper-mode run ends on an increase, so its
+    # best iterate is not the last one.
+    grid = GridSpec(N=10, M=10, T=1.0)
+    params = make_params(grid)
+    best, trace, adjoint = optimize_region(
+        circle_levelset(grid), params, max_iter=20, theta0=10.0, paper_mode=paper_mode
+    )
+    if paper_mode:
+        assert trace.stop_reason == "J increase"
+        assert trace.best() is not trace.records[-1]
+    assert trace.best().cost == trace.costs().min()
+    assert np.array_equal(adjoint.values, solve_adjoint(best, params).values)
+    J_best, terms = evaluate_J(best, params)
+    assert (J_best, terms) == (trace.best().cost, trace.best().terms)
