@@ -19,8 +19,10 @@ u on the control region.  Two questions are answered here:
 The solver locks the time step to the age step, so aging is an exact
 shift along characteristics, and reuses the implicit step solver of the
 pde module for diffusion and decay, all age levels of a time step in one
-batched solve.  Mortality is sampled finitely on the age grid; whatever
-is transported past the maximal age A flows out of the system.
+batched solve on full-grid levels; the eigenvalue operator comes from
+the pde module's interior-operator assembly.  Mortality is sampled
+finitely on the age grid; whatever is transported past the maximal age
+A flows out of the system.
 """
 
 from __future__ import annotations
@@ -35,13 +37,14 @@ from scipy.sparse.linalg import splu
 from .errors import ConvergenceFailure, SolverFailure
 from .grid import GridSpec, ScalarField, curvature_divergence, simpson_integral_2d
 from .levelset import LevelSetFunction, Mollifier, heaviside_mollified
-from .pde import _ImplicitStepper, _complete_with_ghost, interior_step_diagonals
+from .pde import _ImplicitStepper, interior_operator
 from .shapeopt import Trace, descend, penalised_cost
 
 EIGEN_SHIFT = -1.0e-12
 EIGEN_TOL = 1.0e-8
 EIGEN_MAX_ITER = 10_000
 LOTKA_TOL = 1.0e-10
+VERDICT_TOLERANCE = 1.0e-6
 SIGN_VARIANTS = ("descent", "printed")
 
 ERADICATION_TRACE_COLUMNS = (
@@ -247,16 +250,8 @@ def eigen_operator_matrix(
         raise ValueError("phi is not on the given grid")
     if d < 0.0 or L < 0.0:
         raise ValueError("d and L must be nonnegative")
-    N = grid.N
-    lam = d / (grid.h * grid.h)
-    indicator = (phi.phi.values[1:-1, 1:-1] > 0.0).astype(float)
-    main, off1, offb = interior_step_diagonals(N, lam, L * indicator - 1.0)
-    n1 = N - 1
-    return sparse.diags(
-        [main, off1, off1, offb, offb],
-        [0, 1, -1, n1, -n1],
-        format="csc",
-    )
+    indicator = (phi.phi.values > 0.0).astype(float)
+    return interior_operator(d / (grid.h * grid.h), L * indicator)
 
 
 def principal_eigenvalue(
@@ -303,50 +298,27 @@ class EradicabilityReport:
     lambda1: float
     margin: float
     verdict: str
-    tolerance: float
-
-    def summary(self) -> str:
-        return "\n".join(
-            [
-                f"r_star = {self.r_star:.12g}",
-                f"lambda1 = {self.lambda1:.12g}",
-                f"margin = {self.margin:.12g}",
-                f"verdict = {self.verdict}",
-                f"tolerance = {self.tolerance:.12g}",
-            ]
-        )
 
 
 def eradicability_verdict(
-    phi: LevelSetFunction,
-    model: AgeModelParams,
-    grid: GridSpec,
-    tolerance: float = 1.0e-6,
+    phi: LevelSetFunction, model: AgeModelParams, grid: GridSpec
 ) -> EradicabilityReport:
     """Compare lambda_1 of the region against r* and classify.
 
-    Margins beyond +-tolerance give Eradicable / NotEradicable; anything
-    inside the band is Indeterminate (the comparison is too close for
-    the discrete operators to call).
+    Margins beyond +-VERDICT_TOLERANCE give Eradicable / NotEradicable;
+    anything inside the band is Indeterminate (the comparison is too
+    close for the discrete operators to call).
     """
-    if tolerance <= 0.0:
-        raise ValueError("tolerance must be positive")
     r_star = lotka_root(model)
     lambda1 = principal_eigenvalue(phi, model.d, model.L, grid)
     margin = lambda1 - r_star
-    if margin > tolerance:
+    if margin > VERDICT_TOLERANCE:
         verdict = "Eradicable"
-    elif margin < -tolerance:
+    elif margin < -VERDICT_TOLERANCE:
         verdict = "NotEradicable"
     else:
         verdict = "Indeterminate"
-    return EradicabilityReport(
-        r_star=r_star,
-        lambda1=lambda1,
-        margin=margin,
-        verdict=verdict,
-        tolerance=tolerance,
-    )
+    return EradicabilityReport(r_star, lambda1, margin, verdict)
 
 
 def _effort_field(
@@ -387,7 +359,7 @@ def solve_age_structured(
     """
     grid = phi.grid
     dt = model.da
-    effort = _effort_field(phi, model, control, m)[1:-1, 1:-1]
+    effort = _effort_field(phi, model, control, m)
     beta = model.fertility_samples
     mu = model.mortality_samples
     weights = age_trapezoid_weights(model.Na, model.da)
@@ -397,18 +369,15 @@ def solve_age_structured(
             "renewal step is ill-posed: fertility at age 0 times the half "
             f"age step is {newborn_weight:.3g} >= 1; refine the age grid"
         )
-    lam = model.d * dt / (grid.h * grid.h)
-    stepper = _ImplicitStepper(grid.N, lam)
-    steps = model.n_time
-    n = grid.N + 1
-    y = np.empty((steps + 1, model.Na + 1, n, n))
+    stepper = _ImplicitStepper(grid.N, model.d * dt / (grid.h * grid.h))
+    y = np.empty((model.n_time + 1, model.Na + 1) + effort.shape)
     y[0] = model.initial_density(grid)
     slope = model.logistic_slope
-    for k in range(steps):
-        pressure = np.tensordot(weights, y[k], axes=(0, 0))[1:-1, 1:-1]
+    for k in range(model.n_time):
+        pressure = np.tensordot(weights, y[k], axes=(0, 0))
         e1 = dt * (mu[1:, None, None] + slope * pressure + effort)
-        interior = stepper.step(e1, y[k][:-1, 1:-1, 1:-1])
-        low = interior.min(axis=(1, 2))
+        y[k + 1][1:] = stepper.step(e1, y[k][:-1])
+        low = y[k + 1][1:].min(axis=(1, 2))
         failing = np.flatnonzero(low < -1.0e-12)
         if failing.size:
             level = failing[-1] + 1
@@ -416,7 +385,6 @@ def solve_age_structured(
                 f"density lost positivity at time level {k + 1}, age "
                 f"level {level}: min = {low[level - 1]:.3e}"
             )
-        y[k + 1][1:] = _complete_with_ghost(interior, grid.N)
         births = np.tensordot(weights[1:] * beta[1:], y[k + 1][1:], axes=(0, 0))
         y[k + 1][0] = births / (1.0 - newborn_weight)
     return AgeDensityField(grid=grid, ages=model.ages, values=y)
@@ -482,11 +450,9 @@ def solve_eradication_adjoint(
     beta = model.fertility_samples
     mu = model.mortality_samples
     weights = age_trapezoid_weights(model.Na, model.da)
-    harvested = model.L * heaviside_mollified(phi.phi.values, m)[1:-1, 1:-1]
-    lam = model.d * dt / (grid.h * grid.h)
-    stepper = _ImplicitStepper(grid.N, lam)
+    harvested = model.L * heaviside_mollified(phi.phi.values, m)
+    stepper = _ImplicitStepper(grid.N, model.d * dt / (grid.h * grid.h))
     slope = model.logistic_slope
-    n = grid.N + 1
     r = np.empty_like(density.values)
     r[steps] = terminal_value
     r[steps, model.Na] = 0.0
@@ -495,13 +461,9 @@ def solve_eradication_adjoint(
         coupling = np.tensordot(
             weights, r[k + 1] * density.values[k + 1], axes=(0, 0)
         )
-        source = dt * (
-            -slope * coupling[1:-1, 1:-1]
-            + np.multiply.outer(beta, r[k + 1][0][1:-1, 1:-1])
-        )
-        e1 = dt * (mu[:-1, None, None] + slope * pressure[1:-1, 1:-1] + harvested)
-        interior = stepper.step(e1, r[k + 1][1:, 1:-1, 1:-1] + source[:-1])
-        r[k][:-1] = _complete_with_ghost(interior, grid.N)
+        source = dt * (-slope * coupling + np.multiply.outer(beta, r[k + 1][0]))
+        e1 = dt * (mu[:-1, None, None] + slope * pressure + harvested)
+        r[k][:-1] = stepper.step(e1, r[k + 1][1:] + source[:-1])
         r[k][model.Na] = 0.0
     return AgeDensityField(grid=grid, ages=model.ages, values=r)
 

@@ -19,6 +19,7 @@ import sys
 import numpy as np
 
 from .agestruct import (
+    VERDICT_TOLERANCE,
     eradicability_verdict,
     optimize_eradication_region,
     total_population,
@@ -108,10 +109,17 @@ def _run_optimize_region(
 
 def _run_eradicability(config: RunConfig, out_dir: str) -> int:
     report = eradicability_verdict(config.phi0, config.age_model, config.grid)
-    body = "command = eradicability\n" + report.summary() + "\n"
-    with open(os.path.join(out_dir, "summary.txt"), "w") as handle:
-        handle.write(body)
-    sys.stdout.write(body)
+    _write_summary(
+        out_dir,
+        [
+            ("command", "eradicability"),
+            ("r_star", format(report.r_star, ".12g")),
+            ("lambda1", format(report.lambda1, ".12g")),
+            ("margin", format(report.margin, ".12g")),
+            ("verdict", report.verdict),
+            ("tolerance", format(VERDICT_TOLERANCE, ".12g")),
+        ],
+    )
     return 0
 
 

@@ -119,12 +119,6 @@ class SpaceTimeField:
         )
 
     @classmethod
-    def from_function(cls, grid: GridSpec, f) -> "SpaceTimeField":
-        X1, X2 = grid.mesh()
-        levels = [np.asarray(f(X1, X2, t), dtype=float) for t in grid.times()]
-        return cls(grid, np.stack(levels))
-
-    @classmethod
     def constant(cls, grid: GridSpec, value: float) -> "SpaceTimeField":
         n = grid.N + 1
         return cls(grid, np.full((grid.M + 1, n, n), float(value)))

@@ -21,7 +21,10 @@ so the step solver runs conjugate gradients on the five-point stencil,
 preconditioned by the exact inverse at the mean diagonal 1 + mean(E1),
 applied through the DCT matrix.  It solves a whole batch of blocks at
 once (all age levels of one time step); tests check it against a dense
-Gaussian-elimination oracle.
+Gaussian-elimination oracle.  The interior block is private to this
+module: the step solver takes and returns full-grid levels and fills in
+the Neumann ghost nodes, and interior_operator assembles lam L + diag(c)
+as a sparse matrix (the eigenvalue operator of the agestruct module).
 
 Nonlinear reaction terms are lagged at the previously computed time
 level, so every step stays linear.
@@ -32,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import SolverFailure
 from .grid import GridSpec, ScalarField, SpaceTimeField
@@ -96,30 +100,33 @@ class ControlProblemParams:
         return self.d * g.dt / (g.h * g.h)
 
 
-def interior_step_diagonals(N: int, lam: float, e1_interior: np.ndarray):
-    """Raw five-band diagonals of the step matrix for any N >= 3.
-
-    Returns (main, off1, offb): the main diagonal 1 + c lam + E1, the
-    +-1 diagonal (j-neighbors, zeroed across block boundaries) and the
-    +-(N-1) diagonal (i-neighbors).  The step solver takes its main
-    diagonal at E1 = 0; eigen_operator_matrix assembles all five bands.
-    """
-    if N < 3:
-        raise ValueError(f"interior block needs N >= 3, got {N}")
-    n1 = N - 1
-    e1 = np.asarray(e1_interior, dtype=float)
-    if e1.shape != (n1, n1):
-        raise ValueError(f"reaction block has shape {e1.shape}, expected {(n1, n1)}")
+def _neighbor_count(n1: int) -> np.ndarray:
+    """Number of interior neighbors of each node of the (n1, n1) interior block."""
     inner = np.zeros(n1)
     inner[1:] += 1.0
     inner[:-1] += 1.0
-    deg = inner[:, None] + inner[None, :]
-    main = 1.0 + lam * deg.ravel() + e1.ravel()
-    n = n1 * n1
-    off1 = np.full(n - 1, -lam)
+    return inner[:, None] + inner[None, :]
+
+
+def interior_operator(lam: float, c: np.ndarray) -> sparse.csc_matrix:
+    """Sparse lam L + diag(c) on the interior nodes of the full-grid field c.
+
+    L is the Neumann graph Laplacian of the interior block, assembled as
+    five bands: the main diagonal lam * (neighbor count) + c, the +-1
+    diagonal (j-neighbors, zeroed across block rows) and the +-(N-1)
+    diagonal (i-neighbors).
+    """
+    c = np.asarray(c, dtype=float)
+    if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] < 4:
+        raise ValueError(f"need a square full-grid field with N >= 3, got {c.shape}")
+    n1 = c.shape[0] - 2
+    main = lam * _neighbor_count(n1).ravel() + c[1:-1, 1:-1].ravel()
+    off1 = np.full(n1 * n1 - 1, -lam)
     off1[n1 - 1 :: n1] = 0.0
-    offb = np.full(n - n1, -lam)
-    return main, off1, offb
+    offb = np.full(n1 * n1 - n1, -lam)
+    return sparse.diags(
+        [main, off1, off1, offb, offb], [0, 1, -1, n1, -n1], format="csc"
+    )
 
 
 def dct_matrix(n: int) -> np.ndarray:
@@ -132,17 +139,17 @@ def dct_matrix(n: int) -> np.ndarray:
 
 
 class _ImplicitStepper:
-    """Step solver for one (N-1)^2 interior block or a batch of them.
+    """Implicit step solver on full-grid levels, one or a batch of them.
 
-    The operator is applied as a five-point stencil; blocks are the last
-    two axes, any leading axis is a batch of independent systems.
+    step() takes and returns levels (..., N+1, N+1); apply, precondition
+    and linear_solve work on the (N-1)^2 interior blocks.  Any leading
+    axis is a batch of independent systems.
     """
 
     def __init__(self, N: int, lam: float):
         n1 = N - 1
         self.lam = lam
-        main = interior_step_diagonals(N, lam, np.zeros((n1, n1)))[0]
-        self.main = main.reshape(n1, n1)
+        self.main = 1.0 + lam * _neighbor_count(n1)
         self.q = dct_matrix(n1)
         eig = 4.0 * np.sin(0.5 * np.pi * np.arange(n1) / n1) ** 2
         self.lap_eigs = lam * (eig[:, None] + eig[None, :])
@@ -163,7 +170,12 @@ class _ImplicitStepper:
         return q.T @ ((q @ r @ q.T) / (shift + self.lap_eigs)) @ q
 
     def step(self, e1: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        return linear_solve(self, e1, rhs)[0]
+        """Solve on the interiors of the full-grid e1 and rhs; return the
+        full-grid solution with its Neumann ghost nodes filled in."""
+        inner = (..., slice(1, -1), slice(1, -1))
+        # Contiguous, so that mean(E1) sums in the same order at every N.
+        e1 = np.ascontiguousarray(e1[inner])
+        return _complete_with_ghost(linear_solve(self, e1, rhs[inner])[0])
 
 
 def linear_solve(stepper: _ImplicitStepper, e1: np.ndarray, rhs: np.ndarray):
@@ -214,9 +226,9 @@ def linear_solve(stepper: _ImplicitStepper, e1: np.ndarray, rhs: np.ndarray):
     return x, iterations
 
 
-def _complete_with_ghost(interior: np.ndarray, N: int) -> np.ndarray:
+def _complete_with_ghost(interior: np.ndarray) -> np.ndarray:
     """Extend interior values to the full grid by the Neumann ghost copy."""
-    full = np.empty(interior.shape[:-2] + (N + 1, N + 1))
+    full = np.empty(interior.shape[:-2] + (interior.shape[-1] + 2,) * 2)
     full[..., 1:-1, 1:-1] = interior
     full[..., 0, 1:-1] = interior[..., 0, :]
     full[..., -1, 1:-1] = interior[..., -1, :]
@@ -246,18 +258,15 @@ def solve_adjoint(phi: LevelSetFunction, params: ControlProblemParams) -> SpaceT
         raise ValueError("phi is not on the problem grid")
     m = params.mollifier
     dt = grid.dt
-    hphi = heaviside_mollified(phi.phi.values[1:-1, 1:-1], m)
-    e1 = dt * (-params.a.values[1:-1, 1:-1])
+    hphi = heaviside_mollified(phi.phi.values, m)
+    e1 = dt * (-params.a.values)
     stepper = _ImplicitStepper(grid.N, params.lam)
-    n = grid.N + 1
-    p = np.empty((grid.M + 1, n, n))
+    p = np.empty((grid.M + 1,) + hphi.shape)
     p[grid.M] = 0.0
     for k in range(grid.M - 1, -1, -1):
-        prev = p[k + 1][1:-1, 1:-1]
-        shifted = 1.0 + prev
+        shifted = 1.0 + p[k + 1]
         g = dt * params.L * hphi * shifted * heaviside_mollified(shifted, m)
-        sol = stepper.step(e1, prev - g)
-        p[k] = _complete_with_ghost(sol, grid.N)
+        p[k] = stepper.step(e1, p[k + 1] - g)
     return SpaceTimeField(grid, p)
 
 
@@ -275,22 +284,18 @@ def solve_sensitivity(
         raise ValueError("phi/adjoint are not on the problem grid")
     m = params.mollifier
     dt = grid.dt
-    hphi = heaviside_mollified(phi.phi.values[1:-1, 1:-1], m)
-    a_int = params.a.values[1:-1, 1:-1]
+    hphi = heaviside_mollified(phi.phi.values, m)
     stepper = _ImplicitStepper(grid.N, params.lam)
-    n = grid.N + 1
-    r = np.empty((grid.M + 1, n, n))
+    r = np.empty_like(adjoint.values)
     r[0] = params.y0.values
     for k in range(grid.M):
-        shifted = 1.0 + adjoint.values[k + 1][1:-1, 1:-1]
+        shifted = 1.0 + adjoint.values[k + 1]
         coupling = params.L * hphi * (
             heaviside_mollified(shifted, m)
             + shifted * delta_mollified(shifted, m)
         )
-        e1 = dt * (-a_int + coupling)
-        sol = stepper.step(e1, r[k][1:-1, 1:-1])
-        _check_nonnegative(sol, k + 1, "sensitivity")
-        r[k + 1] = _complete_with_ghost(sol, grid.N)
+        r[k + 1] = stepper.step(dt * (-params.a.values + coupling), r[k])
+        _check_nonnegative(r[k + 1], k + 1, "sensitivity")
     return SpaceTimeField(grid, r)
 
 
@@ -315,21 +320,16 @@ def solve_forward(
         raise ValueError("control must lie in [0, L]")
     m = params.mollifier
     dt = grid.dt
-    hphi = heaviside_mollified(phi.phi.values[1:-1, 1:-1], m)
-    a_int = params.a.values[1:-1, 1:-1]
+    hphi = heaviside_mollified(phi.phi.values, m)
     stepper = _ImplicitStepper(grid.N, params.lam)
-    n = grid.N + 1
-    y = np.empty((grid.M + 1, n, n))
+    y = np.empty_like(control.values)
     y[0] = params.y0.values
     for k in range(grid.M):
-        e1 = dt * (-a_int + hphi * control.values[k + 1][1:-1, 1:-1])
-        rhs = y[k][1:-1, 1:-1].copy()
-        if forcing is not None:
-            rhs += dt * forcing.values[k + 1][1:-1, 1:-1]
-        sol = stepper.step(e1, rhs)
+        e1 = dt * (-params.a.values + hphi * control.values[k + 1])
+        rhs = y[k] if forcing is None else y[k] + dt * forcing.values[k + 1]
+        y[k + 1] = stepper.step(e1, rhs)
         if forcing is None:
-            _check_nonnegative(sol, k + 1, "state")
-        y[k + 1] = _complete_with_ghost(sol, grid.N)
+            _check_nonnegative(y[k + 1], k + 1, "state")
     return SpaceTimeField(grid, y)
 
 

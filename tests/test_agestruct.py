@@ -213,14 +213,6 @@ def test_verdict_indeterminate_by_tuned_fertility():
     assert report.verdict == "Indeterminate"
 
 
-def test_verdict_summary_lists_fields():
-    grid = spatial_grid(N=10)
-    report = eradicability_verdict(uniform_phi(grid, 1.0), basic_model(), grid)
-    text = report.summary()
-    for key in ("r_star", "lambda1", "margin", "verdict", "tolerance"):
-        assert f"{key} = " in text
-
-
 def test_pure_aging_transport_is_exact():
     grid = spatial_grid(N=10)
     model = basic_model(

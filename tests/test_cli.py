@@ -2,6 +2,7 @@
 
 import csv
 import os
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from regionopt import agestruct, cli, shapeopt
 from regionopt.cli import main, run
 from regionopt.config import gaussian_density, parse_config, read_age_samples_csv
-from regionopt.errors import ConfigError
+from regionopt.errors import ConfigError, SolverFailure
 from regionopt.grid import GridSpec, ScalarField, read_field_csv, write_field_csv
 from regionopt.levelset import checkerboard_levelset, circle_levelset
 
@@ -298,6 +299,8 @@ def test_eradicability_full_region_summary(tmp_path):
     summary = read_summary(out)
     assert summary["verdict"] == "Eradicable"
     assert abs(float(summary["margin"]) - 2.0) <= 1e-6
+    for key in ("r_star", "lambda1", "margin", "verdict", "tolerance"):
+        assert key in summary
 
 
 ERADICATION_TEXT = """
@@ -420,14 +423,46 @@ init = circle
 """
 
 
-def test_exit_code_for_solver_failure(tmp_path):
-    path = write_config(tmp_path, SOLVER_FAILURE_TEXT)
+def test_exit_code_for_solver_failure(tmp_path, monkeypatch):
+    def lose_positivity(*args):
+        raise SolverFailure("sensitivity lost positivity at time level 1")
+
+    monkeypatch.setattr(shapeopt, "solve_sensitivity", lose_positivity)
+    text = SOLVER_FAILURE_TEXT.replace("a = 3.0", "a = 1.0")
+    path = write_config(tmp_path, text)
     out = tmp_path / "fail"
     status = main(["--config", str(path), "--out", str(out)])
     assert status == 3
     with open(out / "trace.csv", newline="") as handle:
         rows = list(csv.reader(handle))
     assert rows[-1][-1] == "solver failure"
+
+
+def test_unstable_time_step_rejected_at_parse(tmp_path, capsys):
+    # dt * a = 1.5: the implicit step would lose positivity mid-solve.
+    path = write_config(tmp_path, SOLVER_FAILURE_TEXT)
+    out = tmp_path / "fail"
+    assert main(["--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "1.5 >= 1" in err and "grid.M >= 4" in err
+    assert not out.exists()
+    # dt * a = 1 exactly makes the preconditioner singular; forward is
+    # checked too.
+    text = FORWARD_TEXT.replace("a = 0.0", "a = 20.0").replace("M = 100", "M = 20")
+    assert main(["--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 2
+    assert "grid.M >= 22" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_penalty_rejected_for_every_command(tmp_path, capsys):
+    for text in (TEST1_TEXT, ERADICATION_TEXT):
+        for key in ("alpha", "beta"):
+            bad = re.sub(rf"^{key} = .*$", f"{key} = -0.1", text, flags=re.M)
+            path = write_config(tmp_path, bad)
+            out = tmp_path / "o"
+            assert main(["--config", str(path), "--out", str(out)]) == 2
+            assert f"penalty.{key} must be nonnegative" in capsys.readouterr().err
+            assert not out.exists()
 
 
 def test_paper_mode_rejected_outside_optimize_region(tmp_path, capsys):

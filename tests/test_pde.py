@@ -2,15 +2,15 @@
 
 The step solver (DCT-preconditioned conjugate gradients on the
 five-point stencil) is checked against a dense Gaussian elimination
-oracle implemented here, and the stencil and the band diagonals against
-an independent node-by-node construction from the neighbor-count rule.
+oracle implemented here, and the stencil and the interior-operator
+assembly against an independent node-by-node construction from the
+neighbor-count rule.
 Spatially uniform problems reduce every solver to a scalar recurrence
 with a known closed form, which pins the time stepping exactly.
 """
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from regionopt.errors import SolverFailure
 from regionopt.grid import (
@@ -30,8 +30,9 @@ from regionopt import pde
 from regionopt.pde import (
     ControlProblemParams,
     _ImplicitStepper,
+    _complete_with_ghost,
     bang_bang_control,
-    interior_step_diagonals,
+    interior_operator,
     linear_solve,
     solve_adjoint,
     solve_forward,
@@ -68,9 +69,9 @@ def gauss_solve(matrix, rhs):
 def dense_from_neighbor_rule(N, lam, e1):
     """Step matrix built entry by entry from the interior-neighbor count.
 
-    Independent of the stencil and the band diagonals: nodes are visited in grid order
-    and each row gets 1 + (number of interior neighbors) * lam + E1 on
-    the diagonal and -lam per neighbor.
+    Independent of the stencil and the assembly: nodes are visited in
+    grid order and each row gets 1 + (number of interior neighbors) * lam
+    + E1 on the diagonal and -lam per neighbor.
     """
     n1 = N - 1
     a = np.zeros((n1 * n1, n1 * n1))
@@ -103,33 +104,40 @@ def uniform_levelset(grid, value):
     return LevelSetFunction(ScalarField.constant(grid, value))
 
 
+def full_grid(interior):
+    """A full-grid field whose interior is the given block (ghosts zero)."""
+    full = np.zeros(interior.shape[:-2] + (interior.shape[-1] + 2,) * 2)
+    full[..., 1:-1, 1:-1] = interior
+    return full
+
+
 def test_small_block_every_row_is_a_corner_row():
     lam = 0.7
     e1 = np.array([[0.1, 0.2], [0.3, 0.4]])
-    main, off1, offb = interior_step_diagonals(3, lam, e1)
+    matrix = interior_operator(lam, full_grid(1.0 + e1))
+    main, off1, offb = (matrix.diagonal(k) for k in (0, 1, 2))
     assert np.allclose(main, 1.0 + 2.0 * lam + e1.ravel(), rtol=0, atol=1e-15)
     assert off1.shape == (3,)
     assert off1[0] == -lam and off1[2] == -lam
     assert off1[1] == 0.0
     assert np.all(offb == -lam)
     assert offb.shape == (2,)
+    assert (matrix - matrix.T).count_nonzero() == 0
 
 
-def test_interior_diagonals_validation():
+def test_interior_operator_validation():
     with pytest.raises(ValueError):
-        interior_step_diagonals(2, 0.5, np.zeros((1, 1)))
+        interior_operator(0.5, np.zeros((3, 3)))
     with pytest.raises(ValueError):
-        interior_step_diagonals(4, 0.5, np.zeros((2, 2)))
+        interior_operator(0.5, np.zeros((5, 6)))
 
 
 def test_assembled_matrix_matches_neighbor_rule():
     rng = np.random.default_rng(7)
     for N in (4, 8):
         e1 = rng.uniform(0.0, 0.3, (N - 1, N - 1))
-        main, off1, offb = interior_step_diagonals(N, 0.8, e1)
-        assembled = sparse.diags(
-            [main, off1, off1, offb, offb], [0, 1, -1, N - 1, 1 - N]
-        ).toarray()
+        assembled = interior_operator(0.8, full_grid(e1)).toarray()
+        assembled += np.eye((N - 1) ** 2)
         dense = dense_from_neighbor_rule(N, 0.8, e1)
         assert np.allclose(assembled, dense, rtol=0, atol=1e-13)
 
@@ -142,7 +150,7 @@ def test_step_solve_agrees_with_dense_elimination():
             for _ in range(3):
                 e1 = rng.uniform(-0.5, 0.5, (N - 1, N - 1))
                 rhs = rng.standard_normal((N - 1, N - 1))
-                x = stepper.step(e1, rhs)
+                x = linear_solve(stepper, e1, rhs)[0]
                 x_ref = gauss_solve(dense_from_neighbor_rule(N, lam, e1), rhs.ravel())
                 scale = max(np.abs(x_ref).max(), 1.0)
                 assert np.abs(x.ravel() - x_ref).max() <= 1e-12 * scale
@@ -154,10 +162,10 @@ def test_batched_step_equals_single_solves():
     e1 = rng.uniform(-0.5, 0.5, (3, 7, 7))
     e1[1] = 0.25  # one member converges before the others
     rhs = rng.standard_normal((3, 7, 7))
-    batch = stepper.step(e1, rhs)
+    batch = linear_solve(stepper, e1, rhs)[0]
     assert batch.shape == (3, 7, 7)
     for b in range(3):
-        single = stepper.step(e1[b], rhs[b])
+        single = linear_solve(stepper, e1[b], rhs[b])[0]
         assert np.abs(batch[b] - single).max() <= 1e-14 * max(np.abs(single).max(), 1.0)
 
 
@@ -199,12 +207,39 @@ def test_linear_solve_reports_breakdown(monkeypatch):
     rhs_bad[0, 2] = np.inf
     with np.errstate(invalid="ignore"):
         with pytest.raises(SolverFailure, match="non-finite"):
-            stepper.step(bad, rhs)
+            linear_solve(stepper, bad, rhs)[0]
         with pytest.raises(SolverFailure, match="non-finite"):
-            stepper.step(e1, rhs_bad)
+            linear_solve(stepper, e1, rhs_bad)[0]
     monkeypatch.setattr(pde, "CG_MAX_ITER", 0)
     with pytest.raises(SolverFailure, match="did not converge"):
-        stepper.step(np.diag([0.0, 0.4, 0.1]), rhs)
+        linear_solve(stepper, np.diag([0.0, 0.4, 0.1]), rhs)[0]
+
+
+def test_full_grid_step_solves_interiors_and_fills_ghosts(monkeypatch):
+    rng = np.random.default_rng(19)
+    N = 6
+    stepper = _ImplicitStepper(N, 0.6)
+    e1 = rng.uniform(-0.3, 0.3, (2, N + 1, N + 1))
+    rhs = rng.standard_normal((2, N + 1, N + 1))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return linear_solve(*args)
+
+    # The step must look linear_solve up on the module, where spans and
+    # solve counts are attached to it.
+    monkeypatch.setattr(pde, "linear_solve", counted)
+    full = stepper.step(e1, rhs)
+    assert len(calls) == 1
+    interior = linear_solve(stepper, e1[:, 1:-1, 1:-1], rhs[:, 1:-1, 1:-1])[0]
+    assert np.array_equal(full, _complete_with_ghost(interior))
+    assert full.shape == (2, N + 1, N + 1)
+    assert np.array_equal(full[:, 1:-1, 1:-1], interior)
+    assert np.array_equal(full[:, 0], full[:, 1])
+    assert np.array_equal(full[:, -1], full[:, -2])
+    assert np.array_equal(full[:, :, 0], full[:, :, 1])
+    assert np.array_equal(full[:, :, -1], full[:, :, -2])
 
 
 def test_forward_uniform_growth_closed_form():
