@@ -213,6 +213,18 @@ def test_verdict_indeterminate_by_tuned_fertility():
     assert report.verdict == "Indeterminate"
 
 
+def test_verdict_summary_lists_fields():
+    # The eradicability summary.txt lists r_star, lambda1, margin and
+    # verdict from the report and the module's verdict tolerance.
+    grid = spatial_grid(N=10)
+    report = eradicability_verdict(uniform_phi(grid, 1.0), basic_model(), grid)
+    for key in ("r_star", "lambda1", "margin"):
+        assert np.isfinite(getattr(report, key))
+    assert report.margin == report.lambda1 - report.r_star
+    assert report.verdict in {"Eradicable", "NotEradicable", "Indeterminate"}
+    assert agestruct.VERDICT_TOLERANCE > 0.0
+
+
 def test_pure_aging_transport_is_exact():
     grid = spatial_grid(N=10)
     model = basic_model(
