@@ -324,22 +324,12 @@ def parse_config(path) -> RunConfig:
                 beta=beta,
                 mollifier=mollifier,
             )
+            control.check_time_step()
         except ValueError as exc:
             raise ConfigError(f"model/penalty settings rejected: {exc}") from None
         if not 0.0 <= control_level <= L:
             raise ConfigError(
                 f"model.u must lie in [0, L] = [0, {L}], got {control_level}"
-            )
-        # The implicit step keeps its M-matrix (and positivity) while
-        # dt * a < 1 at every interior node.
-        a_max = growth.values[1:-1, 1:-1].max()
-        if grid.dt * a_max >= 1.0:
-            M = 2 * int(grid.T * a_max / 2.0) + 2
-            while grid.T / M * a_max >= 1.0:
-                M += 2
-            raise ConfigError(
-                f"grid.T / grid.M * max(model.a) is {grid.dt * a_max:.6g} >= 1: "
-                f"the implicit step loses positivity; use grid.M >= {M}"
             )
 
     sign_variant = _get_raw(parser, "agestruct", "sign_variant") or "descent"

@@ -99,6 +99,19 @@ class ControlProblemParams:
         g = self.grid
         return self.d * g.dt / (g.h * g.h)
 
+    def check_time_step(self) -> None:
+        """Raise ValueError unless dt * a < 1 on interior nodes (M-matrix step)."""
+        grid = self.grid
+        a_max = self.a.values[1:-1, 1:-1].max()
+        if grid.dt * a_max >= 1.0:
+            M = 2 * int(grid.T * a_max / 2.0) + 2
+            while grid.T / M * a_max >= 1.0:
+                M += 2
+            raise ValueError(
+                f"dt * max(a) = grid.T / grid.M * max(a) is {grid.dt * a_max:.6g} "
+                f">= 1: the implicit step loses positivity; use grid.M >= {M}"
+            )
+
 
 def _neighbor_count(n1: int) -> np.ndarray:
     """Number of interior neighbors of each node of the (n1, n1) interior block."""
@@ -318,6 +331,7 @@ def solve_forward(
         raise ValueError("forcing is not on the problem grid")
     if np.any(control.values < 0.0) or np.any(control.values > params.L + 1e-12):
         raise ValueError("control must lie in [0, L]")
+    params.check_time_step()
     m = params.mollifier
     dt = grid.dt
     hphi = heaviside_mollified(phi.phi.values, m)

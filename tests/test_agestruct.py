@@ -4,6 +4,9 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import sparse
+from scipy.sparse.linalg import eigsh
 
 from regionopt import agestruct
 from regionopt.agestruct import (
@@ -21,7 +24,7 @@ from regionopt.agestruct import (
     solve_eradication_adjoint,
     total_population,
 )
-from regionopt.errors import SolverFailure
+from regionopt.errors import ConvergenceFailure, SolverFailure
 from regionopt.grid import GridSpec, ScalarField
 from regionopt.levelset import LevelSetFunction, Mollifier, circle_levelset
 
@@ -178,6 +181,84 @@ def test_eigenvalue_monotone_in_region():
         assert small <= large + 1e-8
         assert -1e-8 <= small <= L + 1e-8
         assert -1e-8 <= large <= L + 1e-8
+
+
+def test_eigenvalue_edge_cases_match_dense_oracle():
+    grid = spatial_grid(N=4)  # n = 9 interior nodes
+    single_node = np.full((5, 5), -1.0)
+    single_node[2, 3] = 1.0
+    regions = (
+        LevelSetFunction(ScalarField(grid, single_node)),
+        rectangle_phi(grid, 0.2, 0.6, 0.2, 0.9),
+    )
+    for phi in regions:
+        for d, L in ((0.0, 1.0), (1.0, 1.0e6), (0.0, 1.0e6), (0.3, 2.0)):
+            matrix = eigen_operator_matrix(phi, d, L, grid).toarray()
+            expected = np.linalg.eigvalsh(matrix)[0]
+            produced = principal_eigenvalue(phi, d, L, grid)
+            assert abs(produced - expected) <= 1e-8 * max(1.0, abs(expected))
+
+
+def test_eigenvalue_matches_eigsh_on_disc_union():
+    grid = spatial_grid(N=64)
+    discs = ((0.3, 0.35, 0.15), (0.7, 0.6, 0.2), (0.45, 0.8, 0.1))
+    phi = LevelSetFunction.from_function(
+        grid,
+        lambda x1, x2: np.max(
+            [r - np.hypot(x1 - cx, x2 - cy) for cx, cy, r in discs], axis=0
+        ),
+    )
+    d, L = 1.0, 20.0
+    # The operator assembled independently: Kronecker sum of two Neumann
+    # path Laplacians plus the region indicator.
+    n1 = grid.N - 1
+    ends = np.full(n1, 2.0)
+    ends[[0, -1]] = 1.0
+    path = sparse.diags([-np.ones(n1 - 1), ends, -np.ones(n1 - 1)], [-1, 0, 1])
+    eye = sparse.identity(n1)
+    lap = sparse.kron(path, eye) + sparse.kron(eye, path)
+    chi = (phi.phi.values[1:-1, 1:-1] > 0.0).astype(float).ravel()
+    matrix = (d / grid.h**2 * lap + sparse.diags(L * chi)).tocsc()
+    expected = eigsh(matrix, k=1, sigma=-1e-3, which="LM", return_eigenvectors=False)
+    produced = principal_eigenvalue(phi, d, L, grid)
+    assert 0.0 < produced < L
+    assert abs(produced - expected[0]) <= 1e-8 * max(1.0, abs(expected[0]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    N=st.sampled_from([4, 6, 8, 10, 12]),
+    seed=st.integers(0, 2**32 - 1),
+    d=st.floats(0.0, 2.0),
+    L=st.floats(0.0, 50.0),
+    grow=st.floats(0.0, 1.5),
+)
+def test_eigenvalue_bounded_and_monotone_on_random_fields(N, seed, d, L, grow):
+    grid = spatial_grid(N=N)
+    values = np.random.default_rng(seed).standard_normal((N + 1, N + 1))
+    inner = LevelSetFunction(ScalarField(grid, values))
+    outer = LevelSetFunction(ScalarField(grid, values + grow))
+    small = principal_eigenvalue(inner, d, L, grid)
+    large = principal_eigenvalue(outer, d, L, grid)
+    tol = 1e-8 * max(1.0, L)
+    assert -tol <= small <= large + tol
+    assert large <= L + tol
+
+
+def test_eigen_iteration_budget_raises_convergence_failure(monkeypatch):
+    monkeypatch.setattr(agestruct, "EIGEN_MAX_ITER", 1)
+    grid = spatial_grid(N=10)
+    with pytest.raises(ConvergenceFailure, match="after 1 steps"):
+        principal_eigenvalue(circle_levelset(grid), 1.0, 2.0, grid)
+
+
+def test_eigen_non_finite_operator_is_solver_failure(monkeypatch):
+    grid = spatial_grid(N=10)
+    phi = circle_levelset(grid)
+    broken = eigen_operator_matrix(phi, 1.0, 2.0, grid) * np.nan
+    monkeypatch.setattr(agestruct, "eigen_operator_matrix", lambda *args: broken)
+    with pytest.raises(SolverFailure, match="non-finite"):
+        principal_eigenvalue(phi, 1.0, 2.0, grid)
 
 
 def test_verdict_trivial_cases():

@@ -303,6 +303,15 @@ def test_eradicability_full_region_summary(tmp_path):
         assert key in summary
 
 
+def test_exit_code_for_convergence_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(agestruct, "EIGEN_MAX_ITER", 1)
+    path = write_config(tmp_path, AGE_TEXT.replace("init = 1.0", "init = circle"))
+    out = tmp_path / "ev"
+    assert main(["--config", str(path), "--out", str(out)]) == 4
+    assert "eradicability: convergence failure" in capsys.readouterr().err
+    assert not (out / "summary.txt").exists()
+
+
 ERADICATION_TEXT = """
 [run]
 command = optimize-eradication

@@ -357,6 +357,21 @@ def test_params_validation():
         )
 
 
+def test_forward_rejects_unstable_time_step():
+    # a = 1/dt would zero the step preconditioner's shift 1 + mean(E1);
+    # the forward solve refuses it, naming dt * max(a) and the smallest
+    # even M that works, before any step can warn or go non-finite.
+    grid = GridSpec(N=4, M=4, T=0.5)
+    params = make_params(grid, growth=1.0 / grid.dt)
+    zero = SpaceTimeField.constant(grid, 0.0)
+    with pytest.raises(ValueError) as excinfo:
+        solve_forward(uniform_levelset(grid, 1.0), zero, params)
+    message = str(excinfo.value)
+    assert "dt * max(a)" in message and "is 1 >= 1" in message
+    assert "grid.M >= 6" in message and "non-finite" not in message
+    make_params(GridSpec(N=4, M=6, T=0.5), growth=1.0 / grid.dt).check_time_step()
+
+
 def test_adjoint_terminal_level_is_zero():
     grid = GridSpec(N=10, M=20, T=1.0)
     params = make_params(grid, growth=GROWTH_RATE)
