@@ -5,9 +5,10 @@ Eradicability of an age-structured pest: root versus eigenvalue
 For the age-structured model the question "can effort L confined to
 omega eradicate the population" reduces to comparing two numbers: the
 intrinsic growth exponent r* (the root of the renewal equation) and the
-principal eigenvalue of the controlled diffusion operator -d lap + L on
-omega.  Eradicable if the eigenvalue wins, not eradicable if it falls
-short, indeterminate on the knife edge.
+principal eigenvalue of the controlled diffusion operator -d lap + u,
+where the effort u = L chi_omega removes at rate L on omega.  Eradicable
+if the eigenvalue wins, not eradicable if it falls short, indeterminate
+on the knife edge.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from regionopt import (
     eradicability_verdict,
     lotka_root,
     principal_eigenvalue,
+    sharp_effort,
 )
 
 grid = GridSpec(N=20, M=2, T=1.0)
@@ -41,11 +43,11 @@ shapes = {
     "full": LevelSetFunction(ScalarField.constant(grid, 1.0)),
 }
 for name, phi in shapes.items():
-    lam = principal_eigenvalue(phi, model.d, model.L, grid)
+    lam = principal_eigenvalue(sharp_effort(phi, model.L), model.d)
     print(f"lambda1 on {name:10s} = {lam:.6f}")
 
 # The verdict bundles the comparison with a tolerance band.
 print()
 for name, phi in shapes.items():
-    report = eradicability_verdict(phi, model, grid)
+    report = eradicability_verdict(phi, model)
     print(f"{name:10s} -> {report.verdict}  (margin {report.margin:+.4f})")

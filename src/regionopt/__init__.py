@@ -18,8 +18,10 @@ from .agestruct import (
     eradication_velocity,
     evaluate_psi,
     lotka_root,
+    mollified_effort,
     optimize_eradication_region,
     principal_eigenvalue,
+    sharp_effort,
     solve_age_structured,
     solve_eradication_adjoint,
     total_population,
@@ -93,6 +95,8 @@ __all__ = [
     "AgeModelParams",
     "AgeDensityField",
     "lotka_root",
+    "sharp_effort",
+    "mollified_effort",
     "principal_eigenvalue",
     "eradicability_verdict",
     "EradicabilityReport",

@@ -2,8 +2,10 @@
 
 The population density y(x, a, t) ages, diffuses, dies at rate mu(a),
 reproduces through the renewal boundary y(x, 0, t) = int beta(a) y da,
-saturates through a logistic term M(int y da), and is harvested at rate
-u on the control region.  Two questions are answered here:
+saturates through a logistic term M(int y da), and is harvested at the
+rate u(x) of an effort field, the input of every solve here; a region
+omega = {phi > 0} becomes an effort only through sharp_effort (L
+chi_omega) or mollified_effort (L H_eps(phi)).  Two questions:
 
 * Eradicability.  The population can be driven to zero from the region
   omega exactly when the principal eigenvalue lambda_1 of -d lap + L
@@ -12,9 +14,10 @@ u on the control region.  Two questions are answered here:
   lambda_1 > r* guarantees eradication under full effort u = L;
   eradicability requires lambda_1 >= r*.
 
-* Region design.  With the effort fixed at L, the region is shaped to
-  minimize Psi(phi) = int y_phi(x, a, T) dx da + alpha * length +
-  beta * area, by the same level-set descent as the harvest problem.
+* Region design.  Under the relaxed effort L H_eps(phi), the region is
+  shaped to minimize Psi(phi) = int y_phi(x, a, T) dx da + alpha *
+  length + beta * area, by the same level-set descent as the harvest
+  problem.
 
 The solver locks the time step to the age step, so aging is an exact
 shift along characteristics, and reuses the implicit step solver of the
@@ -110,16 +113,16 @@ class AgeModelParams:
         if int(self.Na) != self.Na or self.Na < 2:
             raise ValueError(f"Na must be an integer >= 2, got {self.Na}")
         self.Na = int(self.Na)
-        if self.d < 0.0:
+        if not self.d >= 0.0:
             raise ValueError(f"diffusion must be nonnegative, got {self.d}")
-        if self.L < 0.0:
+        if not self.L >= 0.0:
             raise ValueError(f"effort bound must be nonnegative, got {self.L}")
-        if self.logistic_slope < 0.0:
+        if not self.logistic_slope >= 0.0:
             raise ValueError("logistic slope must be nonnegative")
         if not (self.T > 0.0):
             raise ValueError(f"horizon must be positive, got {self.T}")
         steps = self.T / self.da
-        if abs(steps - round(steps)) > 1.0e-9:
+        if not (steps < np.inf and abs(steps - round(steps)) <= 1.0e-9):
             raise ValueError(
                 f"T = {self.T} is not an integer multiple of the age step "
                 f"{self.da} (time step is locked to the age step)"
@@ -127,10 +130,8 @@ class AgeModelParams:
         ages = self.ages
         self.fertility_samples = _age_samples(self.fertility, ages, "fertility")
         self.mortality_samples = _age_samples(self.mortality, ages, "mortality")
-        if not callable(self.y0):
-            y0c = float(self.y0)
-            if y0c < 0.0:
-                raise ValueError("y0 must be nonnegative")
+        if not callable(self.y0) and not float(self.y0) >= 0.0:
+            raise ValueError("y0 must be nonnegative")
 
     @property
     def da(self) -> float:
@@ -144,16 +145,22 @@ class AgeModelParams:
     def n_time(self) -> int:
         return int(round(self.T / self.da))
 
+    def check_renewal_step(self) -> None:
+        """Raise ValueError unless 1 - beta(0) da / 2, the renewal divisor, is > 0."""
+        newborn = float(self.fertility_samples[0]) * (self.da / 2.0)
+        if newborn >= 1.0:
+            raise ValueError(
+                f"fertility at age 0 times half the age step is {newborn:.6g} "
+                ">= 1: the renewal step is ill-posed; refine the age grid (Na) "
+                "or lower the fertility at age 0"
+            )
+
     def initial_density(self, grid: GridSpec) -> np.ndarray:
         x1, x2 = grid.mesh()
+        y0 = self.y0 if callable(self.y0) else lambda *_: float(self.y0)
         values = np.empty((self.Na + 1, grid.N + 1, grid.N + 1))
         for level, age in enumerate(self.ages):
-            if callable(self.y0):
-                values[level] = np.broadcast_to(
-                    np.asarray(self.y0(x1, x2, age), dtype=float), x1.shape
-                )
-            else:
-                values[level] = float(self.y0)
+            values[level] = y0(x1, x2, age)
         if not np.all(np.isfinite(values)):
             raise ValueError("y0 must be finite")
         if np.any(values < 0.0):
@@ -237,39 +244,44 @@ def lotka_root(params: AgeModelParams) -> float:
     )
 
 
-def eigen_operator_matrix(
-    phi: LevelSetFunction, d: float, L: float, grid: GridSpec
-) -> sparse.csc_matrix:
-    """Symmetric interior-node matrix of -d lap + L chi_omega (Neumann).
+def sharp_effort(phi: LevelSetFunction, L: float) -> ScalarField:
+    """Effort L chi_omega: full effort on the nodes where phi > 0."""
+    return ScalarField(phi.grid, L * (phi.phi.values > 0.0).astype(float))
+
+
+def mollified_effort(phi: LevelSetFunction, L: float, m: Mollifier) -> ScalarField:
+    """Relaxed effort L H_eps(phi) under which the region design runs."""
+    return ScalarField(phi.grid, L * heaviside_mollified(phi.phi.values, m))
+
+
+def eigen_operator_matrix(effort: ScalarField, d: float) -> sparse.csc_matrix:
+    """Symmetric interior-node matrix of -d lap + u (Neumann).
 
     The Neumann closure folds boundary nodes onto their interior
     neighbors, leaving the graph Laplacian of the interior grid scaled
-    by d / h^2 plus the diagonal indicator term.
+    by d / h^2 plus the diagonal effort term.
     """
-    if phi.grid != grid:
-        raise ValueError("phi is not on the given grid")
-    if d < 0.0 or L < 0.0:
-        raise ValueError("d and L must be nonnegative")
-    indicator = (phi.phi.values > 0.0).astype(float)
-    return interior_operator(d / (grid.h * grid.h), L * indicator)
+    if d < 0.0 or np.any(effort.values < 0.0):
+        raise ValueError("d and the effort must be nonnegative")
+    grid = effort.grid
+    return interior_operator(d / (grid.h * grid.h), effort.values)
 
 
-def principal_eigenvalue(
-    phi: LevelSetFunction, d: float, L: float, grid: GridSpec
-) -> float:
-    """Smallest eigenvalue of -d lap + L chi_omega by block-1 LOBPCG.
+def principal_eigenvalue(effort: ScalarField, d: float) -> float:
+    """Smallest eigenvalue of -d lap + u by block-1 LOBPCG.
 
-    The region indicator is sharp (phi > 0 on nodes).  Each step projects
-    onto span{x, T r, p}, with T the step solver's DCT inverse of
-    (mean(L chi) + 1e-3) I - d lap (Knyazev 2001), starting from the
-    constant vector.  Stops at a relative eigenresidual of 1e-8; running
-    out of EIGEN_MAX_ITER steps raises ConvergenceFailure, and non-finite
-    values or a failed projection raise SolverFailure.
+    Each step projects onto span{x, T r, p}, with T the step solver's
+    DCT inverse of (mean(u) + 1e-3) I - d lap, the mean taken over the
+    interior nodes (Knyazev 2001), starting from the constant vector.
+    Stops at a relative eigenresidual of 1e-8; running out of
+    EIGEN_MAX_ITER steps raises ConvergenceFailure, and non-finite values
+    or a failed projection raise SolverFailure.
     """
-    matrix = eigen_operator_matrix(phi, d, L, grid)
+    matrix = eigen_operator_matrix(effort, d)
+    grid = effort.grid
     n1 = grid.N - 1
     stepper = _ImplicitStepper(grid.N, d / (grid.h * grid.h))
-    shift = L * np.mean(phi.phi.values[1:-1, 1:-1] > 0.0) + 1.0e-3
+    shift = np.mean(effort.values[1:-1, 1:-1]) + 1.0e-3
     x = np.full(n1 * n1, 1.0 / n1)
     image = matrix @ x
     value = float(x @ image)
@@ -313,16 +325,16 @@ class EradicabilityReport:
 
 
 def eradicability_verdict(
-    phi: LevelSetFunction, model: AgeModelParams, grid: GridSpec
+    phi: LevelSetFunction, model: AgeModelParams
 ) -> EradicabilityReport:
-    """Compare lambda_1 of the region against r* and classify.
+    """Compare lambda_1 under the sharp effort L chi_omega against r*.
 
     Margins beyond +-VERDICT_TOLERANCE give Eradicable / NotEradicable;
     anything inside the band is Indeterminate (the comparison is too
     close for the discrete operators to call).
     """
     r_star = lotka_root(model)
-    lambda1 = principal_eigenvalue(phi, model.d, model.L, grid)
+    lambda1 = principal_eigenvalue(sharp_effort(phi, model.L), model.d)
     margin = lambda1 - r_star
     if margin > VERDICT_TOLERANCE:
         verdict = "Eradicable"
@@ -333,31 +345,7 @@ def eradicability_verdict(
     return EradicabilityReport(r_star, lambda1, margin, verdict)
 
 
-def _effort_field(
-    phi: LevelSetFunction,
-    model: AgeModelParams,
-    control: str,
-    m: Mollifier | None,
-) -> np.ndarray:
-    if control == "off":
-        return np.zeros_like(phi.phi.values)
-    if control == "sharp":
-        return model.L * (phi.phi.values > 0.0).astype(float)
-    if control == "mollified":
-        if m is None:
-            raise ValueError("mollified control needs a mollifier")
-        return model.L * heaviside_mollified(phi.phi.values, m)
-    raise ValueError(
-        f"control must be 'off', 'sharp' or 'mollified', got {control!r}"
-    )
-
-
-def solve_age_structured(
-    phi: LevelSetFunction,
-    model: AgeModelParams,
-    control: str = "off",
-    m: Mollifier | None = None,
-) -> AgeDensityField:
+def solve_age_structured(effort: ScalarField, model: AgeModelParams) -> AgeDensityField:
     """March the age-structured model from its initial density.
 
     Each time step (dt = age step) shifts every age level up one cell
@@ -366,28 +354,24 @@ def solve_age_structured(
     the logistic pressure P = int y da lagged at the previous time level),
     and closes with the renewal integral for the newborn level, handled
     implicitly in its own weight.  Density transported past the maximal
-    age flows out.  control selects no harvesting ("off"), the sharp
-    indicator region ("sharp") or the mollified one ("mollified").
+    age flows out.  The effort u is the removal rate on each node.
     """
-    grid = phi.grid
+    if np.any(effort.values < 0.0):
+        raise ValueError("effort must be nonnegative")
+    model.check_renewal_step()
+    grid = effort.grid
     dt = model.da
-    effort = _effort_field(phi, model, control, m)
     beta = model.fertility_samples
     mu = model.mortality_samples
     weights = age_trapezoid_weights(model.Na, model.da)
     newborn_weight = weights[0] * beta[0]
-    if newborn_weight >= 1.0:
-        raise ValueError(
-            "renewal step is ill-posed: fertility at age 0 times the half "
-            f"age step is {newborn_weight:.3g} >= 1; refine the age grid"
-        )
     stepper = _ImplicitStepper(grid.N, model.d * dt / (grid.h * grid.h))
-    y = np.empty((model.n_time + 1, model.Na + 1) + effort.shape)
+    y = np.empty((model.n_time + 1, model.Na + 1) + effort.values.shape)
     y[0] = model.initial_density(grid)
     slope = model.logistic_slope
     for k in range(model.n_time):
         pressure = np.tensordot(weights, y[k], axes=(0, 0))
-        e1 = dt * (mu[1:, None, None] + slope * pressure + effort)
+        e1 = dt * (mu[1:, None, None] + slope * pressure + effort.values)
         y[k + 1][1:] = stepper.step(e1, y[k][:-1])
         low = y[k + 1][1:].min(axis=(1, 2))
         failing = np.flatnonzero(low < -1.0e-12)
@@ -415,7 +399,7 @@ def total_population(density: AgeDensityField) -> np.ndarray:
 
 
 def _final_population(phi: LevelSetFunction, model: AgeModelParams, m: Mollifier):
-    density = solve_age_structured(phi, model, control="mollified", m=m)
+    density = solve_age_structured(mollified_effort(phi, model.L, m), model)
     return float(total_population(density)[-1]), density
 
 
@@ -438,31 +422,32 @@ def evaluate_psi(
 
 
 def solve_eradication_adjoint(
-    phi: LevelSetFunction,
+    effort: ScalarField,
     density: AgeDensityField,
     model: AgeModelParams,
-    m: Mollifier,
     terminal_value: float = 1.0,
 ) -> AgeDensityField:
     """Backward dual field of the final-population cost.
 
     Integrates the backward-in-time, backward-in-age transport with
     implicit diffusion: each step sets r at (age level l, time k) from
-    r at (l+1, k+1) along the characteristic, with decay mu(a) + M(P) +
-    L H_eps(phi) implicit and the nonlocal sources (the logistic
-    derivative paired with int r y da, and the fertility times the
-    newborn trace) lagged at time level k+1.  Terminal data is
-    terminal_value except on the maximal-age line, which is held at 0.
+    r at (l+1, k+1) along the characteristic, with decay mu(a) + M(P) + u
+    implicit and the nonlocal sources (the logistic derivative paired
+    with int r y da, and the fertility times the newborn trace) lagged at
+    time level k+1.  The effort must be the one the density was computed
+    under.  Terminal data is terminal_value except on the maximal-age
+    line, which is held at 0.
     """
-    grid = phi.grid
+    if np.any(effort.values < 0.0):
+        raise ValueError("effort must be nonnegative")
+    grid = effort.grid
     if density.grid != grid:
-        raise ValueError("density is not on the phi grid")
+        raise ValueError("density is not on the effort grid")
     steps = density.values.shape[0] - 1
     dt = model.da
     beta = model.fertility_samples
     mu = model.mortality_samples
     weights = age_trapezoid_weights(model.Na, model.da)
-    harvested = model.L * heaviside_mollified(phi.phi.values, m)
     stepper = _ImplicitStepper(grid.N, model.d * dt / (grid.h * grid.h))
     slope = model.logistic_slope
     r = np.empty_like(density.values)
@@ -474,7 +459,7 @@ def solve_eradication_adjoint(
             weights, r[k + 1] * density.values[k + 1], axes=(0, 0)
         )
         source = dt * (-slope * coupling + np.multiply.outer(beta, r[k + 1][0]))
-        e1 = dt * (mu[:-1, None, None] + slope * pressure + harvested)
+        e1 = dt * (mu[:-1, None, None] + slope * pressure + effort.values)
         r[k][:-1] = stepper.step(e1, r[k + 1][1:] + source[:-1])
         r[k][model.Na] = 0.0
     return AgeDensityField(grid=grid, ages=model.ages, values=r)
@@ -540,7 +525,8 @@ def optimize_eradication_region(
         raise ValueError(f"sign_variant must be one of {SIGN_VARIANTS}")
 
     def direction(phi, density):
-        dual = solve_eradication_adjoint(phi, density, model, m)
+        effort = mollified_effort(phi, model.L, m)
+        dual = solve_eradication_adjoint(effort, density, model)
         return eradication_velocity(
             phi, density, dual, model, penalties, sign_variant
         )

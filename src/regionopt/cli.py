@@ -108,7 +108,7 @@ def _run_optimize_region(
 
 
 def _run_eradicability(config: RunConfig, out_dir: str) -> int:
-    report = eradicability_verdict(config.phi0, config.age_model, config.grid)
+    report = eradicability_verdict(config.phi0, config.age_model)
     _write_summary(
         out_dir,
         [
@@ -187,14 +187,16 @@ def run(
     target = out_dir if out_dir is not None else config.output
     os.makedirs(target, exist_ok=True)
     try:
-        if config.command == "forward":
-            return _run_forward(config, target, snapshot_every)
-        if config.command == "optimize-region":
-            return _run_optimize_region(config, target, paper_mode, snapshot_every)
-        if config.command == "eradicability":
-            return _run_eradicability(config, target)
-        return _run_optimize_eradication(config, target, snapshot_every)
-    except SolverFailure as exc:
+        # Settings too large for double precision fail as solver failures.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if config.command == "forward":
+                return _run_forward(config, target, snapshot_every)
+            if config.command == "optimize-region":
+                return _run_optimize_region(config, target, paper_mode, snapshot_every)
+            if config.command == "eradicability":
+                return _run_eradicability(config, target)
+            return _run_optimize_eradication(config, target, snapshot_every)
+    except (SolverFailure, FloatingPointError) as exc:
         trace = getattr(exc, "trace", None)
         if trace is not None:
             trace.write_csv(os.path.join(target, "trace.csv"))

@@ -129,9 +129,12 @@ def _get_float(parser, section: str, key: str, fallback=None):
     if raw is None:
         return fallback
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise ConfigError(f"{section}.{key} must be a number, got {raw!r}") from None
+        value = np.nan
+    if not np.isfinite(value):
+        raise ConfigError(f"{section}.{key} must be a finite number, got {raw!r}")
+    return value
 
 
 def _get_int(parser, section: str, key: str, fallback=None):
@@ -365,6 +368,8 @@ def parse_config(path) -> RunConfig:
         if initial_density is not None:
             # The age model spreads a spatial density uniformly in age.
             y0_values = initial_density.values
+            if np.any(y0_values < 0.0):
+                raise ConfigError("model.y0 must be nonnegative")
             y0_model = lambda x1, x2, a: y0_values  # noqa: E731
         try:
             age_model = AgeModelParams(
@@ -381,13 +386,11 @@ def parse_config(path) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"agestruct section rejected: {exc}") from None
         # Only the age-structured march closes the renewal step implicitly.
-        newborn = age_model.fertility_samples[0] * age_model.da / 2.0
-        if command == "optimize-eradication" and newborn >= 1.0:
-            raise ConfigError(
-                "agestruct.fertility at age 0 times half the age step is "
-                f"{newborn:.6g} >= 1: the renewal step is ill-posed; refine "
-                "agestruct.Na or lower the fertility at age 0"
-            )
+        if command == "optimize-eradication":
+            try:
+                age_model.check_renewal_step()
+            except ValueError as exc:
+                raise ConfigError(f"agestruct.fertility rejected: {exc}") from None
 
     return RunConfig(
         command=command,

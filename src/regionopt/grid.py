@@ -32,7 +32,7 @@ class GridSpec:
     M : int
         Number of time steps; M + 1 levels.  Must be even and at least 2.
     T : float
-        Final time, T > 0.
+        Final time, finite and T > 0.
     """
 
     N: int
@@ -44,8 +44,8 @@ class GridSpec:
             raise ValueError(f"N must be even and >= 4, got {self.N}")
         if self.M < 2 or self.M % 2 != 0:
             raise ValueError(f"M must be even and >= 2, got {self.M}")
-        if not (self.T > 0.0):
-            raise ValueError(f"T must be positive, got {self.T}")
+        if not (0.0 < self.T < np.inf):
+            raise ValueError(f"T must be positive and finite, got {self.T}")
 
     @property
     def h(self) -> float:

@@ -102,14 +102,18 @@ class ControlProblemParams:
     def check_time_step(self) -> None:
         """Raise ValueError unless dt * a < 1 on interior nodes (M-matrix step)."""
         grid = self.grid
-        a_max = self.a.values[1:-1, 1:-1].max()
+        a_max = float(self.a.values[1:-1, 1:-1].max())
         if grid.dt * a_max >= 1.0:
-            M = 2 * int(grid.T * a_max / 2.0) + 2
-            while grid.T / M * a_max >= 1.0:
-                M += 2
+            bound = grid.T * a_max  # grid.M must exceed it
+            need = f"grid.M > grid.T * max(a) = {bound:.6g}"
+            if bound < 2.0**52:  # beyond, M += 2 no longer changes T / M
+                M = 2 * int(bound / 2.0) + 2
+                while grid.T / M * a_max >= 1.0:
+                    M += 2
+                need = f"grid.M >= {M}"
             raise ValueError(
                 f"dt * max(a) = grid.T / grid.M * max(a) is {grid.dt * a_max:.6g} "
-                f">= 1: the implicit step loses positivity; use grid.M >= {M}"
+                f">= 1: the implicit step loses positivity; use {need}"
             )
 
 

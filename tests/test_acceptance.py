@@ -24,6 +24,7 @@ from regionopt.agestruct import (
     eigen_operator_matrix,
     lotka_root,
     principal_eigenvalue,
+    sharp_effort,
     solve_age_structured,
     total_population,
 )
@@ -309,8 +310,8 @@ def test_criterion_6_eigenvalue_exactness():
     grid20 = GridSpec(N=20, M=2, T=1.0)
     empty = LevelSetFunction(ScalarField.constant(grid20, -1.0))
     full = LevelSetFunction(ScalarField.constant(grid20, 1.0))
-    empty_err = abs(principal_eigenvalue(empty, 1.0, L, grid20))
-    full_err = abs(principal_eigenvalue(full, 1.0, L, grid20) - L)
+    empty_err = abs(principal_eigenvalue(sharp_effort(empty, L), 1.0))
+    full_err = abs(principal_eigenvalue(sharp_effort(full, L), 1.0) - L)
 
     grid10 = GridSpec(N=10, M=2, T=1.0)
     rng = np.random.default_rng(301)
@@ -319,9 +320,9 @@ def test_criterion_6_eigenvalue_exactness():
         lo = rng.uniform(0.0, 0.4, 2)
         hi = lo + rng.uniform(0.2, 0.5, 2)
         phi = _rectangle(grid10, lo, hi)
-        produced = principal_eigenvalue(phi, 1.0, L, grid10)
+        produced = principal_eigenvalue(sharp_effort(phi, L), 1.0)
         dense = np.linalg.eigvalsh(
-            eigen_operator_matrix(phi, 1.0, L, grid10).toarray()
+            eigen_operator_matrix(sharp_effort(phi, L), 1.0).toarray()
         )[0]
         oracle_err = max(oracle_err, abs(produced - dense))
 
@@ -337,8 +338,8 @@ def test_criterion_6_eigenvalue_exactness():
             (max(lo[0] - grow[0], 0.0), max(lo[1] - grow[1], 0.0)),
             (min(hi[0] + grow[1], 1.0), min(hi[1] + grow[0], 1.0)),
         )
-        small = principal_eigenvalue(inner, 1.0, L, grid20)
-        large = principal_eigenvalue(outer, 1.0, L, grid20)
+        small = principal_eigenvalue(sharp_effort(inner, L), 1.0)
+        large = principal_eigenvalue(sharp_effort(outer, L), 1.0)
         if not small <= large + 1e-8:
             violations += 1
 
@@ -404,10 +405,10 @@ def test_criterion_8_eradication_dichotomy():
     )
     r_star = lotka_root(model)
     full = LevelSetFunction(ScalarField.constant(grid, 1.0))
-    lambda_full = principal_eigenvalue(full, model.d, model.L, grid)
+    lambda_full = principal_eigenvalue(sharp_effort(full, model.L), model.d)
 
     controlled = total_population(
-        solve_age_structured(full, model, control="sharp")
+        solve_age_structured(sharp_effort(full, model.L), model)
     )
     settled = len(controlled)
     for idx in range(len(controlled)):
@@ -416,7 +417,7 @@ def test_criterion_8_eradication_dichotomy():
             break
 
     empty = LevelSetFunction(ScalarField.constant(grid, -1.0))
-    free = total_population(solve_age_structured(empty, model, control="off"))
+    free = total_population(solve_age_structured(sharp_effort(empty, model.L), model))
     nondecreasing = bool(np.all(np.diff(free) >= -1e-12))
     elapsed = time.perf_counter() - start
 

@@ -18,8 +18,10 @@ from regionopt.agestruct import (
     eradication_velocity,
     evaluate_psi,
     lotka_root,
+    mollified_effort,
     optimize_eradication_region,
     principal_eigenvalue,
+    sharp_effort,
     solve_age_structured,
     solve_eradication_adjoint,
     total_population,
@@ -131,10 +133,10 @@ def test_zero_fertility_has_no_root():
 def test_eigenvalue_empty_and_full_region():
     grid = spatial_grid(N=20)
     L = 1.0
-    assert abs(principal_eigenvalue(uniform_phi(grid, -1.0), 1.0, L, grid)) <= 1e-8
-    assert (
-        abs(principal_eigenvalue(uniform_phi(grid, 1.0), 1.0, L, grid) - L) <= 1e-8
-    )
+    empty = sharp_effort(uniform_phi(grid, -1.0), L)
+    full = sharp_effort(uniform_phi(grid, 1.0), L)
+    assert abs(principal_eigenvalue(empty, 1.0)) <= 1e-8
+    assert abs(principal_eigenvalue(full, 1.0) - L) <= 1e-8
 
 
 def test_eigenvalue_left_half_strictly_inside():
@@ -142,7 +144,7 @@ def test_eigenvalue_left_half_strictly_inside():
     phi = LevelSetFunction.from_function(
         grid, lambda x1, x2: np.where(x1 < 0.5, 1.0, -1.0)
     )
-    value = principal_eigenvalue(phi, 1.0, 1.0, grid)
+    value = principal_eigenvalue(sharp_effort(phi, 1.0), 1.0)
     assert 0.0 < value < 1.0
 
 
@@ -153,9 +155,9 @@ def test_eigenvalue_matches_dense_oracle_on_random_rectangles():
         lo = rng.uniform(0.0, 0.4, 2)
         hi = lo + rng.uniform(0.2, 0.5, 2)
         phi = rectangle_phi(grid, lo[0], hi[0], lo[1], hi[1])
-        produced = principal_eigenvalue(phi, 1.0, 1.0, grid)
+        produced = principal_eigenvalue(sharp_effort(phi, 1.0), 1.0)
         dense = np.linalg.eigvalsh(
-            eigen_operator_matrix(phi, 1.0, 1.0, grid).toarray()
+            eigen_operator_matrix(sharp_effort(phi, 1.0), 1.0).toarray()
         )[0]
         assert abs(produced - dense) <= 1e-8
 
@@ -176,8 +178,8 @@ def test_eigenvalue_monotone_in_region():
             max(lo[1] - grow[1], 0.0),
             min(hi[1] + grow[0], 1.0),
         )
-        small = principal_eigenvalue(inner, 1.0, L, grid)
-        large = principal_eigenvalue(outer, 1.0, L, grid)
+        small = principal_eigenvalue(sharp_effort(inner, L), 1.0)
+        large = principal_eigenvalue(sharp_effort(outer, L), 1.0)
         assert small <= large + 1e-8
         assert -1e-8 <= small <= L + 1e-8
         assert -1e-8 <= large <= L + 1e-8
@@ -193,10 +195,35 @@ def test_eigenvalue_edge_cases_match_dense_oracle():
     )
     for phi in regions:
         for d, L in ((0.0, 1.0), (1.0, 1.0e6), (0.0, 1.0e6), (0.3, 2.0)):
-            matrix = eigen_operator_matrix(phi, d, L, grid).toarray()
+            matrix = eigen_operator_matrix(sharp_effort(phi, L), d).toarray()
             expected = np.linalg.eigvalsh(matrix)[0]
-            produced = principal_eigenvalue(phi, d, L, grid)
+            produced = principal_eigenvalue(sharp_effort(phi, L), d)
             assert abs(produced - expected) <= 1e-8 * max(1.0, abs(expected))
+
+
+def test_eigenvalue_of_smooth_effort_matches_kron_assembly():
+    grid = spatial_grid(N=12)
+    d = 0.7
+    effort = ScalarField.from_function(
+        grid,
+        lambda x1, x2: 3.0
+        + 2.0 * np.cos(np.pi * x1) * np.sin(2.0 * np.pi * x2)
+        + 5.0 * x1 * x2,
+    )
+    # -d lap + u assembled independently: Kronecker sum of two Neumann
+    # path Laplacians plus the effort on the interior nodes.
+    n1 = grid.N - 1
+    ends = np.full(n1, 2.0)
+    ends[[0, -1]] = 1.0
+    path = np.diag(ends) - np.eye(n1, k=1) - np.eye(n1, k=-1)
+    eye = np.eye(n1)
+    lap = np.kron(path, eye) + np.kron(eye, path)
+    interior = effort.values[1:-1, 1:-1]
+    matrix = d / grid.h**2 * lap + np.diag(interior.ravel())
+    expected = np.linalg.eigvalsh(matrix)[0]
+    produced = principal_eigenvalue(effort, d)
+    assert interior.min() < produced < interior.max()
+    assert abs(produced - expected) <= 1e-8 * max(1.0, abs(expected))
 
 
 def test_eigenvalue_matches_eigsh_on_disc_union():
@@ -220,7 +247,7 @@ def test_eigenvalue_matches_eigsh_on_disc_union():
     chi = (phi.phi.values[1:-1, 1:-1] > 0.0).astype(float).ravel()
     matrix = (d / grid.h**2 * lap + sparse.diags(L * chi)).tocsc()
     expected = eigsh(matrix, k=1, sigma=-1e-3, which="LM", return_eigenvectors=False)
-    produced = principal_eigenvalue(phi, d, L, grid)
+    produced = principal_eigenvalue(sharp_effort(phi, L), d)
     assert 0.0 < produced < L
     assert abs(produced - expected[0]) <= 1e-8 * max(1.0, abs(expected[0]))
 
@@ -238,8 +265,8 @@ def test_eigenvalue_bounded_and_monotone_on_random_fields(N, seed, d, L, grow):
     values = np.random.default_rng(seed).standard_normal((N + 1, N + 1))
     inner = LevelSetFunction(ScalarField(grid, values))
     outer = LevelSetFunction(ScalarField(grid, values + grow))
-    small = principal_eigenvalue(inner, d, L, grid)
-    large = principal_eigenvalue(outer, d, L, grid)
+    small = principal_eigenvalue(sharp_effort(inner, L), d)
+    large = principal_eigenvalue(sharp_effort(outer, L), d)
     tol = 1e-8 * max(1.0, L)
     assert -tol <= small <= large + tol
     assert large <= L + tol
@@ -249,27 +276,27 @@ def test_eigen_iteration_budget_raises_convergence_failure(monkeypatch):
     monkeypatch.setattr(agestruct, "EIGEN_MAX_ITER", 1)
     grid = spatial_grid(N=10)
     with pytest.raises(ConvergenceFailure, match="after 1 steps"):
-        principal_eigenvalue(circle_levelset(grid), 1.0, 2.0, grid)
+        principal_eigenvalue(sharp_effort(circle_levelset(grid), 2.0), 1.0)
 
 
 def test_eigen_non_finite_operator_is_solver_failure(monkeypatch):
     grid = spatial_grid(N=10)
     phi = circle_levelset(grid)
-    broken = eigen_operator_matrix(phi, 1.0, 2.0, grid) * np.nan
+    broken = eigen_operator_matrix(sharp_effort(phi, 2.0), 1.0) * np.nan
     monkeypatch.setattr(agestruct, "eigen_operator_matrix", lambda *args: broken)
     with pytest.raises(SolverFailure, match="non-finite"):
-        principal_eigenvalue(phi, 1.0, 2.0, grid)
+        principal_eigenvalue(sharp_effort(phi, 2.0), 1.0)
 
 
 def test_verdict_trivial_cases():
     grid = spatial_grid(N=10)
     balanced = basic_model(fertility=1.0)
-    report = eradicability_verdict(uniform_phi(grid, 1.0), balanced, grid)
+    report = eradicability_verdict(uniform_phi(grid, 1.0), balanced)
     assert report.verdict == "Eradicable"
     assert report.margin == pytest.approx(1.0, abs=1e-6)
 
     growing = basic_model(fertility=2.0)
-    report = eradicability_verdict(uniform_phi(grid, -1.0), growing, grid)
+    report = eradicability_verdict(uniform_phi(grid, -1.0), growing)
     assert report.verdict == "NotEradicable"
     assert report.margin == pytest.approx(-report.r_star, abs=1e-8)
     assert report.r_star > 0.0
@@ -280,7 +307,7 @@ def test_verdict_indeterminate_by_tuned_fertility():
     phi = LevelSetFunction.from_function(
         grid, lambda x1, x2: np.where(x1 < 0.5, 1.0, -1.0)
     )
-    target = principal_eigenvalue(phi, 1.0, 1.0, grid)
+    target = principal_eigenvalue(sharp_effort(phi, 1.0), 1.0)
     lo, hi = 0.1, 5.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -289,7 +316,7 @@ def test_verdict_indeterminate_by_tuned_fertility():
         else:
             hi = mid
     tuned = basic_model(fertility=0.5 * (lo + hi))
-    report = eradicability_verdict(phi, tuned, grid)
+    report = eradicability_verdict(phi, tuned)
     assert abs(report.margin) <= 1e-7
     assert report.verdict == "Indeterminate"
 
@@ -298,7 +325,7 @@ def test_verdict_summary_lists_fields():
     # The eradicability summary.txt lists r_star, lambda1, margin and
     # verdict from the report and the module's verdict tolerance.
     grid = spatial_grid(N=10)
-    report = eradicability_verdict(uniform_phi(grid, 1.0), basic_model(), grid)
+    report = eradicability_verdict(uniform_phi(grid, 1.0), basic_model())
     for key in ("r_star", "lambda1", "margin"):
         assert np.isfinite(getattr(report, key))
     assert report.margin == report.lambda1 - report.r_star
@@ -312,7 +339,7 @@ def test_pure_aging_transport_is_exact():
         Na=10, fertility=0.0, mortality=0.0, T=0.5, y0=lambda x1, x2, a: 1.0 + a
     )
     phi = uniform_phi(grid, -1.0)
-    density = solve_age_structured(phi, model, control="off")
+    density = solve_age_structured(ScalarField.constant(grid, 0.0), model)
     for k in range(model.n_time + 1):
         for level in range(model.Na + 1):
             if level >= k:
@@ -326,7 +353,7 @@ def test_constant_mortality_closed_form():
     grid = spatial_grid(N=10)
     mu0 = 0.7
     model = basic_model(Na=20, fertility=0.0, mortality=mu0, T=1.0)
-    density = solve_age_structured(uniform_phi(grid, -1.0), model, control="off")
+    density = solve_age_structured(ScalarField.constant(grid, 0.0), model)
     dt = model.da
     for k in range(model.n_time + 1):
         expected = (1.0 + mu0 * dt) ** (-k)
@@ -343,7 +370,7 @@ def test_transport_exact_without_diffusion():
         Na=8, fertility=0.0, mortality=0.0, d=0.0, T=0.5,
         y0=lambda x1, x2, a: 2.0 - a,
     )
-    density = solve_age_structured(uniform_phi(grid, -1.0), model, control="off")
+    density = solve_age_structured(ScalarField.constant(grid, 0.0), model)
     k = model.n_time
     for level in range(k, model.Na + 1):
         expected = 2.0 - model.ages[level - k]
@@ -353,7 +380,7 @@ def test_transport_exact_without_diffusion():
 def test_renewal_equation_holds_on_solution():
     grid = spatial_grid(N=8)
     model = basic_model(Na=10, fertility=lambda a: 1.0 + a, mortality=0.5)
-    density = solve_age_structured(uniform_phi(grid, -1.0), model, control="off")
+    density = solve_age_structured(ScalarField.constant(grid, 0.0), model)
     weights = age_trapezoid_weights(model.Na, model.da)
     for k in range(1, model.n_time + 1):
         births = np.tensordot(
@@ -366,9 +393,9 @@ def test_harvesting_never_increases_density():
     grid = spatial_grid(N=8)
     model = basic_model(Na=10, fertility=1.5, mortality=0.2, L=2.0)
     phi = circle_levelset(grid)
-    off = solve_age_structured(phi, model, control="off")
-    sharp = solve_age_structured(phi, model, control="sharp")
-    moll = solve_age_structured(phi, model, control="mollified", m=Mollifier(1.0))
+    off = solve_age_structured(ScalarField.constant(grid, 0.0), model)
+    sharp = solve_age_structured(sharp_effort(phi, model.L), model)
+    moll = solve_age_structured(mollified_effort(phi, model.L, Mollifier(1.0)), model)
     assert np.all(sharp.values <= off.values + 1e-12)
     assert np.all(moll.values <= off.values + 1e-12)
     assert np.all(off.values >= 0.0)
@@ -378,9 +405,9 @@ def test_logistic_pressure_reduces_population():
     grid = spatial_grid(N=8)
     linear = basic_model(Na=10, fertility=1.5)
     crowded = basic_model(Na=10, fertility=1.5, logistic_slope=0.8)
-    phi = uniform_phi(grid, -1.0)
-    y_lin = solve_age_structured(phi, linear, control="off")
-    y_log = solve_age_structured(phi, crowded, control="off")
+    off = ScalarField.constant(grid, 0.0)
+    y_lin = solve_age_structured(off, linear)
+    y_log = solve_age_structured(off, crowded)
     assert np.all(y_log.values <= y_lin.values + 1e-12)
     assert total_population(y_log)[-1] < total_population(y_lin)[-1]
 
@@ -399,13 +426,30 @@ def test_model_validation():
     grid = spatial_grid(N=4)
     heavy_newborns = basic_model(Na=2, fertility=50.0)
     with pytest.raises(ValueError):
-        solve_age_structured(uniform_phi(grid, -1.0), heavy_newborns, control="off")
-    with pytest.raises(ValueError):
-        solve_age_structured(
-            uniform_phi(grid, -1.0), basic_model(), control="mollified"
-        )
-    with pytest.raises(ValueError):
-        solve_age_structured(uniform_phi(grid, -1.0), basic_model(), control="what")
+        solve_age_structured(ScalarField.constant(grid, 0.0), heavy_newborns)
+
+
+def test_negative_effort_rejected():
+    grid = spatial_grid(N=4)
+    model = basic_model(Na=4)
+    values = np.zeros((5, 5))
+    values[2, 3] = -1.0e-3
+    negative = ScalarField(grid, values)
+    with pytest.raises(ValueError, match="effort must be nonnegative"):
+        solve_age_structured(negative, model)
+    density = solve_age_structured(ScalarField.constant(grid, 0.0), model)
+    with pytest.raises(ValueError, match="effort must be nonnegative"):
+        solve_eradication_adjoint(negative, density, model)
+    with pytest.raises(ValueError, match="effort must be nonnegative"):
+        principal_eigenvalue(negative, 1.0)
+
+
+def test_adjoint_rejects_effort_on_another_grid():
+    model = basic_model(Na=4)
+    density = solve_age_structured(ScalarField.constant(spatial_grid(N=4), 0.0), model)
+    other = ScalarField.constant(spatial_grid(N=6), 0.0)
+    with pytest.raises(ValueError, match="not on the effort grid"):
+        solve_eradication_adjoint(other, density, model)
 
 
 def test_positivity_failure_names_highest_failing_age_level(monkeypatch):
@@ -418,7 +462,7 @@ def test_positivity_failure_names_highest_failing_age_level(monkeypatch):
     monkeypatch.setattr(agestruct, "_ImplicitStepper", NegativeLevels)
     grid = spatial_grid(N=4)
     with pytest.raises(SolverFailure, match="time level 1, age level 6: min"):
-        solve_age_structured(uniform_phi(grid, -1.0), basic_model(Na=10), control="off")
+        solve_age_structured(ScalarField.constant(grid, 0.0), basic_model(Na=10))
 
 
 def test_psi_zero_density_is_penalties_only():
@@ -464,8 +508,9 @@ def test_adjoint_terminal_and_age_boundary():
     grid = spatial_grid(N=8)
     model = basic_model(Na=10)
     phi = circle_levelset(grid)
-    density = solve_age_structured(phi, model, control="mollified", m=Mollifier(1.0))
-    dual = solve_eradication_adjoint(phi, density, model, Mollifier(1.0))
+    effort = mollified_effort(phi, model.L, Mollifier(1.0))
+    density = solve_age_structured(effort, model)
+    dual = solve_eradication_adjoint(effort, density, model)
     assert np.all(dual.values[-1, : model.Na] == 1.0)
     assert np.all(dual.values[:, model.Na] == 0.0)
 
@@ -476,8 +521,9 @@ def test_adjoint_reduces_to_backward_transport():
         Na=10, fertility=0.0, mortality=0.0, d=0.0, T=0.5, L=1.0
     )
     phi = uniform_phi(grid, -1000.0)
-    density = solve_age_structured(phi, model, control="mollified", m=Mollifier(1.0))
-    dual = solve_eradication_adjoint(phi, density, model, Mollifier(1.0))
+    effort = mollified_effort(phi, model.L, Mollifier(1.0))
+    density = solve_age_structured(effort, model)
+    dual = solve_eradication_adjoint(effort, density, model)
     steps = model.n_time
     for k in range(steps + 1):
         for level in range(model.Na + 1):
@@ -492,9 +538,10 @@ def test_adjoint_linear_in_terminal_data():
     model = basic_model(Na=10, fertility=1.5, mortality=0.3)
     phi = circle_levelset(grid)
     m = Mollifier(1.0)
-    density = solve_age_structured(phi, model, control="mollified", m=m)
-    single = solve_eradication_adjoint(phi, density, model, m, terminal_value=1.0)
-    double = solve_eradication_adjoint(phi, density, model, m, terminal_value=2.0)
+    effort = mollified_effort(phi, model.L, m)
+    density = solve_age_structured(effort, model)
+    single = solve_eradication_adjoint(effort, density, model, terminal_value=1.0)
+    double = solve_eradication_adjoint(effort, density, model, terminal_value=2.0)
     assert np.allclose(double.values, 2.0 * single.values, rtol=1e-12, atol=1e-12)
 
 
@@ -503,8 +550,9 @@ def test_velocity_variants():
     model = basic_model(Na=10, L=0.0)
     phi = uniform_phi(grid, 0.5)
     m = Mollifier(1.0)
-    density = solve_age_structured(phi, model, control="mollified", m=m)
-    dual = solve_eradication_adjoint(phi, density, model, m)
+    effort = mollified_effort(phi, model.L, m)
+    density = solve_age_structured(effort, model)
+    dual = solve_eradication_adjoint(effort, density, model)
     velocity, weight = eradication_velocity(
         phi, density, dual, model, (0.3, 0.7), "descent"
     )
@@ -594,7 +642,7 @@ def test_best_state_is_the_density_of_the_best_iterate():
         circle_levelset(grid), model, (0.1, 0.1), m, max_iter=3
     )
     assert len(trace.records) >= 2
-    fresh = solve_age_structured(best, model, control="mollified", m=m)
+    fresh = solve_age_structured(mollified_effort(best, model.L, m), model)
     assert np.array_equal(density.values, fresh.values)
     psi, terms = evaluate_psi(best, model, (0.1, 0.1), m)
     assert (psi, terms) == (trace.best().cost, trace.best().terms)

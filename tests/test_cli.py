@@ -1,11 +1,14 @@
 """Tests for configuration parsing and the command line pipelines."""
 
 import csv
+import math
 import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regionopt import agestruct, cli, shapeopt
 from regionopt.cli import main, run
@@ -515,3 +518,81 @@ def test_output_directory_from_config(tmp_path, monkeypatch):
     path = write_config(tmp_path, text)
     config = parse_config(path)
     assert config.output == "made_here"
+
+
+@pytest.mark.parametrize(
+    "text, old, new, key",
+    [
+        (TEST1_TEXT, "T = 1.0", "T = inf", "grid.T"),
+        (ERADICATION_TEXT, "T = 0.5", "T = inf", "grid.T"),
+        (TEST1_TEXT, "T = 1.0", "T = 1e308", "grid.M >"),
+        (TEST1_TEXT, "T = 1.0", "T = 1e300", "grid.M >"),
+        (TEST1_TEXT, "eps = 1.0", "eps = inf", "mollifier.eps"),
+        (FORWARD_TEXT, "L = 1.0\nu = 0.0", "L = inf\nu = inf", "model.L"),
+        (TEST1_TEXT, "d = 1.0", "d = inf", "model.d"),
+        (TEST1_TEXT, "L = 1.0", "L = inf", "model.L"),
+        (TEST1_TEXT, "[convergence]", "[convergence]\ntheta0 = inf", "theta0"),
+        (AGE_TEXT, "d = 1.0", "d = nan", "model.d"),
+        (AGE_TEXT, "L = 2.0", "L = nan", "model.L"),
+        (AGE_TEXT, "L = 2.0", "L = inf", "model.L"),
+        (TEST1_TEXT, "alpha = 0.4", "alpha = inf", "penalty.alpha"),
+    ],
+)
+def test_non_finite_setting_rejected_at_parse(tmp_path, capsys, text, old, new, key):
+    assert old in text
+    path = write_config(tmp_path, text.replace(old, new))
+    out = tmp_path / "o"
+    assert main(["--config", str(path), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+RANDOM_BASE = {
+    "run": {},
+    "grid": {"N": 6, "M": 4, "T": 1.0},
+    "model": {"d": 1.0, "a": 3.0, "y0": "gaussian", "L": 1.0, "u": 0.5},
+    "penalty": {"alpha": 0.1, "beta": 0.2},
+    "mollifier": {"eps": 1.0},
+    "convergence": {"eps1": 1e-3, "eps2": 1e-3, "theta0": 0.05, "max_iter": 1},
+    "levelset": {"init": "circle"},
+    "agestruct": {"A": 1.0, "Na": 4, "fertility": 1.5, "mortality": 0.2, "m": 0.1},
+}
+FLOAT_KEYS = [
+    (section, key)
+    for section, items in RANDOM_BASE.items()
+    for key, value in items.items()
+    if isinstance(value, float) or key in ("y0", "init")
+]
+FLOAT_POOL = (0.5, 2.0, 0.0, -1.0, math.inf, -math.inf, math.nan, 1e308)
+INT_KEYS = [("grid", "N"), ("grid", "M"), ("agestruct", "Na")]
+INT_POOL = (2, 4, 8, 3, 1, 0, -1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    command=st.sampled_from(
+        ["forward", "optimize-region", "eradicability", "optimize-eradication"]
+    ),
+    overrides=st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from(FLOAT_KEYS), st.sampled_from(FLOAT_POOL)),
+            st.tuples(st.sampled_from(INT_KEYS), st.sampled_from(INT_POOL)),
+        ),
+        max_size=3,
+    ),
+)
+def test_random_configs_exit_with_a_known_code(command, overrides):
+    sections = {name: dict(items) for name, items in RANDOM_BASE.items()}
+    sections["run"]["command"] = command
+    for (section, key), value in overrides:
+        sections[section][key] = value
+    text = "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in items.items())
+        for name, items in sections.items()
+    )
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "run.ini")
+        with open(path, "w") as handle:
+            handle.write(text)
+        status = main(["--config", path, "--out", os.path.join(scratch, "out")])
+    assert status in (0, 2, 3, 4)
