@@ -23,11 +23,11 @@ The solver locks the time step to the age step, so aging is an exact
 shift along characteristics, and reuses the implicit step solver of the
 pde module for diffusion and decay, all age levels of a time step in one
 batched solve on full-grid levels.  The principal eigenvalue comes from
-a block-1 LOBPCG that factorizes nothing: its products use the pde
-module's interior-operator assembly, and its preconditioner is the step
-solver's DCT inverse at a fixed shift.  Mortality is sampled finitely on
-the age grid; whatever is transported past the maximal age A flows out
-of the system.
+a block-1 LOBPCG that factorizes nothing: its products go through the
+step solver's five-point stencil with the operator's own main diagonal,
+and its preconditioner is the step solver's DCT inverse at a fixed
+shift.  Mortality is sampled finitely on the age grid; whatever is
+transported past the maximal age A flows out of the system.
 """
 
 from __future__ import annotations
@@ -36,12 +36,11 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConvergenceFailure, SolverFailure
 from .grid import GridSpec, ScalarField, curvature_divergence, simpson_integral_2d
 from .levelset import LevelSetFunction, Mollifier, heaviside_mollified
-from .pde import _ImplicitStepper, interior_operator
+from .pde import _ImplicitStepper
 from .shapeopt import Trace, descend, penalised_cost
 
 EIGEN_TOL = 1.0e-8
@@ -254,36 +253,35 @@ def mollified_effort(phi: LevelSetFunction, L: float, m: Mollifier) -> ScalarFie
     return ScalarField(phi.grid, L * heaviside_mollified(phi.phi.values, m))
 
 
-def eigen_operator_matrix(effort: ScalarField, d: float) -> sparse.csc_matrix:
-    """Symmetric interior-node matrix of -d lap + u (Neumann).
+def principal_eigenvalue(effort: ScalarField, d: float) -> float:
+    """Smallest eigenvalue of -d lap + u (Neumann) by block-1 LOBPCG.
 
-    The Neumann closure folds boundary nodes onto their interior
-    neighbors, leaving the graph Laplacian of the interior grid scaled
-    by d / h^2 plus the diagonal effort term.
+    The operator is the step solver's five-point stencil on the interior
+    nodes with main diagonal (d / h^2) (neighbor count) + u.  Each step
+    projects onto span{x, T r, p}, with T the step solver's DCT inverse
+    of (mean(u) + 1e-3) I - d lap, the mean taken over the interior
+    nodes (Knyazev 2001), starting from the constant vector.  Stops at a
+    relative eigenresidual of 1e-8.  A negative d or effort raises
+    ValueError; running out of EIGEN_MAX_ITER steps raises
+    ConvergenceFailure, and non-finite values or a failed projection
+    raise SolverFailure.
     """
     if d < 0.0 or np.any(effort.values < 0.0):
         raise ValueError("d and the effort must be nonnegative")
     grid = effort.grid
-    return interior_operator(d / (grid.h * grid.h), effort.values)
-
-
-def principal_eigenvalue(effort: ScalarField, d: float) -> float:
-    """Smallest eigenvalue of -d lap + u by block-1 LOBPCG.
-
-    Each step projects onto span{x, T r, p}, with T the step solver's
-    DCT inverse of (mean(u) + 1e-3) I - d lap, the mean taken over the
-    interior nodes (Knyazev 2001), starting from the constant vector.
-    Stops at a relative eigenresidual of 1e-8; running out of
-    EIGEN_MAX_ITER steps raises ConvergenceFailure, and non-finite values
-    or a failed projection raise SolverFailure.
-    """
-    matrix = eigen_operator_matrix(effort, d)
-    grid = effort.grid
     n1 = grid.N - 1
     stepper = _ImplicitStepper(grid.N, d / (grid.h * grid.h))
-    shift = np.mean(effort.values[1:-1, 1:-1]) + 1.0e-3
+    interior = effort.values[1:-1, 1:-1]
+    diagonal = stepper.lap_diag + interior
+
+    def product(v: np.ndarray) -> np.ndarray:
+        """The operator applied to a vector, or to each column at once."""
+        blocks = stepper.apply(diagonal, v.T.reshape(-1, n1, n1))
+        return blocks.reshape(v.shape[::-1]).T
+
+    shift = np.mean(interior) + 1.0e-3
     x = np.full(n1 * n1, 1.0 / n1)
-    image = matrix @ x
+    image = product(x)
     value = float(x @ image)
     update = np.empty((n1 * n1, 0))  # no previous update before step 1
     for step in range(EIGEN_MAX_ITER + 1):
@@ -298,7 +296,7 @@ def principal_eigenvalue(effort: ScalarField, d: float) -> float:
         columns = [x, stepper.precondition(shift, r.reshape(n1, n1)).ravel(), update]
         try:
             basis = np.linalg.qr(np.column_stack(columns))[0]
-            images = matrix @ basis
+            images = product(basis)
             values, vectors = np.linalg.eigh(basis.T @ images)
         except np.linalg.LinAlgError as exc:
             raise SolverFailure(f"eigen Rayleigh-Ritz step failed: {exc}") from exc

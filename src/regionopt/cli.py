@@ -185,9 +185,13 @@ def run(
             f"--paper-mode applies to optimize-region only, not {config.command}"
         )
     target = out_dir if out_dir is not None else config.output
-    os.makedirs(target, exist_ok=True)
     try:
-        # Settings too large for double precision fail as solver failures.
+        os.makedirs(target, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {target}: {exc}") from None
+    try:
+        # Settings too large for double precision, or for memory, fail as
+        # solver failures.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             if config.command == "forward":
                 return _run_forward(config, target, snapshot_every)
@@ -196,7 +200,7 @@ def run(
             if config.command == "eradicability":
                 return _run_eradicability(config, target)
             return _run_optimize_eradication(config, target, snapshot_every)
-    except (SolverFailure, FloatingPointError) as exc:
+    except (SolverFailure, FloatingPointError, MemoryError) as exc:
         trace = getattr(exc, "trace", None)
         if trace is not None:
             trace.write_csv(os.path.join(target, "trace.csv"))

@@ -124,15 +124,23 @@ def _get_raw(parser, section: str, key: str):
     return None
 
 
+def _finite_or_none(raw, what):
+    """The number raw spells, None if it spells none; ConfigError if not finite."""
+    try:
+        value = float(raw)
+    except ValueError:
+        return None
+    if not np.isfinite(value):
+        raise ConfigError(f"{what} must be a finite number, got {raw!r}")
+    return value
+
+
 def _get_float(parser, section: str, key: str, fallback=None):
     raw = _get_raw(parser, section, key)
     if raw is None:
         return fallback
-    try:
-        value = float(raw)
-    except ValueError:
-        value = np.nan
-    if not np.isfinite(value):
+    value = _finite_or_none(raw, f"{section}.{key}")
+    if value is None:
         raise ConfigError(f"{section}.{key} must be a finite number, got {raw!r}")
     return value
 
@@ -151,15 +159,14 @@ def _get_int(parser, section: str, key: str, fallback=None):
 
 def _resolve_existing_path(base_dir: str, spec: str):
     path = spec if os.path.isabs(spec) else os.path.join(base_dir, spec)
-    return path if os.path.exists(path) else None
+    return path if os.path.isfile(path) else None
 
 
 def _field_spec(raw, grid, presets, base_dir, what) -> ScalarField:
     """Resolve a constant, preset name, or grid-CSV path to a field."""
-    try:
-        return ScalarField.constant(grid, float(raw))
-    except ValueError:
-        pass
+    value = _finite_or_none(raw, what)
+    if value is not None:
+        return ScalarField.constant(grid, value)
     if raw in presets:
         return presets[raw](grid)
     path = _resolve_existing_path(base_dir, raw)
@@ -168,6 +175,8 @@ def _field_spec(raw, grid, presets, base_dir, what) -> ScalarField:
             return read_field_csv(path, grid)
         except ValueError as exc:
             raise ConfigError(f"{what}: bad field file {raw}: {exc}") from None
+        except OSError as exc:
+            raise ConfigError(f"{what}: cannot read {raw}: {exc}") from None
     names = ", ".join(sorted(presets)) if presets else "none"
     raise ConfigError(
         f"{what} must be a number, a preset ({names}), "
@@ -204,13 +213,15 @@ def read_age_samples_csv(path, ages: np.ndarray) -> np.ndarray:
 
 
 def _age_spec(raw, ages, base_dir, what):
-    try:
-        return float(raw)
-    except ValueError:
-        pass
+    value = _finite_or_none(raw, what)
+    if value is not None:
+        return value
     path = _resolve_existing_path(base_dir, raw)
     if path is not None:
-        return read_age_samples_csv(path, ages)
+        try:
+            return read_age_samples_csv(path, ages)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{what}: cannot read {raw}: {exc}") from None
     raise ConfigError(
         f"{what} must be a number or an existing CSV path; got {raw!r}"
     )
@@ -230,7 +241,7 @@ def parse_config(path) -> RunConfig:
     try:
         with open(path) as handle:
             parser.read_file(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from None

@@ -21,10 +21,11 @@ so the step solver runs conjugate gradients on the five-point stencil,
 preconditioned by the exact inverse at the mean diagonal 1 + mean(E1),
 applied through the DCT matrix.  It solves a whole batch of blocks at
 once (all age levels of one time step); tests check it against a dense
-Gaussian-elimination oracle.  The interior block is private to this
-module: the step solver takes and returns full-grid levels and fills in
-the Neumann ghost nodes, and interior_operator assembles lam L + diag(c)
-as a sparse matrix (the eigenvalue operator of the agestruct module).
+Gaussian-elimination oracle.  The step solver takes and returns
+full-grid levels and fills in the Neumann ghost nodes.  Its stencil is
+the one representation of lam L + diag(w) for any diagonal w: the eigen
+solver of the agestruct module multiplies through it with its own main
+diagonal.
 
 Nonlinear reaction terms are lagged at the previously computed time
 level, so every step stays linear.
@@ -35,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import SolverFailure
 from .grid import GridSpec, ScalarField, SpaceTimeField
@@ -117,35 +117,6 @@ class ControlProblemParams:
             )
 
 
-def _neighbor_count(n1: int) -> np.ndarray:
-    """Number of interior neighbors of each node of the (n1, n1) interior block."""
-    inner = np.zeros(n1)
-    inner[1:] += 1.0
-    inner[:-1] += 1.0
-    return inner[:, None] + inner[None, :]
-
-
-def interior_operator(lam: float, c: np.ndarray) -> sparse.csc_matrix:
-    """Sparse lam L + diag(c) on the interior nodes of the full-grid field c.
-
-    L is the Neumann graph Laplacian of the interior block, assembled as
-    five bands: the main diagonal lam * (neighbor count) + c, the +-1
-    diagonal (j-neighbors, zeroed across block rows) and the +-(N-1)
-    diagonal (i-neighbors).
-    """
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] < 4:
-        raise ValueError(f"need a square full-grid field with N >= 3, got {c.shape}")
-    n1 = c.shape[0] - 2
-    main = lam * _neighbor_count(n1).ravel() + c[1:-1, 1:-1].ravel()
-    off1 = np.full(n1 * n1 - 1, -lam)
-    off1[n1 - 1 :: n1] = 0.0
-    offb = np.full(n1 * n1 - n1, -lam)
-    return sparse.diags(
-        [main, off1, off1, offb, offb], [0, 1, -1, n1, -n1], format="csc"
-    )
-
-
 def dct_matrix(n: int) -> np.ndarray:
     """Orthonormal DCT-II matrix; its rows are the eigenvectors of the
     Neumann path Laplacian of n nodes, with eigenvalues 4 sin^2(pi k / 2n)."""
@@ -166,15 +137,20 @@ class _ImplicitStepper:
     def __init__(self, N: int, lam: float):
         n1 = N - 1
         self.lam = lam
-        self.main = 1.0 + lam * _neighbor_count(n1)
+        deg = np.zeros(n1)  # interior neighbors along one axis
+        deg[1:] += 1.0
+        deg[:-1] += 1.0
+        self.lap_diag = lam * (deg[:, None] + deg[None, :])  # diagonal of lam L
+        self.main = 1.0 + self.lap_diag
         self.q = dct_matrix(n1)
         eig = 4.0 * np.sin(0.5 * np.pi * np.arange(n1) / n1) ** 2
         self.lap_eigs = lam * (eig[:, None] + eig[None, :])
 
-    def apply(self, e1: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """The product (I + lam L + diag(E1)) x."""
+    def apply(self, diagonal: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The product (lam L + diag(w)) x from its main diagonal
+        lap_diag + w: diagonal * x minus lam times each interior neighbor."""
         lam = self.lam
-        y = (self.main + e1) * x
+        y = diagonal * x
         y[..., 1:, :] -= lam * x[..., :-1, :]
         y[..., :-1, :] -= lam * x[..., 1:, :]
         y[..., :, 1:] -= lam * x[..., :, :-1]
@@ -208,8 +184,9 @@ def linear_solve(stepper: _ImplicitStepper, e1: np.ndarray, rhs: np.ndarray):
     axes = (-2, -1)
     scale = np.maximum(np.abs(rhs).max(axis=axes, keepdims=True), 1.0)
     shift = 1.0 + np.mean(e1, axis=axes, keepdims=True)
+    diagonal = stepper.main + e1
     x = stepper.precondition(shift, rhs)
-    r = rhs - stepper.apply(e1, x)
+    r = rhs - stepper.apply(diagonal, x)
     p = stepper.precondition(shift, r)
     rz = np.sum(r * p, axis=axes, keepdims=True)
     iterations = 0
@@ -225,7 +202,7 @@ def linear_solve(stepper: _ImplicitStepper, e1: np.ndarray, rhs: np.ndarray):
                 f"conjugate gradients did not converge in {CG_MAX_ITER} "
                 f"iterations: relative residual {(rmax / scale).max():.3e}"
             )
-        ap = stepper.apply(e1, p)
+        ap = stepper.apply(diagonal, p)
         pap = np.sum(p * ap, axis=axes, keepdims=True)
         alpha = np.divide(rz, pap, out=np.zeros_like(rz), where=active)
         x = x + alpha * p
@@ -236,7 +213,7 @@ def linear_solve(stepper: _ImplicitStepper, e1: np.ndarray, rhs: np.ndarray):
         p = z + beta * p
         rz = rz_new
         iterations += 1
-    resid = np.abs(stepper.apply(e1, x) - rhs).max(axis=axes, keepdims=True)
+    resid = np.abs(stepper.apply(diagonal, x) - rhs).max(axis=axes, keepdims=True)
     resid = (resid / scale).max()
     if resid > 1.0e-10:
         raise SolverFailure(f"linear solve relative residual {resid:.3e} exceeds 1e-10")

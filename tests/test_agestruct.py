@@ -5,7 +5,6 @@ import csv
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
 from regionopt import agestruct
@@ -13,7 +12,6 @@ from regionopt.agestruct import (
     AgeModelParams,
     ERADICATION_TRACE_COLUMNS,
     age_trapezoid_weights,
-    eigen_operator_matrix,
     eradicability_verdict,
     eradication_velocity,
     evaluate_psi,
@@ -29,6 +27,8 @@ from regionopt.agestruct import (
 from regionopt.errors import ConvergenceFailure, SolverFailure
 from regionopt.grid import GridSpec, ScalarField
 from regionopt.levelset import LevelSetFunction, Mollifier, circle_levelset
+
+from neumann_oracle import neumann_operator
 
 # Root of 2 (1 - e^-r) / r = 1, computed by high-precision bisection on
 # the closed-form equation before the module was written.
@@ -157,7 +157,7 @@ def test_eigenvalue_matches_dense_oracle_on_random_rectangles():
         phi = rectangle_phi(grid, lo[0], hi[0], lo[1], hi[1])
         produced = principal_eigenvalue(sharp_effort(phi, 1.0), 1.0)
         dense = np.linalg.eigvalsh(
-            eigen_operator_matrix(sharp_effort(phi, 1.0), 1.0).toarray()
+            neumann_operator(sharp_effort(phi, 1.0), 1.0).toarray()
         )[0]
         assert abs(produced - dense) <= 1e-8
 
@@ -195,7 +195,7 @@ def test_eigenvalue_edge_cases_match_dense_oracle():
     )
     for phi in regions:
         for d, L in ((0.0, 1.0), (1.0, 1.0e6), (0.0, 1.0e6), (0.3, 2.0)):
-            matrix = eigen_operator_matrix(sharp_effort(phi, L), d).toarray()
+            matrix = neumann_operator(sharp_effort(phi, L), d).toarray()
             expected = np.linalg.eigvalsh(matrix)[0]
             produced = principal_eigenvalue(sharp_effort(phi, L), d)
             assert abs(produced - expected) <= 1e-8 * max(1.0, abs(expected))
@@ -210,17 +210,8 @@ def test_eigenvalue_of_smooth_effort_matches_kron_assembly():
         + 2.0 * np.cos(np.pi * x1) * np.sin(2.0 * np.pi * x2)
         + 5.0 * x1 * x2,
     )
-    # -d lap + u assembled independently: Kronecker sum of two Neumann
-    # path Laplacians plus the effort on the interior nodes.
-    n1 = grid.N - 1
-    ends = np.full(n1, 2.0)
-    ends[[0, -1]] = 1.0
-    path = np.diag(ends) - np.eye(n1, k=1) - np.eye(n1, k=-1)
-    eye = np.eye(n1)
-    lap = np.kron(path, eye) + np.kron(eye, path)
     interior = effort.values[1:-1, 1:-1]
-    matrix = d / grid.h**2 * lap + np.diag(interior.ravel())
-    expected = np.linalg.eigvalsh(matrix)[0]
+    expected = np.linalg.eigvalsh(neumann_operator(effort, d).toarray())[0]
     produced = principal_eigenvalue(effort, d)
     assert interior.min() < produced < interior.max()
     assert abs(produced - expected) <= 1e-8 * max(1.0, abs(expected))
@@ -236,16 +227,7 @@ def test_eigenvalue_matches_eigsh_on_disc_union():
         ),
     )
     d, L = 1.0, 20.0
-    # The operator assembled independently: Kronecker sum of two Neumann
-    # path Laplacians plus the region indicator.
-    n1 = grid.N - 1
-    ends = np.full(n1, 2.0)
-    ends[[0, -1]] = 1.0
-    path = sparse.diags([-np.ones(n1 - 1), ends, -np.ones(n1 - 1)], [-1, 0, 1])
-    eye = sparse.identity(n1)
-    lap = sparse.kron(path, eye) + sparse.kron(eye, path)
-    chi = (phi.phi.values[1:-1, 1:-1] > 0.0).astype(float).ravel()
-    matrix = (d / grid.h**2 * lap + sparse.diags(L * chi)).tocsc()
+    matrix = neumann_operator(sharp_effort(phi, L), d)
     expected = eigsh(matrix, k=1, sigma=-1e-3, which="LM", return_eigenvectors=False)
     produced = principal_eigenvalue(sharp_effort(phi, L), d)
     assert 0.0 < produced < L
@@ -279,13 +261,11 @@ def test_eigen_iteration_budget_raises_convergence_failure(monkeypatch):
         principal_eigenvalue(sharp_effort(circle_levelset(grid), 2.0), 1.0)
 
 
-def test_eigen_non_finite_operator_is_solver_failure(monkeypatch):
+def test_eigen_non_finite_operator_is_solver_failure():
     grid = spatial_grid(N=10)
     phi = circle_levelset(grid)
-    broken = eigen_operator_matrix(sharp_effort(phi, 2.0), 1.0) * np.nan
-    monkeypatch.setattr(agestruct, "eigen_operator_matrix", lambda *args: broken)
     with pytest.raises(SolverFailure, match="non-finite"):
-        principal_eigenvalue(sharp_effort(phi, 2.0), 1.0)
+        principal_eigenvalue(sharp_effort(phi, 2.0), np.nan)
 
 
 def test_verdict_trivial_cases():

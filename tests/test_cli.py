@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from regionopt import agestruct, cli, shapeopt
+from regionopt import config as config_module
 from regionopt.cli import main, run
 from regionopt.config import gaussian_density, parse_config, read_age_samples_csv
 from regionopt.errors import ConfigError, SolverFailure
@@ -500,6 +501,79 @@ def test_eradication_convergence_settings_checked_at_parse(tmp_path, capsys):
     assert "convergence.eps1 must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, old, key",
+    [
+        (TEST1_TEXT, "init = circle", "levelset.init"),
+        (TEST1_TEXT, "a = 3.0", "model.a"),
+        (AGE_TEXT, "fertility = 1.0", "agestruct.fertility"),
+    ],
+    ids=["levelset.init", "model.a", "agestruct.fertility"],
+)
+def test_input_path_naming_a_directory_is_a_config_error(
+    tmp_path, capsys, text, old, key
+):
+    (tmp_path / "inputs").mkdir()
+    new = old.split(" = ")[0] + " = inputs"
+    path = write_config(tmp_path, text.replace(old, new))
+    out = tmp_path / "o"
+    assert main(["--config", str(path), "--out", str(out)]) == 2
+    assert f"{key} must be a number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unreadable_input_file_is_a_config_error(tmp_path, capsys, monkeypatch):
+    def unreadable(path, *args):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(config_module, "read_field_csv", unreadable)
+    monkeypatch.setattr(config_module, "read_age_samples_csv", unreadable)
+    (tmp_path / "field.csv").write_text("x1,x2,value\n")
+    (tmp_path / "ages.csv").write_text("age,value\n")
+    cases = (
+        (TEST1_TEXT, "init = circle", "init = field.csv", "levelset.init"),
+        (AGE_TEXT, "fertility = 1.0", "fertility = ages.csv", "agestruct.fertility"),
+    )
+    for text, old, new, key in cases:
+        path = write_config(tmp_path, text.replace(old, new))
+        assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{key}: cannot read" in err and "Permission denied" in err
+
+
+def test_undecodable_input_file_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "ages.csv").write_bytes(b"\xff\xfe age,value\n")
+    text = AGE_TEXT.replace("fertility = 1.0", "fertility = ages.csv")
+    path = write_config(tmp_path, text)
+    assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "agestruct.fertility: cannot read ages.csv" in capsys.readouterr().err
+    binary = tmp_path / "binary.ini"
+    binary.write_bytes(b"\xff\xfe[run]\n")
+    assert main(["--config", str(binary), "--out", str(tmp_path / "o")]) == 2
+    assert "cannot read config file" in capsys.readouterr().err
+
+
+def test_output_directory_that_cannot_be_created_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("not a directory\n")
+    path = write_config(tmp_path, AGE_TEXT)
+    assert main(["--config", str(path), "--out", str(blocker / "sub")]) == 2
+    assert "cannot create output directory" in capsys.readouterr().err
+    assert blocker.read_text() == "not a directory\n"
+
+
+def test_out_of_memory_is_a_solver_failure(tmp_path, capsys, monkeypatch):
+    # The error an oversized horizon raises, injected: nothing is allocated.
+    def oversized(*args, **kwargs):
+        raise MemoryError("Unable to allocate 5.2 EiB for an array")
+
+    monkeypatch.setattr(cli, "optimize_eradication_region", oversized)
+    path = write_config(tmp_path, ERADICATION_TEXT)
+    assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "optimize-eradication: solver failure: Unable to allocate" in err
+
+
 def test_ill_posed_renewal_step_rejected_at_parse(tmp_path, capsys):
     text = ERADICATION_TEXT.replace("fertility = 1.5", "fertility = 50")
     path = write_config(tmp_path, text)
@@ -536,6 +610,30 @@ def test_output_directory_from_config(tmp_path, monkeypatch):
         (AGE_TEXT, "L = 2.0", "L = nan", "model.L"),
         (AGE_TEXT, "L = 2.0", "L = inf", "model.L"),
         (TEST1_TEXT, "alpha = 0.4", "alpha = inf", "penalty.alpha"),
+        (
+            TEST1_TEXT,
+            "a = 3.0",
+            "a = inf",
+            "model.a must be a finite number, got 'inf'",
+        ),
+        (
+            TEST1_TEXT,
+            "y0 = gaussian",
+            "y0 = nan",
+            "model.y0 must be a finite number, got 'nan'",
+        ),
+        (
+            TEST1_TEXT,
+            "init = circle",
+            "init = -inf",
+            "levelset.init must be a finite number, got '-inf'",
+        ),
+        (
+            AGE_TEXT,
+            "fertility = 1.0",
+            "fertility = inf",
+            "agestruct.fertility must be a finite number, got 'inf'",
+        ),
     ],
 )
 def test_non_finite_setting_rejected_at_parse(tmp_path, capsys, text, old, new, key):

@@ -2,9 +2,8 @@
 
 The step solver (DCT-preconditioned conjugate gradients on the
 five-point stencil) is checked against a dense Gaussian elimination
-oracle implemented here, and the stencil and the interior-operator
-assembly against an independent node-by-node construction from the
-neighbor-count rule.
+oracle implemented here, and the stencil against an independent
+node-by-node construction from the neighbor-count rule.
 Spatially uniform problems reduce every solver to a scalar recurrence
 with a known closed form, which pins the time stepping exactly.
 """
@@ -32,7 +31,6 @@ from regionopt.pde import (
     _ImplicitStepper,
     _complete_with_ghost,
     bang_bang_control,
-    interior_operator,
     linear_solve,
     solve_adjoint,
     solve_forward,
@@ -69,9 +67,9 @@ def gauss_solve(matrix, rhs):
 def dense_from_neighbor_rule(N, lam, e1):
     """Step matrix built entry by entry from the interior-neighbor count.
 
-    Independent of the stencil and the assembly: nodes are visited in
-    grid order and each row gets 1 + (number of interior neighbors) * lam
-    + E1 on the diagonal and -lam per neighbor.
+    Independent of the stencil: nodes are visited in grid order and each
+    row gets 1 + (number of interior neighbors) * lam + E1 on the
+    diagonal and -lam per neighbor.
     """
     n1 = N - 1
     a = np.zeros((n1 * n1, n1 * n1))
@@ -104,40 +102,35 @@ def uniform_levelset(grid, value):
     return LevelSetFunction(ScalarField.constant(grid, value))
 
 
-def full_grid(interior):
-    """A full-grid field whose interior is the given block (ghosts zero)."""
-    full = np.zeros(interior.shape[:-2] + (interior.shape[-1] + 2,) * 2)
-    full[..., 1:-1, 1:-1] = interior
-    return full
+def stencil_matrix(stepper, diagonal):
+    """Dense matrix of stepper.apply(diagonal, .), one unit vector per column."""
+    n = diagonal.size
+    units = np.eye(n).reshape((n,) + diagonal.shape)
+    return stepper.apply(diagonal, units).reshape(n, n).T
 
 
 def test_small_block_every_row_is_a_corner_row():
     lam = 0.7
     e1 = np.array([[0.1, 0.2], [0.3, 0.4]])
-    matrix = interior_operator(lam, full_grid(1.0 + e1))
-    main, off1, offb = (matrix.diagonal(k) for k in (0, 1, 2))
+    stepper = _ImplicitStepper(3, lam)
+    matrix = stencil_matrix(stepper, stepper.main + e1)
+    main, off1, offb = (np.diagonal(matrix, k) for k in (0, 1, 2))
     assert np.allclose(main, 1.0 + 2.0 * lam + e1.ravel(), rtol=0, atol=1e-15)
     assert off1.shape == (3,)
     assert off1[0] == -lam and off1[2] == -lam
     assert off1[1] == 0.0
     assert np.all(offb == -lam)
     assert offb.shape == (2,)
-    assert (matrix - matrix.T).count_nonzero() == 0
-
-
-def test_interior_operator_validation():
-    with pytest.raises(ValueError):
-        interior_operator(0.5, np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        interior_operator(0.5, np.zeros((5, 6)))
+    assert np.diagonal(matrix, 3)[0] == 0.0
+    assert np.array_equal(matrix, matrix.T)
 
 
 def test_assembled_matrix_matches_neighbor_rule():
     rng = np.random.default_rng(7)
     for N in (4, 8):
         e1 = rng.uniform(0.0, 0.3, (N - 1, N - 1))
-        assembled = interior_operator(0.8, full_grid(e1)).toarray()
-        assembled += np.eye((N - 1) ** 2)
+        stepper = _ImplicitStepper(N, 0.8)
+        assembled = stencil_matrix(stepper, stepper.main + e1)
         dense = dense_from_neighbor_rule(N, 0.8, e1)
         assert np.allclose(assembled, dense, rtol=0, atol=1e-13)
 
@@ -190,7 +183,7 @@ def test_matvec_agrees_with_dense_product():
         e1 = rng.uniform(0.0, 0.5, (N - 1, N - 1))
         dense = dense_from_neighbor_rule(N, 0.9, e1)
         x = rng.standard_normal((5, N - 1, N - 1))
-        y = stepper.apply(e1, x)
+        y = stepper.apply(stepper.main + e1, x)
         for b in range(5):
             assert np.allclose(
                 y[b].ravel(), dense @ x[b].ravel(), rtol=1e-13, atol=1e-13
