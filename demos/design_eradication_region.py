@@ -13,6 +13,7 @@ import pathlib
 
 from regionopt import (
     AgeModelParams,
+    Convergence,
     GridSpec,
     Mollifier,
     checkerboard_levelset,
@@ -44,7 +45,7 @@ best, trace, density = optimize_eradication_region(
     model,
     penalties=(0.1, 0.4),
     m=m,
-    max_iter=25,
+    convergence=Convergence(max_iter=25),
 )
 
 print("  n       Psi    population   length     area")

@@ -58,6 +58,7 @@ from .pde import (
     solve_sensitivity,
 )
 from .shapeopt import (
+    Convergence,
     Trace,
     descent_velocity,
     evaluate_J,
@@ -92,6 +93,7 @@ __all__ = [
     "descent_velocity",
     "optimize_region",
     "Trace",
+    "Convergence",
     "AgeModelParams",
     "AgeDensityField",
     "lotka_root",

@@ -41,7 +41,7 @@ from .errors import ConvergenceFailure, SolverFailure
 from .grid import GridSpec, ScalarField, curvature_divergence, simpson_integral_2d
 from .levelset import LevelSetFunction, Mollifier, heaviside_mollified
 from .pde import _ImplicitStepper
-from .shapeopt import Trace, descend, penalised_cost
+from .shapeopt import Convergence, Trace, descend, penalised_cost
 
 EIGEN_TOL = 1.0e-8
 EIGEN_MAX_ITER = 500
@@ -506,10 +506,7 @@ def optimize_eradication_region(
     model: AgeModelParams,
     penalties,
     m: Mollifier,
-    max_iter: int = 200,
-    eps1: float = 1.0e-3,
-    eps2: float = 1.0e-3,
-    theta0: float = 0.05,
+    convergence: Convergence = Convergence(),
     sign_variant: str = "descent",
     callback=None,
 ):
@@ -536,9 +533,6 @@ def optimize_eradication_region(
         m,
         Trace(ERADICATION_TRACE_COLUMNS, {"sign_variant": sign_variant}),
         penalties=penalties,
-        max_iter=max_iter,
-        eps1=eps1,
-        eps2=eps2,
-        theta0=theta0,
+        convergence=convergence,
         callback=callback,
     )

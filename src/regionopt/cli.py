@@ -6,8 +6,8 @@ fields as ``x1,x2,value`` CSV and a ``summary.txt`` of ``key = value``
 lines (also echoed to stdout).  Runs are deterministic: the same config
 produces byte-identical outputs.
 
-Exit codes: 0 success, 2 bad configuration, 3 solver failure,
-4 convergence failure.
+Exit codes: 0 success, 2 bad configuration (also an output directory or
+artifact that cannot be written), 3 solver failure, 4 convergence failure.
 """
 
 from __future__ import annotations
@@ -83,10 +83,7 @@ def _run_optimize_region(
     best, trace, _ = optimize_region(
         config.phi0,
         config.control,
-        max_iter=config.max_iter,
-        eps1=config.eps1,
-        eps2=config.eps2,
-        theta0=config.theta0,
+        config.convergence,
         paper_mode=paper_mode,
         callback=callback,
     )
@@ -133,10 +130,7 @@ def _run_optimize_eradication(
         model,
         (config.alpha, config.beta),
         config.mollifier,
-        max_iter=config.max_iter,
-        eps1=config.eps1,
-        eps2=config.eps2,
-        theta0=config.theta0,
+        config.convergence,
         sign_variant=config.sign_variant,
         callback=callback,
     )
@@ -166,29 +160,9 @@ def _run_optimize_eradication(
     return 0
 
 
-def run(
-    config: RunConfig,
-    out_dir: str | None = None,
-    paper_mode: bool = False,
-    snapshot_every: int = 1,
+def _run_pipeline(
+    config: RunConfig, target: str, paper_mode: bool, snapshot_every: int
 ) -> int:
-    """Execute the configured pipeline, writing artifacts into out_dir.
-
-    out_dir defaults to the config's output directory and is created if
-    absent.  paper_mode applies to optimize-region only.  Returns the
-    process exit status; a failed descent leaves its partial trace.csv.
-    """
-    if snapshot_every < 1:
-        raise ConfigError(f"snapshot-every must be >= 1, got {snapshot_every}")
-    if paper_mode and config.command != "optimize-region":
-        raise ConfigError(
-            f"--paper-mode applies to optimize-region only, not {config.command}"
-        )
-    target = out_dir if out_dir is not None else config.output
-    try:
-        os.makedirs(target, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {target}: {exc}") from None
     try:
         # Settings too large for double precision, or for memory, fail as
         # solver failures.
@@ -209,6 +183,36 @@ def run(
     except ConvergenceFailure as exc:
         print(f"{config.command}: convergence failure: {exc}", file=sys.stderr)
         return 4
+
+
+def run(
+    config: RunConfig,
+    out_dir: str | None = None,
+    paper_mode: bool = False,
+    snapshot_every: int = 1,
+) -> int:
+    """Execute the configured pipeline, writing artifacts into out_dir.
+
+    out_dir defaults to the config's output directory and is created if
+    absent.  paper_mode applies to optimize-region only.  Returns the
+    process exit status; a failed descent leaves its partial trace.csv.
+    An artifact that cannot be written raises ConfigError naming it.
+    """
+    if snapshot_every < 1:
+        raise ConfigError(f"snapshot-every must be >= 1, got {snapshot_every}")
+    if paper_mode and config.command != "optimize-region":
+        raise ConfigError(
+            f"--paper-mode applies to optimize-region only, not {config.command}"
+        )
+    target = out_dir if out_dir is not None else config.output
+    try:
+        os.makedirs(target, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {target}: {exc}") from None
+    try:
+        return _run_pipeline(config, target, paper_mode, snapshot_every)
+    except OSError as exc:
+        raise ConfigError(f"cannot write artifacts to {target}: {exc}") from None
 
 
 def main(argv=None) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import configparser
 import csv
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .levelset import (
     circle_levelset,
 )
 from .pde import ControlProblemParams
+from .shapeopt import Convergence
 
 COMMANDS = ("forward", "optimize-region", "eradicability", "optimize-eradication")
 
@@ -37,7 +38,7 @@ _SECTION_KEYS = {
     "model": ("d", "a", "y0", "L", "u"),
     "penalty": ("alpha", "beta"),
     "mollifier": ("eps",),
-    "convergence": ("eps1", "eps2", "theta0", "max_iter"),
+    "convergence": tuple(f.name for f in fields(Convergence)),
     "levelset": ("init",),
     "agestruct": ("A", "Na", "fertility", "mortality", "m", "sign_variant"),
 }
@@ -108,10 +109,7 @@ class RunConfig:
     control_level: float
     alpha: float
     beta: float
-    eps1: float
-    eps2: float
-    theta0: float
-    max_iter: int
+    convergence: Convergence
     sign_variant: str
     mollifier: Mollifier | None
     control: ControlProblemParams | None
@@ -281,15 +279,16 @@ def parse_config(path) -> RunConfig:
     control_level = _get_float(parser, "model", "u", fallback=0.0)
     alpha = _get_float(parser, "penalty", "alpha", fallback=0.0)
     beta = _get_float(parser, "penalty", "beta", fallback=0.0)
-    eps1 = _get_float(parser, "convergence", "eps1", fallback=1.0e-3)
-    eps2 = _get_float(parser, "convergence", "eps2", fallback=1.0e-3)
-    theta0 = _get_float(parser, "convergence", "theta0", fallback=0.05)
-    max_iter = _get_int(parser, "convergence", "max_iter", fallback=200)
-    if max_iter < 1:
-        raise ConfigError(f"convergence.max_iter must be >= 1, got {max_iter}")
-    for key, value in (("eps1", eps1), ("eps2", eps2), ("theta0", theta0)):
-        if not value > 0.0:
-            raise ConfigError(f"convergence.{key} must be positive, got {value}")
+    # Each Convergence field is read by the type of its default.
+    given = {}
+    for f in fields(Convergence):
+        if parser.has_option("convergence", f.name):
+            read = {int: _get_int, float: _get_float}[type(f.default)]
+            given[f.name] = read(parser, "convergence", f.name)
+    try:
+        convergence = Convergence(**given)
+    except ValueError as exc:
+        raise ConfigError(f"convergence.{exc}") from None
     for key, value in (("alpha", alpha), ("beta", beta)):
         if not value >= 0.0:
             raise ConfigError(f"penalty.{key} must be nonnegative, got {value}")
@@ -411,10 +410,7 @@ def parse_config(path) -> RunConfig:
         control_level=control_level,
         alpha=alpha,
         beta=beta,
-        eps1=eps1,
-        eps2=eps2,
-        theta0=theta0,
-        max_iter=max_iter,
+        convergence=convergence,
         sign_variant=sign_variant,
         mollifier=mollifier,
         control=control,

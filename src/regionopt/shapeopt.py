@@ -60,6 +60,24 @@ TRACE_COLUMNS = (
 )
 
 
+@dataclass(frozen=True)
+class Convergence:
+    """descend's [convergence] settings: iteration budget, tolerances on
+    the cost decrement and the L2 change of phi, initial step size."""
+
+    max_iter: int = 200
+    eps1: float = 1.0e-3
+    eps2: float = 1.0e-3
+    theta0: float = 0.05
+
+    def __post_init__(self):
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        for key in ("eps1", "eps2", "theta0"):
+            if not getattr(self, key) > 0.0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
+
+
 @dataclass
 class IterationRecord:
     """One accepted iterate; terms are the three summands of cost."""
@@ -154,7 +172,6 @@ def evaluate_J(phi: LevelSetFunction, params: ControlProblemParams):
 
 
 def descent_velocity(
-    phi: LevelSetFunction,
     adjoint: SpaceTimeField,
     sensitivity: SpaceTimeField,
     params: ControlProblemParams,
@@ -166,7 +183,7 @@ def descent_velocity(
     evolve_phi applies it implicitly with weight alpha.
     """
     grid = params.grid
-    if phi.grid != grid or adjoint.grid != grid or sensitivity.grid != grid:
+    if adjoint.grid != grid or sensitivity.grid != grid:
         raise ValueError("inputs are not on the problem grid")
     shifted = 1.0 + adjoint.values
     integrand = shifted * heaviside_mollified(shifted, params.mollifier)
@@ -189,10 +206,7 @@ def descend(
     trace: Trace,
     *,
     penalties,
-    max_iter: int,
-    eps1: float,
-    eps2: float,
-    theta0: float,
+    convergence: Convergence,
     paper_mode: bool = False,
     callback=None,
 ):
@@ -202,11 +216,11 @@ def descend(
     penalised_cost adds the length and area penalties = (alpha, beta)
     once per evaluated phi; direction(phi, state) returns (velocity,
     curvature weight).  Each pass evaluates the cost, checks the
-    stopping rules (small decrement, increase, small phi change,
-    iteration budget), then moves phi one semi-implicit step along the
-    velocity.  An increase triggers step-size halving with up to 5
-    retries unless paper_mode is set, in which case the first increase
-    stops the loop on the spot.
+    stopping rules of convergence (small decrement, increase, small phi
+    change, iteration budget), then moves phi one semi-implicit step of
+    size theta0 along the velocity.  An increase triggers step-size
+    halving with up to 5 retries unless paper_mode is set, in which case
+    the first increase stops the loop on the spot.
 
     Fills trace and returns (best_phi, trace, best_state): the iterate
     of lowest cost, whose record is trace.best(), and its solver state.
@@ -217,10 +231,6 @@ def descend(
     Stop reasons: "J tolerance", "J increase", "phi tolerance",
     "iteration budget".
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if not (eps1 > 0.0 and eps2 > 0.0 and theta0 > 0.0):
-        raise ValueError("eps1, eps2 and theta0 must be positive")
     phi = phi0
     best_phi = best_state = best_cost = None
     cost_prev = np.inf
@@ -246,20 +256,20 @@ def descend(
                 best_state = state
             if callback is not None:
                 callback(n, phi, record)
-            if n > 1 and phi_change < eps2:
+            if n > 1 and phi_change < convergence.eps2:
                 stop = "phi tolerance"
                 break
-            if abs(cost - cost_prev) < eps1:
+            if abs(cost - cost_prev) < convergence.eps1:
                 stop = "J tolerance"
                 break
             if cost >= cost_prev:
                 stop = "J increase"
                 break
-            if n >= max_iter:
+            if n >= convergence.max_iter:
                 stop = "iteration budget"
                 break
             velocity, curvature_weight = direction(phi, state)
-            theta = theta0
+            theta = convergence.theta0
             closest_gap = np.inf
             for _ in range(1 if paper_mode else MAX_TRIALS):
                 phi_next = evolve_phi(phi, velocity, theta, m, alpha=curvature_weight)
@@ -272,7 +282,7 @@ def descend(
                 # No step decreased the cost; the non-decrease rule fires,
                 # with the small-decrement clause taking precedence when
                 # some trial landed within the tolerance.
-                stop = "J tolerance" if closest_gap < eps1 else "J increase"
+                stop = "J tolerance" if closest_gap < convergence.eps1 else "J increase"
                 break
             phi_change = _phi_distance(phi_next, phi)
             cost_prev = cost
@@ -290,25 +300,22 @@ def descend(
 def optimize_region(
     phi0: LevelSetFunction,
     params: ControlProblemParams,
-    max_iter: int = 200,
-    eps1: float = 1.0e-3,
-    eps2: float = 1.0e-3,
-    theta0: float = 0.05,
+    convergence: Convergence = Convergence(),
     paper_mode: bool = False,
     callback=None,
 ):
     """Minimize J from phi0 by descend: the adjoint gives J, the
     sensitivity the velocity, and alpha weighs the implicit curvature.
 
-    eps1 and eps2 are the stopping tolerances on the cost decrement and
-    on the L2 change of phi, theta0 the initial step size.  Returns
-    (best iterate by cost, trace, its adjoint).  Solver failures re-raise
-    with the partial trace attached as exc.trace.
+    convergence holds the iteration budget, stopping tolerances and
+    initial step size.  Returns (best iterate by cost, trace, its
+    adjoint).  Solver failures re-raise with the partial trace attached
+    as exc.trace.
     """
 
     def direction(phi, adjoint):
         sensitivity = solve_sensitivity(phi, adjoint, params)
-        return descent_velocity(phi, adjoint, sensitivity, params), params.alpha
+        return descent_velocity(adjoint, sensitivity, params), params.alpha
 
     return descend(
         phi0,
@@ -317,10 +324,7 @@ def optimize_region(
         params.mollifier,
         Trace(),
         penalties=(params.alpha, params.beta),
-        max_iter=max_iter,
-        eps1=eps1,
-        eps2=eps2,
-        theta0=theta0,
+        convergence=convergence,
         paper_mode=paper_mode,
         callback=callback,
     )

@@ -50,7 +50,7 @@ from regionopt.pde import (
     solve_adjoint,
     solve_forward,
 )
-from regionopt.shapeopt import optimize_region
+from regionopt.shapeopt import Convergence, optimize_region
 
 from neumann_oracle import neumann_operator
 
@@ -261,7 +261,7 @@ def test_criterion_5_reference_runs(tmp_path):
         ("disc", circle_levelset(grid)),
         ("checkerboard", checkerboard_levelset(grid)),
     ):
-        best, trace, _ = optimize_region(phi0, params, max_iter=200)
+        best, trace, _ = optimize_region(phi0, params, Convergence(max_iter=200))
         costs = trace.costs()
         area = region_area(best, params.mollifier)
         masks = []

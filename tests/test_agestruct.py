@@ -27,6 +27,7 @@ from regionopt.agestruct import (
 from regionopt.errors import ConvergenceFailure, SolverFailure
 from regionopt.grid import GridSpec, ScalarField
 from regionopt.levelset import LevelSetFunction, Mollifier, circle_levelset
+from regionopt.shapeopt import Convergence
 
 from neumann_oracle import neumann_operator
 
@@ -551,7 +552,11 @@ def test_loop_trivial_stop_by_tolerance():
     grid = spatial_grid(N=8)
     model = basic_model(Na=10, L=0.0)
     best, trace, _ = optimize_eradication_region(
-        circle_levelset(grid), model, (0.0, 0.0), Mollifier(1.0), max_iter=10
+        circle_levelset(grid),
+        model,
+        (0.0, 0.0),
+        Mollifier(1.0),
+        Convergence(max_iter=10),
     )
     assert len(trace.records) == 1
     assert trace.stop_reason == "J tolerance"
@@ -561,7 +566,11 @@ def test_loop_budget_of_one():
     grid = spatial_grid(N=8)
     model = basic_model(Na=10)
     _, trace, _ = optimize_eradication_region(
-        circle_levelset(grid), model, (0.1, 0.1), Mollifier(1.0), max_iter=1
+        circle_levelset(grid),
+        model,
+        (0.1, 0.1),
+        Mollifier(1.0),
+        Convergence(max_iter=1),
     )
     assert len(trace.records) == 1
     assert trace.stop_reason == "iteration budget"
@@ -571,7 +580,11 @@ def test_heavy_area_penalty_shrinks_region():
     grid = spatial_grid(N=10)
     model = basic_model(Na=10, T=0.5)
     best, trace, _ = optimize_eradication_region(
-        uniform_phi(grid, 1.0), model, (0.0, 5.0), Mollifier(1.0), max_iter=6
+        uniform_phi(grid, 1.0),
+        model,
+        (0.0, 5.0),
+        Mollifier(1.0),
+        Convergence(max_iter=6),
     )
     areas = [r.region_area for r in trace.records]
     assert len(areas) >= 2
@@ -588,7 +601,7 @@ def test_printed_variant_still_gated_on_decrease():
         model,
         (0.1, 0.1),
         Mollifier(1.0),
-        max_iter=4,
+        Convergence(max_iter=4),
         sign_variant="printed",
     )
     assert trace.constants["sign_variant"] == "printed"
@@ -600,7 +613,11 @@ def test_eradication_trace_csv(tmp_path):
     grid = spatial_grid(N=8)
     model = basic_model(Na=10, T=0.5)
     _, trace, _ = optimize_eradication_region(
-        circle_levelset(grid), model, (0.1, 0.1), Mollifier(1.0), max_iter=3
+        circle_levelset(grid),
+        model,
+        (0.1, 0.1),
+        Mollifier(1.0),
+        Convergence(max_iter=3),
     )
     path = tmp_path / "trace.csv"
     trace.write_csv(path)
@@ -619,7 +636,7 @@ def test_best_state_is_the_density_of_the_best_iterate():
     model = basic_model(Na=10, T=0.5)
     m = Mollifier(1.0)
     best, trace, density = optimize_eradication_region(
-        circle_levelset(grid), model, (0.1, 0.1), m, max_iter=3
+        circle_levelset(grid), model, (0.1, 0.1), m, Convergence(max_iter=3)
     )
     assert len(trace.records) >= 2
     fresh = solve_age_structured(mollified_effort(best, model.L, m), model)

@@ -17,6 +17,7 @@ from regionopt.config import gaussian_density, parse_config, read_age_samples_cs
 from regionopt.errors import ConfigError, SolverFailure
 from regionopt.grid import GridSpec, ScalarField, read_field_csv, write_field_csv
 from regionopt.levelset import checkerboard_levelset, circle_levelset
+from regionopt.shapeopt import Convergence
 
 TEST1_TEXT = """
 [run]
@@ -73,7 +74,8 @@ def test_parse_reference_harvest_config(tmp_path):
     assert params.L == 1.0
     assert (params.alpha, params.beta) == (0.4, 0.6)
     assert params.mollifier.eps == 1.0
-    assert (config.eps1, config.eps2, config.theta0) == (0.001, 0.001, 0.05)
+    conv = config.convergence
+    assert (conv.eps1, conv.eps2, conv.theta0) == (0.001, 0.001, 0.05)
     assert np.all(params.a.values == 3.0)
     assert np.allclose(
         params.y0.values, gaussian_density(config.grid).values, rtol=0, atol=0
@@ -82,7 +84,7 @@ def test_parse_reference_harvest_config(tmp_path):
     assert np.allclose(
         config.phi0.phi.values, expected_phi.phi.values, rtol=0, atol=0
     )
-    assert config.max_iter == 200
+    assert config.convergence.max_iter == 200
     assert config.age_model is None
 
 
@@ -494,11 +496,48 @@ def test_run_seed_is_an_unknown_key(tmp_path, capsys):
     assert "unknown key run.seed" in capsys.readouterr().err
 
 
-def test_eradication_convergence_settings_checked_at_parse(tmp_path, capsys):
-    text = ERADICATION_TEXT.replace("max_iter = 3", "max_iter = 3\neps1 = 0")
+@pytest.mark.parametrize(
+    "text", [TEST1_TEXT, ERADICATION_TEXT], ids=["region", "eradication"]
+)
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("max_iter", "0", "convergence.max_iter must be >= 1, got 0"),
+        ("eps1", "0", "convergence.eps1 must be positive, got 0.0"),
+        ("eps2", "-1", "convergence.eps2 must be positive, got -1.0"),
+        ("theta0", "0", "convergence.theta0 must be positive, got 0.0"),
+    ],
+    ids=["max_iter", "eps1", "eps2", "theta0"],
+)
+def test_convergence_settings_checked_at_parse(
+    tmp_path, capsys, text, key, value, message
+):
+    text = re.sub(rf"^{key} = .*\n", "", text, flags=re.M)
+    text = text.replace("[convergence]", f"[convergence]\n{key} = {value}")
     path = write_config(tmp_path, text)
-    assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert "convergence.eps1 must be positive" in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert main(["--config", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text", [TEST1_TEXT, ERADICATION_TEXT], ids=["region", "eradication"]
+)
+def test_missing_convergence_section_parses_to_defaults(tmp_path, text):
+    text = re.sub(r"\[convergence\]\n(\w+ = .*\n)*", "", text)
+    assert "convergence" not in text
+    assert parse_config(write_config(tmp_path, text)).convergence == Convergence()
+
+
+def test_readme_config_parses(tmp_path):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as handle:
+        block = re.search(r"```ini\n(.*?)```", handle.read(), re.S).group(1)
+    config = parse_config(write_config(tmp_path, block))
+    assert config.command == "optimize-region"
+    stated = Convergence(max_iter=200, eps1=0.001, eps2=0.001, theta0=0.05)
+    assert config.convergence == stated == Convergence()
 
 
 @pytest.mark.parametrize(
@@ -560,6 +599,17 @@ def test_output_directory_that_cannot_be_created_exits_2(tmp_path, capsys):
     assert main(["--config", str(path), "--out", str(blocker / "sub")]) == 2
     assert "cannot create output directory" in capsys.readouterr().err
     assert blocker.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("name", ["summary.txt", "field_k0000.csv"])
+def test_artifact_that_cannot_be_written_exits_2(tmp_path, capsys, name):
+    out = tmp_path / "fw"
+    (out / name).mkdir(parents=True)
+    path = write_config(tmp_path, FORWARD_TEXT)
+    assert main(["--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: cannot write artifacts to" in err
+    assert str(out / name) in err
 
 
 def test_out_of_memory_is_a_solver_failure(tmp_path, capsys, monkeypatch):

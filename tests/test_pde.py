@@ -125,16 +125,6 @@ def test_small_block_every_row_is_a_corner_row():
     assert np.array_equal(matrix, matrix.T)
 
 
-def test_assembled_matrix_matches_neighbor_rule():
-    rng = np.random.default_rng(7)
-    for N in (4, 8):
-        e1 = rng.uniform(0.0, 0.3, (N - 1, N - 1))
-        stepper = _ImplicitStepper(N, 0.8)
-        assembled = stencil_matrix(stepper, stepper.main + e1)
-        dense = dense_from_neighbor_rule(N, 0.8, e1)
-        assert np.allclose(assembled, dense, rtol=0, atol=1e-13)
-
-
 def test_step_solve_agrees_with_dense_elimination():
     rng = np.random.default_rng(11)
     for N in (3, 4, 8):
@@ -177,6 +167,15 @@ def test_uniform_reaction_needs_no_cg_iteration():
 
 
 def test_matvec_agrees_with_dense_product():
+    # Unit vectors: the whole matrix of apply.
+    rng = np.random.default_rng(7)
+    for N in (4, 8):
+        e1 = rng.uniform(0.0, 0.3, (N - 1, N - 1))
+        stepper = _ImplicitStepper(N, 0.8)
+        assembled = stencil_matrix(stepper, stepper.main + e1)
+        dense = dense_from_neighbor_rule(N, 0.8, e1)
+        assert np.allclose(assembled, dense, rtol=0, atol=1e-13)
+    # Random batches: apply on a stack of vectors at once.
     rng = np.random.default_rng(3)
     for N in (3, 6):
         stepper = _ImplicitStepper(N, 0.9)

@@ -18,6 +18,7 @@ from regionopt.levelset import (
 from regionopt.pde import ControlProblemParams, solve_adjoint, solve_sensitivity
 from regionopt.shapeopt import (
     TRACE_COLUMNS,
+    Convergence,
     Trace,
     descent_velocity,
     evaluate_J,
@@ -53,7 +54,7 @@ def test_velocity_without_effort_is_minus_beta():
     phi = circle_levelset(grid)
     p = solve_adjoint(phi, params)
     r = solve_sensitivity(phi, p, params)
-    v = descent_velocity(phi, p, r, params)
+    v = descent_velocity(p, r, params)
     assert np.all(v.values == -0.6)
 
 
@@ -63,7 +64,7 @@ def test_velocity_zero_sensitivity_is_minus_beta():
     phi = circle_levelset(grid)
     p = SpaceTimeField.constant(grid, 0.0)
     r = SpaceTimeField.constant(grid, 0.0)
-    v = descent_velocity(phi, p, r, params)
+    v = descent_velocity(p, r, params)
     assert np.all(v.values == -0.25)
 
 
@@ -73,7 +74,7 @@ def test_velocity_constant_integrand_pinned():
     phi = circle_levelset(grid)
     p = SpaceTimeField.constant(grid, 0.0)
     r = SpaceTimeField.constant(grid, 1.0)
-    v = descent_velocity(phi, p, r, params)
+    v = descent_velocity(p, r, params)
     assert np.allclose(v.values, 0.75, rtol=1e-14, atol=1e-14)
 
 
@@ -101,7 +102,9 @@ def test_cost_components_far_outside_region():
 def test_trivial_loop_stops_at_first_iterate():
     grid = GridSpec(N=10, M=10, T=1.0)
     params = make_params(grid, L=0.0, alpha=0.0, beta=0.0)
-    best, trace, _ = optimize_region(circle_levelset(grid), params, max_iter=10)
+    best, trace, _ = optimize_region(
+        circle_levelset(grid), params, Convergence(max_iter=10)
+    )
     assert len(trace.records) == 1
     assert trace.records[0].n == 1
     assert trace.records[0].cost == 0.0
@@ -111,7 +114,9 @@ def test_trivial_loop_stops_at_first_iterate():
 def test_budget_of_one_gives_single_record():
     grid = GridSpec(N=10, M=10, T=1.0)
     params = make_params(grid)
-    best, trace, _ = optimize_region(circle_levelset(grid), params, max_iter=1)
+    best, trace, _ = optimize_region(
+        circle_levelset(grid), params, Convergence(max_iter=1)
+    )
     assert len(trace.records) == 1
     assert trace.stop_reason == "iteration budget"
 
@@ -120,13 +125,15 @@ def test_max_iter_validation():
     grid = GridSpec(N=10, M=10, T=1.0)
     params = make_params(grid)
     with pytest.raises(ValueError):
-        optimize_region(circle_levelset(grid), params, max_iter=0)
+        optimize_region(circle_levelset(grid), params, Convergence(max_iter=0))
 
 
 def test_loop_decreases_cost_on_small_problem():
     grid = GridSpec(N=10, M=10, T=1.0)
     params = make_params(grid)
-    best, trace, _ = optimize_region(circle_levelset(grid), params, max_iter=8)
+    best, trace, _ = optimize_region(
+        circle_levelset(grid), params, Convergence(max_iter=8)
+    )
     costs = trace.costs()
     assert len(costs) >= 3
     assert np.all(np.diff(costs) < 0.0)
@@ -138,7 +145,9 @@ def test_loop_decreases_cost_on_small_problem():
 def test_first_record_has_zero_step_fields():
     grid = GridSpec(N=10, M=10, T=1.0)
     params = make_params(grid)
-    _, trace, _ = optimize_region(circle_levelset(grid), params, max_iter=3)
+    _, trace, _ = optimize_region(
+        circle_levelset(grid), params, Convergence(max_iter=3)
+    )
     assert trace.records[0].phi_change == 0.0
     assert trace.records[0].theta == 0.0
     for record in trace.records[1:]:
@@ -148,7 +157,9 @@ def test_first_record_has_zero_step_fields():
 def test_returned_phi_has_lowest_recorded_cost():
     grid = GridSpec(N=10, M=10, T=1.0)
     params = make_params(grid)
-    best, trace, _ = optimize_region(circle_levelset(grid), params, max_iter=5)
+    best, trace, _ = optimize_region(
+        circle_levelset(grid), params, Convergence(max_iter=5)
+    )
     J_best, _ = evaluate_J(best, params)
     assert J_best == pytest.approx(trace.costs().min(), rel=1e-12)
 
@@ -157,7 +168,7 @@ def test_paper_mode_accepts_then_checks():
     grid = GridSpec(N=10, M=10, T=1.0)
     params = make_params(grid, L=0.0, alpha=0.0, beta=0.0)
     best, trace, _ = optimize_region(
-        circle_levelset(grid), params, max_iter=10, paper_mode=True
+        circle_levelset(grid), params, Convergence(max_iter=10), paper_mode=True
     )
     assert len(trace.records) == 2
     assert trace.records[1].cost == 0.0
@@ -169,7 +180,9 @@ def test_first_cost_above_a_million_still_descends():
     # can take a step; J(circle) here is about 4.59e6.
     grid = GridSpec(N=20, M=20, T=1.0)
     params = make_params(grid, beta=1.0e7)
-    _, trace, _ = optimize_region(circle_levelset(grid), params, max_iter=200)
+    _, trace, _ = optimize_region(
+        circle_levelset(grid), params, Convergence(max_iter=200)
+    )
     costs = trace.costs()
     assert len(costs) == 3
     assert costs[0] > 1.0e6
@@ -185,7 +198,7 @@ def test_callback_sees_every_record():
     _, trace, _ = optimize_region(
         circle_levelset(grid),
         params,
-        max_iter=3,
+        Convergence(max_iter=3),
         callback=lambda n, phi, record: seen.append((n, record.cost)),
     )
     assert seen == [(r.n, r.cost) for r in trace.records]
@@ -203,7 +216,7 @@ def test_solver_failure_carries_partial_trace():
         mollifier=Mollifier(1.0),
     )
     with pytest.raises(SolverFailure) as excinfo:
-        optimize_region(circle_levelset(grid), params, max_iter=5)
+        optimize_region(circle_levelset(grid), params, Convergence(max_iter=5))
     trace = excinfo.value.trace
     assert isinstance(trace, Trace)
     assert trace.stop_reason == "solver failure"
@@ -213,7 +226,9 @@ def test_solver_failure_carries_partial_trace():
 def test_trace_csv_round_trip(tmp_path):
     grid = GridSpec(N=10, M=10, T=1.0)
     params = make_params(grid)
-    _, trace, _ = optimize_region(circle_levelset(grid), params, max_iter=3)
+    _, trace, _ = optimize_region(
+        circle_levelset(grid), params, Convergence(max_iter=3)
+    )
     path = tmp_path / "trace.csv"
     trace.write_csv(path)
     with open(path, newline="") as handle:
@@ -243,7 +258,9 @@ def test_region_geometry_computed_once_per_evaluated_phi(monkeypatch):
     for name in ("solve_adjoint", "region_area", "region_length"):
         monkeypatch.setattr(shapeopt, name, counted(name, getattr(shapeopt, name)))
     grid = GridSpec(N=10, M=10, T=1.0)
-    _, trace, _ = optimize_region(circle_levelset(grid), make_params(grid), max_iter=5)
+    _, trace, _ = optimize_region(
+        circle_levelset(grid), make_params(grid), Convergence(max_iter=5)
+    )
     assert counts["solve_adjoint"] >= len(trace.records) >= 3
     assert counts["region_area"] == counts["solve_adjoint"]
     assert counts["region_length"] == counts["solve_adjoint"]
@@ -256,7 +273,10 @@ def test_best_state_is_the_adjoint_of_the_best_iterate(paper_mode):
     grid = GridSpec(N=10, M=10, T=1.0)
     params = make_params(grid)
     best, trace, adjoint = optimize_region(
-        circle_levelset(grid), params, max_iter=20, theta0=10.0, paper_mode=paper_mode
+        circle_levelset(grid),
+        params,
+        Convergence(max_iter=20, theta0=10.0),
+        paper_mode=paper_mode,
     )
     if paper_mode:
         assert trace.stop_reason == "J increase"
