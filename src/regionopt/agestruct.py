@@ -213,19 +213,15 @@ def lotka_root(params: AgeModelParams) -> float:
     def lhs(r: float) -> float:
         return float(weights @ (beta * np.exp(-cumulative_mu - r * ages)))
 
-    lo, hi = 0.0, 0.0
-    if lhs(0.0) >= 1.0:
-        hi = 1.0
-        while lhs(hi) > 1.0:
-            lo, hi = hi, 2.0 * hi
-            if hi > 1.0e308:
-                raise SolverFailure("failed to bracket the characteristic root")
-    else:
-        lo = -1.0
-        while lhs(lo) < 1.0:
-            hi, lo = lo, 2.0 * lo
-            if lo < -1.0e308:
-                raise SolverFailure("failed to bracket the characteristic root")
+    lo, hi = (0.0, 1.0) if lhs(0.0) >= 1.0 else (-1.0, 0.0)
+    while lhs(hi) > 1.0:
+        lo, hi = hi, 2.0 * hi
+        if hi > 1.0e308:
+            raise SolverFailure("failed to bracket the characteristic root")
+    while lhs(lo) < 1.0:
+        hi, lo = lo, 2.0 * lo
+        if lo < -1.0e308:
+            raise SolverFailure("failed to bracket the characteristic root")
     for _ in range(20_000):
         mid = 0.5 * (lo + hi)
         value = lhs(mid)

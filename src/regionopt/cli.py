@@ -6,8 +6,9 @@ fields as ``x1,x2,value`` CSV and a ``summary.txt`` of ``key = value``
 lines (also echoed to stdout).  Runs are deterministic: the same config
 produces byte-identical outputs.
 
-Exit codes: 0 success, 2 bad configuration (also an output directory or
-artifact that cannot be written), 3 solver failure, 4 convergence failure.
+Exit codes: 0 success, 2 bad configuration (also a config too large for
+memory, an output directory or artifact that cannot be written),
+3 solver failure, 4 convergence failure.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ with a message naming the offending key.
 from __future__ import annotations
 
 import configparser
-import csv
 import os
 from dataclasses import dataclass, fields
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .agestruct import SIGN_VARIANTS, AgeModelParams
 from .errors import ConfigError
-from .grid import GridSpec, ScalarField, read_field_csv
+from .grid import GridSpec, ScalarField, read_field_csv, read_node_csv
 from .levelset import (
     LevelSetFunction,
     Mollifier,
@@ -155,73 +154,35 @@ def _get_int(parser, section: str, key: str, fallback=None):
         ) from None
 
 
-def _resolve_existing_path(base_dir: str, spec: str):
-    path = spec if os.path.isabs(spec) else os.path.join(base_dir, spec)
-    return path if os.path.isfile(path) else None
+def _coefficient(parser, base_dir, section, key, constant, read, presets=None):
+    """Resolve a number, a preset name or a table path; None if the key is absent.
 
-
-def _field_spec(raw, grid, presets, base_dir, what) -> ScalarField:
-    """Resolve a constant, preset name, or grid-CSV path to a field."""
+    A table path is taken relative to the config file.  A table that
+    cannot be read or decoded and a table ``read`` rejects with any
+    other ValueError map to one ConfigError each, for every key.
+    """
+    raw = _get_raw(parser, section, key)
+    if raw is None:
+        return None
+    what = f"{section}.{key}"
     value = _finite_or_none(raw, what)
     if value is not None:
-        return ScalarField.constant(grid, value)
+        return constant(value)
+    presets = presets or {}
     if raw in presets:
-        return presets[raw](grid)
-    path = _resolve_existing_path(base_dir, raw)
-    if path is not None:
+        return presets[raw]()
+    path = raw if os.path.isabs(raw) else os.path.join(base_dir, raw)
+    if os.path.isfile(path):
         try:
-            return read_field_csv(path, grid)
-        except ValueError as exc:
-            raise ConfigError(f"{what}: bad field file {raw}: {exc}") from None
-        except OSError as exc:
+            return read(path)
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{what}: cannot read {raw}: {exc}") from None
-    names = ", ".join(sorted(presets)) if presets else "none"
+        except ValueError as exc:
+            raise ConfigError(f"{what}: bad table {raw}: {exc}") from None
+    names = ", ".join(sorted(presets)) or "none"
     raise ConfigError(
         f"{what} must be a number, a preset ({names}), "
         f"or an existing CSV path; got {raw!r}"
-    )
-
-
-def read_age_samples_csv(path, ages: np.ndarray) -> np.ndarray:
-    """Read an ``age,value`` CSV whose age column matches the age grid."""
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows or rows[0] != ["age", "value"]:
-        raise ConfigError(f"{path}: expected header row age,value")
-    body = rows[1:]
-    if len(body) != ages.size:
-        raise ConfigError(
-            f"{path}: expected {ages.size} sample rows, found {len(body)}"
-        )
-    values = np.empty(ages.size)
-    for idx, row in enumerate(body):
-        if len(row) != 2:
-            raise ConfigError(f"{path}: row {idx + 2} must have two columns")
-        try:
-            age = float(row[0])
-            values[idx] = float(row[1])
-        except ValueError:
-            raise ConfigError(f"{path}: row {idx + 2} is not numeric") from None
-        if abs(age - ages[idx]) > 1e-9 * max(1.0, abs(ages[idx])):
-            raise ConfigError(
-                f"{path}: row {idx + 2} age {age} does not match "
-                f"grid age {ages[idx]}"
-            )
-    return values
-
-
-def _age_spec(raw, ages, base_dir, what):
-    value = _finite_or_none(raw, what)
-    if value is not None:
-        return value
-    path = _resolve_existing_path(base_dir, raw)
-    if path is not None:
-        try:
-            return read_age_samples_csv(path, ages)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"{what}: cannot read {raw}: {exc}") from None
-    raise ConfigError(
-        f"{what} must be a number or an existing CSV path; got {raw!r}"
     )
 
 
@@ -229,9 +190,18 @@ def parse_config(path) -> RunConfig:
     """Parse and validate a run configuration file.
 
     Unknown sections or keys, missing required keys (collected into a
-    single message), unparsable values and values rejected by the model
-    constructors all raise ConfigError.
+    single message), unparsable values, values rejected by the model
+    constructors and grids too large for memory all raise ConfigError.
     """
+    try:
+        return _parse_config(path)
+    except MemoryError as exc:
+        raise ConfigError(
+            f"the config asks for more memory than is available: {exc}"
+        ) from None
+
+
+def _parse_config(path) -> RunConfig:
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=("#", ";")
     )
@@ -301,29 +271,29 @@ def parse_config(path) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"mollifier.eps rejected: {exc}") from None
 
-    phi0 = LevelSetFunction(
-        _field_spec(
-            _get_raw(parser, "levelset", "init"),
-            grid,
-            {
-                "circle": lambda g: circle_levelset(g).phi,
-                "checkerboard": lambda g: checkerboard_levelset(g).phi,
-            },
+    def field(section, key, presets=None):
+        return _coefficient(
+            parser,
             base_dir,
-            "levelset.init",
+            section,
+            key,
+            lambda value: ScalarField.constant(grid, value),
+            lambda table: read_field_csv(table, grid),
+            presets,
+        )
+
+    phi0 = LevelSetFunction(
+        field(
+            "levelset",
+            "init",
+            {
+                "circle": lambda: circle_levelset(grid).phi,
+                "checkerboard": lambda: checkerboard_levelset(grid).phi,
+            },
         )
     )
-
-    growth = None
-    raw_a = _get_raw(parser, "model", "a")
-    if raw_a is not None:
-        growth = _field_spec(raw_a, grid, {}, base_dir, "model.a")
-    initial_density = None
-    raw_y0 = _get_raw(parser, "model", "y0")
-    if raw_y0 is not None:
-        initial_density = _field_spec(
-            raw_y0, grid, {"gaussian": gaussian_density}, base_dir, "model.y0"
-        )
+    growth = field("model", "a")
+    initial_density = field("model", "y0", {"gaussian": lambda: gaussian_density(grid)})
 
     control = None
     if command in ("forward", "optimize-region"):
@@ -361,17 +331,16 @@ def parse_config(path) -> RunConfig:
         if Na < 2:
             raise ConfigError(f"agestruct.Na must be at least 2, got {Na}")
         ages = np.linspace(0.0, A, Na + 1)
-        fertility = _age_spec(
-            _get_raw(parser, "agestruct", "fertility"),
-            ages,
-            base_dir,
-            "agestruct.fertility",
-        )
-        mortality = _age_spec(
-            _get_raw(parser, "agestruct", "mortality"),
-            ages,
-            base_dir,
-            "agestruct.mortality",
+        fertility, mortality = (
+            _coefficient(
+                parser,
+                base_dir,
+                "agestruct",
+                key,
+                float,
+                lambda table: read_node_csv(table, ("age",), (ages,)),
+            )
+            for key in ("fertility", "mortality")
         )
         slope = _get_float(parser, "agestruct", "m", fallback=0.0)
         y0_model = 1.0

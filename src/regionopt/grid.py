@@ -6,8 +6,9 @@ N+1 nodes per side) and M implicit-Euler levels on [0, T].  This module
 holds the shared bookkeeping: the grid description, nodal scalar and
 space-time fields, tensor-product composite Simpson quadrature, the
 gradient-magnitude stencil with its one-sided boundary closure, the
-regularized curvature operator, and the CSV field format used by the
-command line runner.
+regularized curvature operator, and the CSV node tables (fields on the
+grid, samples on the age grid) read and written by the command line
+runner.
 
 Simpson quadrature requires an even number of subintervals, hence the
 parity constraints on N and M.
@@ -15,6 +16,7 @@ parity constraints on N and M.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,23 +221,41 @@ def write_field_csv(field: ScalarField, path) -> None:
         fh.write("x1,x2,value\n" + "".join(map(str.__add__, rows, values)))
 
 
+def read_node_csv(path, names, nodes) -> np.ndarray:
+    """Read a ``names...,value`` CSV table with one row per node in C order.
+
+    Each coordinate column must match its node array to within
+    ``np.allclose(..., atol=1e-12)``; the value column comes back in the
+    nodes' shape.  A bad table raises ValueError naming the path; a file
+    that cannot be read or decoded raises OSError or UnicodeDecodeError.
+    """
+    header = ",".join((*names, "value"))
+    with open(path) as fh:
+        got = fh.readline().strip()
+        if got != header:
+            raise ValueError(f"{path}: expected header {header!r}, got {got!r}")
+        try:
+            with warnings.catch_warnings():
+                # A table with no rows fails the row count below instead.
+                warnings.simplefilter("ignore", UserWarning)
+                raw = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except UnicodeDecodeError:
+            raise
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    shape = np.shape(nodes[0])
+    rows, cols = int(np.prod(shape)), len(names) + 1
+    if raw.shape != (rows, cols):
+        raise ValueError(
+            f"{path}: expected {rows} rows of {cols} columns, "
+            f"got {raw.shape[0]} of {raw.shape[1]}"
+        )
+    for name, column, node in zip(names, raw.T, nodes):
+        if not np.allclose(column, np.ravel(node), atol=1e-12):
+            raise ValueError(f"{path}: {name} coordinates do not match the grid")
+    return raw[:, -1].reshape(shape)
+
+
 def read_field_csv(path, grid: GridSpec) -> ScalarField:
     """Read a field written by write_field_csv, validating the node layout."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "x1,x2,value":
-            raise ValueError(f"{path}: expected header 'x1,x2,value', got {header!r}")
-        raw = np.loadtxt(fh, delimiter=",", ndmin=2)
-    n = grid.N + 1
-    if raw.shape != (n * n, 3):
-        raise ValueError(
-            f"{path}: expected {n * n} rows for N={grid.N}, got {raw.shape[0]}"
-        )
-    x = grid.nodes()
-    X1, X2 = grid.mesh()
-    if not (
-        np.allclose(raw[:, 0].reshape(n, n), X1, atol=1e-12)
-        and np.allclose(raw[:, 1].reshape(n, n), X2, atol=1e-12)
-    ):
-        raise ValueError(f"{path}: node coordinates do not match the grid")
-    return ScalarField(grid, raw[:, 2].reshape(n, n))
+    return ScalarField(grid, read_node_csv(path, ("x1", "x2"), grid.mesh()))

@@ -13,9 +13,15 @@ from hypothesis import given, settings, strategies as st
 from regionopt import agestruct, cli, shapeopt
 from regionopt import config as config_module
 from regionopt.cli import main, run
-from regionopt.config import gaussian_density, parse_config, read_age_samples_csv
+from regionopt.config import gaussian_density, parse_config
 from regionopt.errors import ConfigError, SolverFailure
-from regionopt.grid import GridSpec, ScalarField, read_field_csv, write_field_csv
+from regionopt.grid import (
+    GridSpec,
+    ScalarField,
+    read_field_csv,
+    read_node_csv,
+    write_field_csv,
+)
 from regionopt.levelset import checkerboard_levelset, circle_levelset
 from regionopt.shapeopt import Convergence
 
@@ -220,8 +226,8 @@ def test_age_samples_from_csv(tmp_path):
         writer.writerow(["age", "value"])
         for age in short:
             writer.writerow([age, 1.0])
-    with pytest.raises(ConfigError, match="sample rows"):
-        read_age_samples_csv(tmp_path / "short.csv", ages)
+    with pytest.raises(ValueError, match="expected 21 rows"):
+        read_node_csv(tmp_path / "short.csv", ("age",), (ages,))
 
 
 def test_age_horizon_must_match_age_step(tmp_path):
@@ -566,7 +572,7 @@ def test_unreadable_input_file_is_a_config_error(tmp_path, capsys, monkeypatch):
         raise PermissionError(13, "Permission denied", str(path))
 
     monkeypatch.setattr(config_module, "read_field_csv", unreadable)
-    monkeypatch.setattr(config_module, "read_age_samples_csv", unreadable)
+    monkeypatch.setattr(config_module, "read_node_csv", unreadable)
     (tmp_path / "field.csv").write_text("x1,x2,value\n")
     (tmp_path / "ages.csv").write_text("age,value\n")
     cases = (
@@ -578,6 +584,88 @@ def test_unreadable_input_file_is_a_config_error(tmp_path, capsys, monkeypatch):
         assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert f"{key}: cannot read" in err and "Permission denied" in err
+
+
+# key -> (config text, the setting a table path replaces, coordinate columns)
+TABLE_KINDS = {
+    "levelset.init": (TEST1_TEXT, "init = circle", ("x1", "x2")),
+    "agestruct.fertility": (AGE_TEXT, "fertility = 1.0", ("age",)),
+}
+
+
+def write_table(tmp_path, key, spoil=lambda lines: lines):
+    """Write a config reading key from table.csv; return it and the table's values.
+
+    The table is written on the nodes of TEST1_TEXT's grid (N = 20) or
+    of AGE_TEXT's age grid (A = 1, Na = 20), then its lines are passed
+    through spoil and written as latin-1 bytes.
+    """
+    text, old, names = TABLE_KINDS[key]
+    if names == ("age",):
+        nodes = (np.linspace(0.0, 1.0, 21),)
+    else:
+        nodes = GridSpec(20, 20, 1.0).mesh()
+    values = np.random.default_rng(5).uniform(0.5, 2.0, nodes[0].shape)
+    rows = zip(*(node.ravel() for node in nodes), values.ravel())
+    lines = [",".join(names + ("value",))]
+    lines += [",".join(f"{v:.17g}" for v in row) for row in rows]
+    table = "".join(line + "\n" for line in spoil(lines))
+    (tmp_path / "table.csv").write_bytes(table.encode("latin-1"))
+    new = old.split(" = ")[0] + " = table.csv"
+    return write_config(tmp_path, text.replace(old, new)), values
+
+
+def doubled_coordinates(lines):
+    # The same rows on a grid twice as long: twice the unit square, or A = 2.
+    cells = [line.split(",") for line in lines[1:]]
+    return lines[:1] + [
+        ",".join([f"{2.0 * float(x):.17g}" for x in row[:-1]] + row[-1:])
+        for row in cells
+    ]
+
+
+@pytest.mark.parametrize("key", sorted(TABLE_KINDS))
+def test_table_parses_to_the_written_values(tmp_path, key):
+    path, values = write_table(tmp_path, key)
+    config = parse_config(path)
+    if key == "levelset.init":
+        assert np.array_equal(config.phi0.phi.values, values)
+    else:
+        assert np.array_equal(config.age_model.fertility_samples, values)
+
+
+@pytest.mark.parametrize("key", sorted(TABLE_KINDS))
+@pytest.mark.parametrize(
+    "spoil, message, detail",
+    [
+        (lambda lines: [lines[0].upper()] + lines[1:], "bad table", "expected header"),
+        (lambda lines: lines[:-1], "bad table", "rows of"),
+        (lambda lines: lines[:1], "bad table", "got 0 of 1"),
+        (doubled_coordinates, "bad table", "coordinates do not match the grid"),
+        (
+            lambda lines: lines[:-1] + [lines[-1] + "x"],
+            "bad table",
+            "could not convert",
+        ),
+        (lambda lines: lines + ["\xff"], "cannot read", "can't decode byte 0xff"),
+    ],
+    ids=[
+        "header",
+        "row-short",
+        "header-only",
+        "other-grid",
+        "non-numeric",
+        "undecodable",
+    ],
+)
+def test_bad_table_is_a_config_error(tmp_path, capsys, key, spoil, message, detail):
+    path, _ = write_table(tmp_path, key, spoil)
+    out = tmp_path / "o"
+    assert main(["--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key}: {message} table.csv: " in err
+    assert detail in err
+    assert not out.exists()
 
 
 def test_undecodable_input_file_is_a_config_error(tmp_path, capsys):
@@ -622,6 +710,21 @@ def test_out_of_memory_is_a_solver_failure(tmp_path, capsys, monkeypatch):
     assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert "optimize-eradication: solver failure: Unable to allocate" in err
+
+
+def test_config_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # The error an oversized grid raises, injected: nothing is allocated.
+    def oversized(cls, grid, value):
+        raise MemoryError("Unable to allocate 29.1 TiB for an array")
+
+    monkeypatch.setattr(ScalarField, "constant", classmethod(oversized))
+    path = write_config(tmp_path, AGE_TEXT.replace("N = 10", "N = 2000000"))
+    out = tmp_path / "o"
+    assert main(["--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: the config asks for more memory than is available" in err
+    assert "Unable to allocate 29.1 TiB" in err
+    assert not out.exists()
 
 
 def test_ill_posed_renewal_step_rejected_at_parse(tmp_path, capsys):
@@ -684,6 +787,25 @@ def test_output_directory_from_config(tmp_path, monkeypatch):
             "fertility = inf",
             "agestruct.fertility must be a finite number, got 'inf'",
         ),
+    ],
+    ids=[
+        "grid.T-inf",
+        "eradication-grid.T-inf",
+        "grid.T-1e308",
+        "grid.T-1e300",
+        "mollifier.eps-inf",
+        "forward-model.L-inf",
+        "model.d-inf",
+        "model.L-inf",
+        "convergence.theta0-inf",
+        "age-model.d-nan",
+        "age-model.L-nan",
+        "age-model.L-inf",
+        "penalty.alpha-inf",
+        "model.a-inf",
+        "model.y0-nan",
+        "levelset.init--inf",
+        "agestruct.fertility-inf",
     ],
 )
 def test_non_finite_setting_rejected_at_parse(tmp_path, capsys, text, old, new, key):
