@@ -31,56 +31,37 @@ from .shapeopt import Convergence
 
 COMMANDS = ("forward", "optimize-region", "eradicability", "optimize-eradication")
 
-_SECTION_KEYS = {
-    "run": ("command", "output"),
-    "grid": ("N", "M", "T"),
-    "model": ("d", "a", "y0", "L", "u"),
-    "penalty": ("alpha", "beta"),
-    "mollifier": ("eps",),
-    "convergence": tuple(f.name for f in fields(Convergence)),
-    "levelset": ("init",),
-    "agestruct": ("A", "Na", "fertility", "mortality", "m", "sign_variant"),
-}
+_HARVEST = ("forward", "optimize-region")
+_AGE = ("eradicability", "optimize-eradication")
+_DESCENT = ("optimize-region", "optimize-eradication")
+_MARCHING = _HARVEST + ("optimize-eradication",)
 
-_BASE_REQUIRED = (
-    ("run", "command"),
-    ("grid", "N"),
-    ("grid", "M"),
-    ("grid", "T"),
-    ("model", "d"),
-    ("model", "L"),
-    ("levelset", "init"),
-)
-
-_COMMAND_REQUIRED = {
-    "forward": (
-        ("model", "a"),
-        ("model", "y0"),
-        ("mollifier", "eps"),
-    ),
-    "optimize-region": (
-        ("model", "a"),
-        ("model", "y0"),
-        ("mollifier", "eps"),
-        ("penalty", "alpha"),
-        ("penalty", "beta"),
-    ),
-    "eradicability": (
-        ("agestruct", "A"),
-        ("agestruct", "Na"),
-        ("agestruct", "fertility"),
-        ("agestruct", "mortality"),
-    ),
-    "optimize-eradication": (
-        ("model", "y0"),
-        ("mollifier", "eps"),
-        ("penalty", "alpha"),
-        ("penalty", "beta"),
-        ("agestruct", "A"),
-        ("agestruct", "Na"),
-        ("agestruct", "fertility"),
-        ("agestruct", "mortality"),
-    ),
+# section -> key -> (reader, the commands that require the key).  The
+# reader is int, float or str; None marks a coefficient (a number, a
+# preset or a table path), resolved by _coefficient once the grid is
+# known.  A key is required without a command if every command needs it.
+_KEYS = {
+    "run": {"command": (str, COMMANDS), "output": (str, ())},
+    "grid": {"N": (int, COMMANDS), "M": (int, COMMANDS), "T": (float, COMMANDS)},
+    "model": {
+        "d": (float, COMMANDS),
+        "a": (None, _HARVEST),
+        "y0": (None, _MARCHING),
+        "L": (float, COMMANDS),
+        "u": (float, ()),
+    },
+    "penalty": {"alpha": (float, _DESCENT), "beta": (float, _DESCENT)},
+    "mollifier": {"eps": (float, _MARCHING)},
+    "convergence": {f.name: (type(f.default), ()) for f in fields(Convergence)},
+    "levelset": {"init": (None, COMMANDS)},
+    "agestruct": {
+        "A": (float, _AGE),
+        "Na": (int, _AGE),
+        "fertility": (None, _AGE),
+        "mortality": (None, _AGE),
+        "m": (float, ()),
+        "sign_variant": (str, ()),
+    },
 }
 
 
@@ -115,12 +96,6 @@ class RunConfig:
     age_model: AgeModelParams | None
 
 
-def _get_raw(parser, section: str, key: str):
-    if parser.has_option(section, key):
-        return parser.get(section, key)
-    return None
-
-
 def _finite_or_none(raw, what):
     """The number raw spells, None if it spells none; ConfigError if not finite."""
     try:
@@ -132,42 +107,34 @@ def _finite_or_none(raw, what):
     return value
 
 
-def _get_float(parser, section: str, key: str, fallback=None):
-    raw = _get_raw(parser, section, key)
-    if raw is None:
-        return fallback
-    value = _finite_or_none(raw, f"{section}.{key}")
-    if value is None:
-        raise ConfigError(f"{section}.{key} must be a finite number, got {raw!r}")
+def _read(raw, reader, what):
+    """raw read by reader: an int, a finite float, or raw itself (str, None)."""
+    if reader not in (int, float):
+        return raw
+    try:
+        value = reader(raw)
+        if reader is float and not np.isfinite(value):
+            raise ValueError(raw)
+    except ValueError:
+        kind = "an integer" if reader is int else "a finite number"
+        raise ConfigError(f"{what} must be {kind}, got {raw!r}") from None
     return value
 
 
-def _get_int(parser, section: str, key: str, fallback=None):
-    raw = _get_raw(parser, section, key)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"{section}.{key} must be an integer, got {raw!r}"
-        ) from None
-
-
-def _coefficient(parser, base_dir, section, key, constant, read, presets=None):
+def _coefficient(value, base_dir, section, key, constant, read, presets=None):
     """Resolve a number, a preset name or a table path; None if the key is absent.
 
     A table path is taken relative to the config file.  A table that
     cannot be read or decoded and a table ``read`` rejects with any
     other ValueError map to one ConfigError each, for every key.
     """
-    raw = _get_raw(parser, section, key)
+    raw = value[section].get(key)
     if raw is None:
         return None
     what = f"{section}.{key}"
-    value = _finite_or_none(raw, what)
-    if value is not None:
-        return constant(value)
+    number = _finite_or_none(raw, what)
+    if number is not None:
+        return constant(number)
     presets = presets or {}
     if raw in presets:
         return presets[raw]()
@@ -215,56 +182,58 @@ def _parse_config(path) -> RunConfig:
         raise ConfigError(f"malformed config file {path}: {exc}") from None
     base_dir = os.path.dirname(os.path.abspath(path))
 
+    given = {section: {} for section in _KEYS}
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _SECTION_KEYS[section]:
+        for key, raw in parser[section].items():
+            if key not in _KEYS[section]:
                 raise ConfigError(f"unknown key {section}.{key}")
+            given[section][key] = raw
 
-    command = _get_raw(parser, "run", "command")
+    command = given["run"].get("command")
     if command is not None and command not in COMMANDS:
         raise ConfigError(
             f"run.command must be one of {', '.join(COMMANDS)}; got {command!r}"
         )
-    required = list(_BASE_REQUIRED)
-    if command is not None:
-        required += list(_COMMAND_REQUIRED[command])
-    missing = [f"{s}.{k}" for s, k in required if not parser.has_option(s, k)]
+    asked = COMMANDS if command is None else (command,)
+    missing = [
+        f"{section}.{key}"
+        for section, keys in _KEYS.items()
+        for key, (_, needed_by) in keys.items()
+        if all(c in needed_by for c in asked) and key not in given[section]
+    ]
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(missing))
 
-    try:
-        grid = GridSpec(
-            N=_get_int(parser, "grid", "N"),
-            M=_get_int(parser, "grid", "M"),
-            T=_get_float(parser, "grid", "T"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"grid section rejected: {exc}") from None
+    def read(section):  # the keys of section present, by their _KEYS readers
+        return {
+            key: _read(raw, _KEYS[section][key][0], f"{section}.{key}")
+            for key, raw in given[section].items()
+        }
 
-    output = _get_raw(parser, "run", "output") or "out"
-    d = _get_float(parser, "model", "d")
-    L = _get_float(parser, "model", "L")
-    control_level = _get_float(parser, "model", "u", fallback=0.0)
-    alpha = _get_float(parser, "penalty", "alpha", fallback=0.0)
-    beta = _get_float(parser, "penalty", "beta", fallback=0.0)
-    # Each Convergence field is read by the type of its default.
-    given = {}
-    for f in fields(Convergence):
-        if parser.has_option("convergence", f.name):
-            read = {int: _get_int, float: _get_float}[type(f.default)]
-            given[f.name] = read(parser, "convergence", f.name)
     try:
-        convergence = Convergence(**given)
+        grid = GridSpec(**read("grid"))
+    except ValueError as exc:  # a grid key that is not a number, too
+        raise ConfigError(f"grid section rejected: {exc}") from None
+    # Every other key present is read too, whatever the command.
+    value = {section: read(section) for section in _KEYS if section != "grid"}
+
+    model, penalty, age = value["model"], value["penalty"], value["agestruct"]
+    output = value["run"].get("output") or "out"
+    d, L = model["d"], model["L"]
+    control_level = model.get("u", 0.0)
+    alpha, beta = penalty.get("alpha", 0.0), penalty.get("beta", 0.0)
+    try:
+        convergence = Convergence(**value["convergence"])
     except ValueError as exc:
         raise ConfigError(f"convergence.{exc}") from None
-    for key, value in (("alpha", alpha), ("beta", beta)):
-        if not value >= 0.0:
-            raise ConfigError(f"penalty.{key} must be nonnegative, got {value}")
+    for key, weight in (("alpha", alpha), ("beta", beta)):
+        if not weight >= 0.0:
+            raise ConfigError(f"penalty.{key} must be nonnegative, got {weight}")
 
     mollifier = None
-    eps = _get_float(parser, "mollifier", "eps")
+    eps = value["mollifier"].get("eps")
     if eps is not None:
         try:
             mollifier = Mollifier(eps)
@@ -273,11 +242,11 @@ def _parse_config(path) -> RunConfig:
 
     def field(section, key, presets=None):
         return _coefficient(
-            parser,
+            value,
             base_dir,
             section,
             key,
-            lambda value: ScalarField.constant(grid, value),
+            lambda number: ScalarField.constant(grid, number),
             lambda table: read_field_csv(table, grid),
             presets,
         )
@@ -296,7 +265,7 @@ def _parse_config(path) -> RunConfig:
     initial_density = field("model", "y0", {"gaussian": lambda: gaussian_density(grid)})
 
     control = None
-    if command in ("forward", "optimize-region"):
+    if command in _HARVEST:
         try:
             control = ControlProblemParams(
                 d=d,
@@ -315,7 +284,7 @@ def _parse_config(path) -> RunConfig:
                 f"model.u must lie in [0, L] = [0, {L}], got {control_level}"
             )
 
-    sign_variant = _get_raw(parser, "agestruct", "sign_variant") or "descent"
+    sign_variant = age.get("sign_variant") or "descent"
     if sign_variant not in SIGN_VARIANTS:
         raise ConfigError(
             "agestruct.sign_variant must be one of "
@@ -323,9 +292,8 @@ def _parse_config(path) -> RunConfig:
         )
 
     age_model = None
-    if command in ("eradicability", "optimize-eradication"):
-        A = _get_float(parser, "agestruct", "A")
-        Na = _get_int(parser, "agestruct", "Na")
+    if command in _AGE:
+        A, Na = age["A"], age["Na"]
         if not A > 0.0:
             raise ConfigError(f"agestruct.A must be positive, got {A}")
         if Na < 2:
@@ -333,7 +301,7 @@ def _parse_config(path) -> RunConfig:
         ages = np.linspace(0.0, A, Na + 1)
         fertility, mortality = (
             _coefficient(
-                parser,
+                value,
                 base_dir,
                 "agestruct",
                 key,
@@ -342,7 +310,7 @@ def _parse_config(path) -> RunConfig:
             )
             for key in ("fertility", "mortality")
         )
-        slope = _get_float(parser, "agestruct", "m", fallback=0.0)
+        slope = age.get("m", 0.0)
         y0_model = 1.0
         if initial_density is not None:
             # The age model spreads a spatial density uniformly in age.

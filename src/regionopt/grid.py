@@ -221,13 +221,31 @@ def write_field_csv(field: ScalarField, path) -> None:
         fh.write("x1,x2,value\n" + "".join(map(str.__add__, rows, values)))
 
 
+def _bad_row(lines, width):
+    """Why the first data row (file line 2 on) fails to parse; None if none does."""
+    for number, line in enumerate(lines, start=2):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue  # loadtxt skips blank and comment lines too
+        cells = text.split(",")
+        if len(cells) != width:
+            return f"line {number}: expected {width} cells, got {len(cells)}"
+        for cell in cells:
+            try:
+                float(cell)
+            except ValueError:
+                return f"line {number}: could not convert {cell.strip()!r} to a number"
+    return None
+
+
 def read_node_csv(path, names, nodes) -> np.ndarray:
     """Read a ``names...,value`` CSV table with one row per node in C order.
 
     Each coordinate column must match its node array to within
     ``np.allclose(..., atol=1e-12)``; the value column comes back in the
-    nodes' shape.  A bad table raises ValueError naming the path; a file
-    that cannot be read or decoded raises OSError or UnicodeDecodeError.
+    nodes' shape.  A bad table raises ValueError naming the path (and the
+    file line of a row that does not parse); a file that cannot be read
+    or decoded raises OSError or UnicodeDecodeError.
     """
     header = ",".join((*names, "value"))
     with open(path) as fh:
@@ -242,7 +260,10 @@ def read_node_csv(path, names, nodes) -> np.ndarray:
         except UnicodeDecodeError:
             raise
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            # loadtxt counts rows from 0 after the header: name the line.
+            fh.seek(0)
+            next(fh)
+            raise ValueError(f"{path}: {_bad_row(fh, len(names) + 1) or exc}") from None
     shape = np.shape(nodes[0])
     rows, cols = int(np.prod(shape)), len(names) + 1
     if raw.shape != (rows, cols):

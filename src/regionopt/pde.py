@@ -264,33 +264,43 @@ def solve_adjoint(phi: LevelSetFunction, params: ControlProblemParams) -> SpaceT
     return SpaceTimeField(grid, p)
 
 
+def _march_state(params, removal, forcing, what):
+    """March y[k+1] = step(dt (-a + removal[k+1]), y[k] + dt forcing[k+1]) from y0.
+
+    Without forcing, each new level must stay nonnegative; what names
+    the solve in the SolverFailure.
+    """
+    grid = params.grid
+    dt = grid.dt
+    stepper = _ImplicitStepper(grid.N, params.lam)
+    y = np.empty_like(removal)
+    y[0] = params.y0.values
+    for k in range(grid.M):
+        e1 = dt * (-params.a.values + removal[k + 1])
+        rhs = y[k] if forcing is None else y[k] + dt * forcing.values[k + 1]
+        y[k + 1] = stepper.step(e1, rhs)
+        if forcing is None:
+            _check_nonnegative(y[k + 1], k + 1, what)
+    return SpaceTimeField(grid, y)
+
+
 def solve_sensitivity(
     phi: LevelSetFunction, adjoint: SpaceTimeField, params: ControlProblemParams
 ) -> SpaceTimeField:
-    """Forward sensitivity solve started from y0.
-
-    The reaction combines growth with the two adjoint-coupling terms,
-    E1 = dt * (-a + L H_eps(phi) [H_eps(1+p) + (1+p) delta_eps(1+p)]),
+    """Forward sensitivity solve started from y0: the state march with
+    the removal rate L H_eps(phi) [H_eps(1+p) + (1+p) delta_eps(1+p)],
     evaluated at the target time level of each step.
     """
     grid = params.grid
     if phi.grid != grid or adjoint.grid != grid:
         raise ValueError("phi/adjoint are not on the problem grid")
     m = params.mollifier
-    dt = grid.dt
     hphi = heaviside_mollified(phi.phi.values, m)
-    stepper = _ImplicitStepper(grid.N, params.lam)
-    r = np.empty_like(adjoint.values)
-    r[0] = params.y0.values
-    for k in range(grid.M):
-        shifted = 1.0 + adjoint.values[k + 1]
-        coupling = params.L * hphi * (
-            heaviside_mollified(shifted, m)
-            + shifted * delta_mollified(shifted, m)
-        )
-        r[k + 1] = stepper.step(dt * (-params.a.values + coupling), r[k])
-        _check_nonnegative(r[k + 1], k + 1, "sensitivity")
-    return SpaceTimeField(grid, r)
+    shifted = 1.0 + adjoint.values
+    coupling = params.L * hphi * (
+        heaviside_mollified(shifted, m) + shifted * delta_mollified(shifted, m)
+    )
+    return _march_state(params, coupling, None, "sensitivity")
 
 
 def solve_forward(
@@ -313,19 +323,8 @@ def solve_forward(
     if np.any(control.values < 0.0) or np.any(control.values > params.L + 1e-12):
         raise ValueError("control must lie in [0, L]")
     params.check_time_step()
-    m = params.mollifier
-    dt = grid.dt
-    hphi = heaviside_mollified(phi.phi.values, m)
-    stepper = _ImplicitStepper(grid.N, params.lam)
-    y = np.empty_like(control.values)
-    y[0] = params.y0.values
-    for k in range(grid.M):
-        e1 = dt * (-params.a.values + hphi * control.values[k + 1])
-        rhs = y[k] if forcing is None else y[k] + dt * forcing.values[k + 1]
-        y[k + 1] = stepper.step(e1, rhs)
-        if forcing is None:
-            _check_nonnegative(y[k + 1], k + 1, "state")
-    return SpaceTimeField(grid, y)
+    hphi = heaviside_mollified(phi.phi.values, params.mollifier)
+    return _march_state(params, hphi * control.values, forcing, "state")
 
 
 def bang_bang_control(

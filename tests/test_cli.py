@@ -138,6 +138,41 @@ def test_command_specific_keys_reported(tmp_path):
     assert "penalty.beta" in str(excinfo.value)
 
 
+# What a config holding nothing but run.command misses, per command
+# (None: not even run.command).
+BASE_KEYS = {"grid.N", "grid.M", "grid.T", "model.d", "model.L", "levelset.init"}
+HARVEST_KEYS = {"model.a", "model.y0", "mollifier.eps"}
+PENALTY_KEYS = {"penalty.alpha", "penalty.beta"}
+AGE_KEYS = {
+    "agestruct.A",
+    "agestruct.Na",
+    "agestruct.fertility",
+    "agestruct.mortality",
+}
+MISSING_KEYS = {
+    None: BASE_KEYS | {"run.command"},
+    "forward": BASE_KEYS | HARVEST_KEYS,
+    "optimize-region": BASE_KEYS | HARVEST_KEYS | PENALTY_KEYS,
+    "eradicability": BASE_KEYS | AGE_KEYS,
+    "optimize-eradication": BASE_KEYS
+    | {"model.y0", "mollifier.eps"}
+    | PENALTY_KEYS
+    | AGE_KEYS,
+}
+
+
+@pytest.mark.parametrize("command", list(MISSING_KEYS), ids=str)
+def test_missing_required_keys_per_command(tmp_path, command):
+    text = "" if command is None else f"[run]\ncommand = {command}\n"
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(write_config(tmp_path, text))
+    prefix = "missing required keys: "
+    message = str(excinfo.value)
+    assert message.startswith(prefix)
+    listed = message[len(prefix) :].split(", ")
+    assert sorted(listed) == sorted(MISSING_KEYS[command])
+
+
 def test_non_numeric_value_names_key(tmp_path):
     text = TEST1_TEXT.replace("d = 1.0", "d = fast")
     with pytest.raises(ConfigError, match="model.d"):
@@ -264,6 +299,23 @@ eps = 1.0
 [levelset]
 init = circle
 """
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("Na", "many", "agestruct.Na must be an integer, got 'many'"),
+        ("m", "x", "agestruct.m must be a finite number, got 'x'"),
+    ],
+    ids=["Na", "m"],
+)
+def test_age_keys_type_checked_for_forward(tmp_path, capsys, key, value, message):
+    text = FORWARD_TEXT + f"\n[agestruct]\n{key} = {value}\n"
+    path = write_config(tmp_path, text)
+    out = tmp_path / "o"
+    assert main(["--config", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_forward_conservation_run(tmp_path):
@@ -645,7 +697,12 @@ def test_table_parses_to_the_written_values(tmp_path, key):
         (
             lambda lines: lines[:-1] + [lines[-1] + "x"],
             "bad table",
-            "could not convert",
+            "line {last_line}: could not convert",
+        ),
+        (
+            lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0]],
+            "bad table",
+            "line {last_line}: expected",
         ),
         (lambda lines: lines + ["\xff"], "cannot read", "can't decode byte 0xff"),
     ],
@@ -655,6 +712,7 @@ def test_table_parses_to_the_written_values(tmp_path, key):
         "header-only",
         "other-grid",
         "non-numeric",
+        "cell-short",
         "undecodable",
     ],
 )
@@ -664,7 +722,9 @@ def test_bad_table_is_a_config_error(tmp_path, capsys, key, spoil, message, deta
     assert main(["--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"config error: {key}: {message} table.csv: " in err
-    assert detail in err
+    # A fault in a row is named by its line in the file, header included.
+    last_line = (tmp_path / "table.csv").read_bytes().count(b"\n")
+    assert detail.format(last_line=last_line) in err
     assert not out.exists()
 
 

@@ -166,27 +166,21 @@ def test_uniform_reaction_needs_no_cg_iteration():
         assert np.abs(x.ravel() - x_ref).max() <= 1e-12 * max(np.abs(x_ref).max(), 1.0)
 
 
-def test_matvec_agrees_with_dense_product():
+@pytest.mark.parametrize("N", [3, 4, 6, 8])
+def test_matvec_agrees_with_dense_product(N):
+    rng = np.random.default_rng(N)
+    lam = 0.8
+    stepper = _ImplicitStepper(N, lam)
+    e1 = rng.uniform(0.0, 0.5, (N - 1, N - 1))
+    dense = dense_from_neighbor_rule(N, lam, e1)
     # Unit vectors: the whole matrix of apply.
-    rng = np.random.default_rng(7)
-    for N in (4, 8):
-        e1 = rng.uniform(0.0, 0.3, (N - 1, N - 1))
-        stepper = _ImplicitStepper(N, 0.8)
-        assembled = stencil_matrix(stepper, stepper.main + e1)
-        dense = dense_from_neighbor_rule(N, 0.8, e1)
-        assert np.allclose(assembled, dense, rtol=0, atol=1e-13)
+    assembled = stencil_matrix(stepper, stepper.main + e1)
+    assert np.allclose(assembled, dense, rtol=0, atol=1e-13)
     # Random batches: apply on a stack of vectors at once.
-    rng = np.random.default_rng(3)
-    for N in (3, 6):
-        stepper = _ImplicitStepper(N, 0.9)
-        e1 = rng.uniform(0.0, 0.5, (N - 1, N - 1))
-        dense = dense_from_neighbor_rule(N, 0.9, e1)
-        x = rng.standard_normal((5, N - 1, N - 1))
-        y = stepper.apply(stepper.main + e1, x)
-        for b in range(5):
-            assert np.allclose(
-                y[b].ravel(), dense @ x[b].ravel(), rtol=1e-13, atol=1e-13
-            )
+    x = rng.standard_normal((5, N - 1, N - 1))
+    y = stepper.apply(stepper.main + e1, x)
+    for b in range(5):
+        assert np.allclose(y[b].ravel(), dense @ x[b].ravel(), rtol=1e-13, atol=1e-13)
 
 
 def test_linear_solve_reports_breakdown(monkeypatch):
