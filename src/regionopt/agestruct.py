@@ -275,7 +275,7 @@ def principal_eigenvalue(effort: ScalarField, d: float) -> float:
         blocks = stepper.apply(diagonal, v.T.reshape(-1, n1, n1))
         return blocks.reshape(v.shape[::-1]).T
 
-    shift = np.mean(interior) + 1.0e-3
+    eigs = np.mean(interior) + 1.0e-3 + stepper.lap_eigs
     x = np.full(n1 * n1, 1.0 / n1)
     image = product(x)
     value = float(x @ image)
@@ -289,7 +289,7 @@ def principal_eigenvalue(effort: ScalarField, d: float) -> float:
             return value
         if step == EIGEN_MAX_ITER:
             break
-        columns = [x, stepper.precondition(shift, r.reshape(n1, n1)).ravel(), update]
+        columns = [x, stepper.precondition(eigs, r.reshape(n1, n1)).ravel(), update]
         try:
             basis = np.linalg.qr(np.column_stack(columns))[0]
             images = product(basis)

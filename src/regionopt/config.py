@@ -206,18 +206,18 @@ def _parse_config(path) -> RunConfig:
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(missing))
 
-    def read(section):  # the keys of section present, by their _KEYS readers
-        return {
+    # Every key present is read by its _KEYS reader, whatever the command.
+    value = {
+        section: {
             key: _read(raw, _KEYS[section][key][0], f"{section}.{key}")
-            for key, raw in given[section].items()
+            for key, raw in keys.items()
         }
-
+        for section, keys in given.items()
+    }
     try:
-        grid = GridSpec(**read("grid"))
-    except ValueError as exc:  # a grid key that is not a number, too
+        grid = GridSpec(**value["grid"])
+    except ValueError as exc:
         raise ConfigError(f"grid section rejected: {exc}") from None
-    # Every other key present is read too, whatever the command.
-    value = {section: read(section) for section in _KEYS if section != "grid"}
 
     model, penalty, age = value["model"], value["penalty"], value["agestruct"]
     output = value["run"].get("output") or "out"

@@ -215,10 +215,12 @@ def curvature_divergence(field: ScalarField, eta: float = 1.0e-8) -> ScalarField
 def write_field_csv(field: ScalarField, path) -> None:
     """Write a field as CSV rows x1,x2,value with 17 significant digits."""
     x = [f"{v:.17g}," for v in field.grid.nodes().tolist()]
-    values = [f"{v:.17g}\n" for v in field.values.ravel().tolist()]
-    rows = [xi + xj for xi in x for xj in x]
+    # One template holds every row's coordinates; one % fills in the values.
+    # The rows of x1 = xi are xi + xj + "%.17g\n" over j, so xi.join(tails).
+    tails = [xj + "%.17g\n" for xj in x]
+    template = "x1,x2,value\n" + "".join([xi + xi.join(tails) for xi in x])
     with open(path, "w") as fh:
-        fh.write("x1,x2,value\n" + "".join(map(str.__add__, rows, values)))
+        fh.write(template % tuple(field.values.ravel().tolist()))
 
 
 def _bad_row(lines, width):

@@ -187,11 +187,9 @@ def write_region_pgm(phi: LevelSetFunction, path) -> None:
     One pixel per node; pixel rows run over j increasing top to bottom,
     pixels within a row over i.
     """
-    mask = phi.region_mask()
     n = phi.grid.N + 1
-    lines = ["P2", f"{n} {n}", "255"]
-    for j in range(n):
-        lines.append(" ".join("255" if mask[i, j] else "0" for i in range(n)))
+    rows = np.where(phi.region_mask().T, "255", "0").tolist()
+    lines = ["P2", f"{n} {n}", "255", *map(" ".join, rows)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -116,6 +116,24 @@ def test_odd_node_count_cites_parity_rule(tmp_path):
         parse_config(write_config(tmp_path, text))
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("N = 20", "N = x", "grid.N must be an integer, got 'x'"),
+        ("T = 1.0", "T = soon", "grid.T must be a finite number, got 'soon'"),
+        ("N = 20", "N = 21", "grid section rejected: N must be even and >= 4, got 21"),
+    ],
+    ids=["N-not-a-number", "T-not-a-number", "N-odd"],
+)
+def test_grid_key_messages(tmp_path, capsys, old, new, message):
+    path = write_config(tmp_path, TEST1_TEXT.replace(old, new))
+    assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    # The section prefix is kept for GridSpec's own range checks only.
+    assert ("grid section rejected" in err) == ("rejected" in message)
+
+
 def test_unknown_section_and_key_are_named(tmp_path):
     with pytest.raises(ConfigError, match=r"\[extras\]"):
         parse_config(write_config(tmp_path, TEST1_TEXT + "\n[extras]\nzip = 1\n"))

@@ -273,6 +273,19 @@ def test_write_region_pgm(tmp_path):
     assert lines[3:] == ["0 0 0 255 255"] * 5
 
 
+def test_write_region_pgm_orientation(tmp_path):
+    g = GridSpec(4, 2, 1.0)
+    # The quadrant x1 > 0.55, x2 > 0.3: nodes i = 3, 4 and j = 2, 3, 4.
+    phi = LevelSetFunction.from_function(
+        g, lambda x1, x2: np.minimum(x1 - 0.55, x2 - 0.3)
+    )
+    path = tmp_path / "quadrant.pgm"
+    write_region_pgm(phi, path)
+    # Rows run over j (top to bottom), pixels within a row over i.
+    rows = ["0 0 0 0 0"] * 2 + ["0 0 0 255 255"] * 3
+    assert path.read_text() == "\n".join(["P2", "5 5", "255", *rows]) + "\n"
+
+
 def test_presets_shapes():
     g = GridSpec(20, 2, 1.0)
     disc = circle_levelset(g)

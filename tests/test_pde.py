@@ -183,6 +183,78 @@ def test_matvec_agrees_with_dense_product(N):
         assert np.allclose(y[b].ravel(), dense @ x[b].ravel(), rtol=1e-13, atol=1e-13)
 
 
+def sequential_stencil(lam, diagonal, x):
+    """diagonal * x, then lam * x subtracted node by node at i-1, i+1, j-1, j+1."""
+    y = diagonal * x
+    n = x.shape[-1]
+    for i in range(n):
+        for j in range(n):
+            for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+                if 0 <= i + di < n and 0 <= j + dj < n:
+                    y[..., i, j] -= lam * x[..., i + di, j + dj]
+    return y
+
+
+@pytest.mark.parametrize("N", [3, 4, 6])
+def test_matvec_is_bit_exact(N):
+    rng = np.random.default_rng(100 + N)
+    stepper = _ImplicitStepper(N, 0.8)
+    diagonal = stepper.main + rng.uniform(0.0, 0.5, (N - 1, N - 1))
+    x = rng.standard_normal((4, N - 1, N - 1))
+    x[rng.random(x.shape) < 0.3] = -0.0
+    # Checkerboard of -0.0 among +0.0: each -0.0 keeps its sign only if
+    # the border subtracts +0.0, as the sequential reference does.
+    i, j = np.indices((N - 1, N - 1))
+    x[0] = np.where((i + j) % 2 == 0, -0.0, 0.0)
+    reference = sequential_stencil(stepper.lam, diagonal, x)
+    # The eigen solver passes its columns as a batch-innermost strided view.
+    strided = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -1)), -1, 0)
+    for batch in (x, strided):
+        y = stepper.apply(diagonal, batch)
+        # Every bit, the sign of zero included: the artifacts depend on them.
+        assert np.array_equal(y, reference)
+        assert np.array_equal(y.view(np.uint64), reference.view(np.uint64))
+
+
+def count_stepper_calls(monkeypatch):
+    """Count _ImplicitStepper.precondition and .apply calls by name."""
+    counts = {"precondition": 0, "apply": 0}
+    for name in counts:
+        method = getattr(_ImplicitStepper, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            counts[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(_ImplicitStepper, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "batch"])
+def test_work_per_solve(monkeypatch, batch):
+    rng = np.random.default_rng(23)
+    stepper = _ImplicitStepper(8, 2.0)
+    counts = count_stepper_calls(monkeypatch)
+    rhs = rng.standard_normal(batch + (7, 7))
+    # Uniform E1: the initial guess is the solution.
+    linear_solve(stepper, np.full(batch + (7, 7), 0.25), rhs)
+    assert counts == {"precondition": 1, "apply": 1}
+    counts.update(precondition=0, apply=0)
+    e1 = rng.uniform(-0.5, 0.5, batch + (7, 7))
+    iterations = linear_solve(stepper, e1, rhs)[1]
+    assert iterations >= 1
+    assert counts == {"precondition": iterations + 1, "apply": iterations + 2}
+
+
+def test_zero_iteration_solve_still_checks_its_residual(monkeypatch):
+    stepper = _ImplicitStepper(4, 1.0)
+    counts = count_stepper_calls(monkeypatch)
+    monkeypatch.setattr(pde, "CG_TOL", 1.0)  # the loop exits at once
+    with pytest.raises(SolverFailure, match="exceeds 1e-10"):
+        linear_solve(stepper, np.diag([0.0, 0.4, 0.1]), np.ones((3, 3)))
+    assert counts == {"precondition": 1, "apply": 1}
+
+
 def test_linear_solve_reports_breakdown(monkeypatch):
     stepper = _ImplicitStepper(4, 1.0)
     e1 = np.zeros((3, 3))
