@@ -90,8 +90,8 @@ class AgeModelParams:
     fertility and mortality may be given as callables of age or as
     arrays of Na+1 samples; y0 as a callable (x1, x2, a) or a constant.
     The logistic term is M(s) = logistic_slope * s.  The time step is
-    locked to the age step A/Na, so the horizon T must be an integer
-    multiple of it.
+    locked to the age step A/Na, so a march (n_time) needs the horizon T
+    to be an integer multiple of it; the eigenvalue never reads T.
     """
 
     A: float
@@ -120,12 +120,6 @@ class AgeModelParams:
             raise ValueError("logistic slope must be nonnegative")
         if not (self.T > 0.0):
             raise ValueError(f"horizon must be positive, got {self.T}")
-        steps = self.T / self.da
-        if not (steps < np.inf and abs(steps - round(steps)) <= 1.0e-9):
-            raise ValueError(
-                f"T = {self.T} is not an integer multiple of the age step "
-                f"{self.da} (time step is locked to the age step)"
-            )
         ages = self.ages
         self.fertility_samples = _age_samples(self.fertility, ages, "fertility")
         self.mortality_samples = _age_samples(self.mortality, ages, "mortality")
@@ -142,7 +136,14 @@ class AgeModelParams:
 
     @property
     def n_time(self) -> int:
-        return int(round(self.T / self.da))
+        """Time steps to T; ValueError unless T is a whole number of age steps."""
+        steps = self.T / self.da
+        if not (steps < np.inf and abs(steps - round(steps)) <= 1.0e-9):
+            raise ValueError(
+                f"T = {self.T} is not an integer multiple of the age step "
+                f"{self.da} (time step is locked to the age step)"
+            )
+        return int(round(steps))
 
     def check_renewal_step(self) -> None:
         """Raise ValueError unless 1 - beta(0) da / 2, the renewal divisor, is > 0."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import configparser
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -36,21 +37,23 @@ _AGE = ("eradicability", "optimize-eradication")
 _DESCENT = ("optimize-region", "optimize-eradication")
 _MARCHING = _HARVEST + ("optimize-eradication",)
 
-# section -> key -> (reader, the commands that require the key).  The
-# reader is int, float or str; None marks a coefficient (a number, a
-# preset or a table path), resolved by _coefficient once the grid is
-# known.  A key is required without a command if every command needs it.
+# section -> key -> (reader, the commands that require the key[, default]).
+# The reader is int, float, str or the tuple of the strings allowed; None
+# marks a coefficient (a number, a preset or a table path), resolved by
+# _coefficient once the grid is known.  A key is required without a
+# command if every command needs it.  A default stands for an absent key
+# and for a string left empty; the defaults of a model type stay with it.
 _KEYS = {
-    "run": {"command": (str, COMMANDS), "output": (str, ())},
+    "run": {"command": (COMMANDS, COMMANDS), "output": (str, (), "out")},
     "grid": {"N": (int, COMMANDS), "M": (int, COMMANDS), "T": (float, COMMANDS)},
     "model": {
         "d": (float, COMMANDS),
         "a": (None, _HARVEST),
         "y0": (None, _MARCHING),
         "L": (float, COMMANDS),
-        "u": (float, ()),
+        "u": (float, (), 0.0),
     },
-    "penalty": {"alpha": (float, _DESCENT), "beta": (float, _DESCENT)},
+    "penalty": {"alpha": (float, _DESCENT, 0.0), "beta": (float, _DESCENT, 0.0)},
     "mollifier": {"eps": (float, _MARCHING)},
     "convergence": {f.name: (type(f.default), ()) for f in fields(Convergence)},
     "levelset": {"init": (None, COMMANDS)},
@@ -60,7 +63,7 @@ _KEYS = {
         "fertility": (None, _AGE),
         "mortality": (None, _AGE),
         "m": (float, ()),
-        "sign_variant": (str, ()),
+        "sign_variant": (SIGN_VARIANTS, (), "descent"),
     },
 }
 
@@ -108,7 +111,11 @@ def _finite_or_none(raw, what):
 
 
 def _read(raw, reader, what):
-    """raw read by reader: an int, a finite float, or raw itself (str, None)."""
+    """raw read by reader: an int, a finite float, an allowed string, or raw."""
+    if isinstance(reader, tuple):
+        if raw not in reader:
+            raise ConfigError(f"{what} must be one of {', '.join(reader)}; got {raw!r}")
+        return raw
     if reader not in (int, float):
         return raw
     try:
@@ -119,6 +126,15 @@ def _read(raw, reader, what):
         kind = "an integer" if reader is int else "a finite number"
         raise ConfigError(f"{what} must be {kind}, got {raw!r}") from None
     return value
+
+
+@contextmanager
+def _rejected(prefix):
+    """Re-raise a ValueError of the model calls inside as ConfigError(prefix + it)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 def _coefficient(value, base_dir, section, key, constant, read, presets=None):
@@ -191,54 +207,44 @@ def _parse_config(path) -> RunConfig:
                 raise ConfigError(f"unknown key {section}.{key}")
             given[section][key] = raw
 
+    # An unknown command needs no key, so its typed read below names it.
     command = given["run"].get("command")
-    if command is not None and command not in COMMANDS:
-        raise ConfigError(
-            f"run.command must be one of {', '.join(COMMANDS)}; got {command!r}"
-        )
     asked = COMMANDS if command is None else (command,)
     missing = [
         f"{section}.{key}"
         for section, keys in _KEYS.items()
-        for key, (_, needed_by) in keys.items()
+        for key, (_, needed_by, *_) in keys.items()
         if all(c in needed_by for c in asked) and key not in given[section]
     ]
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(missing))
 
-    # Every key present is read by its _KEYS reader, whatever the command.
+    # The table's defaults, then every key present read by its _KEYS
+    # reader, whatever the command; empty text leaves a text default.
     value = {
-        section: {
-            key: _read(raw, _KEYS[section][key][0], f"{section}.{key}")
-            for key, raw in keys.items()
-        }
-        for section, keys in given.items()
+        section: {key: entry[2] for key, entry in keys.items() if len(entry) > 2}
+        for section, keys in _KEYS.items()
     }
-    try:
+    for section, keys in given.items():
+        for key, raw in keys.items():
+            if raw or not isinstance(value[section].get(key), str):
+                reader = _KEYS[section][key][0]
+                value[section][key] = _read(raw, reader, f"{section}.{key}")
+    with _rejected("grid section rejected: "):
         grid = GridSpec(**value["grid"])
-    except ValueError as exc:
-        raise ConfigError(f"grid section rejected: {exc}") from None
 
     model, penalty, age = value["model"], value["penalty"], value["agestruct"]
-    output = value["run"].get("output") or "out"
-    d, L = model["d"], model["L"]
-    control_level = model.get("u", 0.0)
-    alpha, beta = penalty.get("alpha", 0.0), penalty.get("beta", 0.0)
-    try:
+    d, L, u = model["d"], model["L"], model["u"]
+    with _rejected("convergence."):
         convergence = Convergence(**value["convergence"])
-    except ValueError as exc:
-        raise ConfigError(f"convergence.{exc}") from None
-    for key, weight in (("alpha", alpha), ("beta", beta)):
+    for key, weight in penalty.items():
         if not weight >= 0.0:
             raise ConfigError(f"penalty.{key} must be nonnegative, got {weight}")
 
     mollifier = None
-    eps = value["mollifier"].get("eps")
-    if eps is not None:
-        try:
-            mollifier = Mollifier(eps)
-        except ValueError as exc:
-            raise ConfigError(f"mollifier.eps rejected: {exc}") from None
+    if "eps" in value["mollifier"]:
+        with _rejected("mollifier.eps rejected: "):
+            mollifier = Mollifier(value["mollifier"]["eps"])
 
     def field(section, key, presets=None):
         return _coefficient(
@@ -266,30 +272,18 @@ def _parse_config(path) -> RunConfig:
 
     control = None
     if command in _HARVEST:
-        try:
+        with _rejected("model/penalty settings rejected: "):
             control = ControlProblemParams(
                 d=d,
                 a=growth,
                 y0=initial_density,
                 L=L,
-                alpha=alpha,
-                beta=beta,
                 mollifier=mollifier,
+                **penalty,
             )
             control.check_time_step()
-        except ValueError as exc:
-            raise ConfigError(f"model/penalty settings rejected: {exc}") from None
-        if not 0.0 <= control_level <= L:
-            raise ConfigError(
-                f"model.u must lie in [0, L] = [0, {L}], got {control_level}"
-            )
-
-    sign_variant = age.get("sign_variant") or "descent"
-    if sign_variant not in SIGN_VARIANTS:
-        raise ConfigError(
-            "agestruct.sign_variant must be one of "
-            f"{', '.join(SIGN_VARIANTS)}; got {sign_variant!r}"
-        )
+        if not 0.0 <= u <= L:
+            raise ConfigError(f"model.u must lie in [0, L] = [0, {L}], got {u}")
 
     age_model = None
     if command in _AGE:
@@ -310,15 +304,15 @@ def _parse_config(path) -> RunConfig:
             )
             for key in ("fertility", "mortality")
         )
-        slope = age.get("m", 0.0)
-        y0_model = 1.0
+        # m and y0 are passed only when given: AgeModelParams holds their defaults.
+        optional = {"logistic_slope": age["m"]} if "m" in age else {}
         if initial_density is not None:
             # The age model spreads a spatial density uniformly in age.
             y0_values = initial_density.values
             if np.any(y0_values < 0.0):
                 raise ConfigError("model.y0 must be nonnegative")
-            y0_model = lambda x1, x2, a: y0_values  # noqa: E731
-        try:
+            optional["y0"] = lambda x1, x2, a: y0_values
+        with _rejected("agestruct section rejected: "):
             age_model = AgeModelParams(
                 A=A,
                 Na=Na,
@@ -327,29 +321,26 @@ def _parse_config(path) -> RunConfig:
                 d=d,
                 L=L,
                 T=grid.T,
-                y0=y0_model,
-                logistic_slope=slope,
+                **optional,
             )
-        except ValueError as exc:
-            raise ConfigError(f"agestruct section rejected: {exc}") from None
-        # Only the age-structured march closes the renewal step implicitly.
+        # Only the age-structured march reads the horizon (in whole age
+        # steps) and closes the renewal step implicitly.
         if command == "optimize-eradication":
-            try:
+            with _rejected("agestruct section rejected: "):
+                age_model.n_time
+            with _rejected("agestruct.fertility rejected: "):
                 age_model.check_renewal_step()
-            except ValueError as exc:
-                raise ConfigError(f"agestruct.fertility rejected: {exc}") from None
 
     return RunConfig(
         command=command,
-        output=output,
+        output=value["run"]["output"],
         grid=grid,
         phi0=phi0,
-        control_level=control_level,
-        alpha=alpha,
-        beta=beta,
+        control_level=u,
         convergence=convergence,
-        sign_variant=sign_variant,
+        sign_variant=age["sign_variant"],
         mollifier=mollifier,
         control=control,
         age_model=age_model,
+        **penalty,
     )

@@ -241,9 +241,12 @@ def test_eigenvalue_matches_eigsh_on_disc_union():
     seed=st.integers(0, 2**32 - 1),
     d=st.floats(0.0, 2.0),
     L=st.floats(0.0, 50.0),
+    raise_L=st.floats(0.0, 50.0),
     grow=st.floats(0.0, 1.5),
 )
-def test_eigenvalue_bounded_and_monotone_on_random_fields(N, seed, d, L, grow):
+def test_eigenvalue_bounded_and_monotone_on_random_fields(
+    N, seed, d, L, raise_L, grow
+):
     grid = spatial_grid(N=N)
     values = np.random.default_rng(seed).standard_normal((N + 1, N + 1))
     inner = LevelSetFunction(ScalarField(grid, values))
@@ -253,6 +256,11 @@ def test_eigenvalue_bounded_and_monotone_on_random_fields(N, seed, d, L, grow):
     tol = 1e-8 * max(1.0, L)
     assert -tol <= small <= large + tol
     assert large <= L + tol
+    # Nondecreasing in the effort bound too: L2 >= L on the same region.
+    L2 = L + raise_L
+    harder = principal_eigenvalue(sharp_effort(inner, L2), d)
+    assert small <= harder + 1e-8 * max(1.0, L2)
+    assert harder <= L2 + 1e-8 * max(1.0, L2)
 
 
 def test_eigen_iteration_budget_raises_convergence_failure(monkeypatch):
@@ -395,8 +403,6 @@ def test_logistic_pressure_reduces_population():
 
 def test_model_validation():
     with pytest.raises(ValueError):
-        basic_model(T=0.93)
-    with pytest.raises(ValueError):
         basic_model(Na=1)
     with pytest.raises(ValueError):
         basic_model(fertility=-1.0)
@@ -405,6 +411,10 @@ def test_model_validation():
     with pytest.raises(ValueError):
         basic_model(mortality=lambda a: a - 10.0)
     grid = spatial_grid(N=4)
+    # The horizon and the renewal step are checked by the march that uses them.
+    off_horizon = basic_model(T=0.93)
+    with pytest.raises(ValueError, match="integer multiple of the age step"):
+        solve_age_structured(ScalarField.constant(grid, 0.0), off_horizon)
     heavy_newborns = basic_model(Na=2, fertility=50.0)
     with pytest.raises(ValueError):
         solve_age_structured(ScalarField.constant(grid, 0.0), heavy_newborns)

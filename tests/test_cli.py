@@ -284,9 +284,12 @@ def test_age_samples_from_csv(tmp_path):
 
 
 def test_age_horizon_must_match_age_step(tmp_path):
-    text = AGE_TEXT.replace("T = 1.0", "T = 0.93")
+    text = ERADICATION_TEXT.replace("T = 0.5", "T = 0.93")
     with pytest.raises(ConfigError, match="agestruct"):
         parse_config(write_config(tmp_path, text))
+    # The verdict has no horizon, so it does not check one.
+    text = AGE_TEXT.replace("T = 1.0", "T = 0.93")
+    assert parse_config(write_config(tmp_path, text)).age_model.T == 0.93
 
 
 def test_bad_sign_variant_rejected(tmp_path):
@@ -475,6 +478,74 @@ def test_eradication_run_solves_the_age_model_once_per_evaluated_phi(
     assert counts["solve_age_structured"] == counts["evolve_phi"] + 1
 
 
+# command -> (config, its summary.txt lines).  A refactor keeps these
+# numbers: floats to a relative 1e-9 (the rule of perfbench/references.json),
+# integers and strings exactly.
+PINNED_SUMMARIES = {
+    "optimize-region": (
+        TEST1_TEXT,
+        {
+            "command": "optimize-region",
+            "iterations": 10,
+            "stop_reason": "J tolerance",
+            "final_cost": 0.015436763824504235,
+            "final_region_area": 0.4418009237418874,
+            "final_region_length": 7.1910496226592695e-06,
+        },
+    ),
+    "forward": (
+        FORWARD_TEXT,
+        {
+            "command": "forward",
+            "control_level": 0.0,
+            "mass_initial": 0.095541194211273203,
+            "mass_final": 0.095541194211270788,
+            "mass_drift": 2.5274281931414181e-14,
+            "time_levels_written": 101,
+        },
+    ),
+    "eradicability": (
+        AGE_TEXT,
+        {
+            "command": "eradicability",
+            "r_star": 1.16415321827e-10,
+            "lambda1": 2.0,
+            "margin": 1.99999999988,
+            "verdict": "Eradicable",
+            "tolerance": 1e-06,
+        },
+    ),
+    "optimize-eradication": (
+        ERADICATION_TEXT,
+        {
+            "command": "optimize-eradication",
+            "iterations": 3,
+            "stop_reason": "iteration budget",
+            "sign_variant": "descent",
+            "final_psi": 0.29285652293974823,
+            "final_region_area": 0.51038784781337421,
+            "population_initial": 0.11651668629226231,
+            "population_final": 0.11107827205276735,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED_SUMMARIES))
+def test_summary_numbers_are_pinned(tmp_path, command):
+    text, expected = PINNED_SUMMARIES[command]
+    out = tmp_path / "o"
+    assert run(parse_config(write_config(tmp_path, text)), out_dir=str(out)) == 0
+    summary = read_summary(out)
+    assert list(summary) == list(expected)
+    for key, value in expected.items():
+        if isinstance(value, float):
+            got = float(summary[key])
+            assert abs(got - value) <= 1e-9 * max(abs(value), 1e-300), key
+        else:
+            assert summary[key] == str(value), key
+
+
 def test_exit_code_for_missing_config(tmp_path):
     assert main(["--config", str(tmp_path / "nope.ini")]) == 2
 
@@ -614,6 +685,33 @@ def test_readme_config_parses(tmp_path):
     assert config.command == "optimize-region"
     stated = Convergence(max_iter=200, eps1=0.001, eps2=0.001, theta0=0.05)
     assert config.convergence == stated == Convergence()
+
+
+def test_readme_names_every_setting():
+    # Each key as `section.key` or as a key line under its [section] in an
+    # ini block; each allowed value in backticks or in an ini block.
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as handle:
+        text = handle.read()
+    blocks = re.findall(r"```ini\n(.*?)```", text, re.S)
+    in_blocks = set()
+    for block in blocks:
+        section = None
+        for line in block.splitlines():
+            header = re.match(r"\[(\w+)\]", line)
+            section = header.group(1) if header else section
+            entry = re.match(r"(\w+) =", line)
+            if entry:
+                in_blocks.add(f"{section}.{entry.group(1)}")
+    for section, keys in config_module._KEYS.items():
+        for key, (reader, *_) in keys.items():
+            name = f"{section}.{key}"
+            assert f"`{name}`" in text or name in in_blocks, name
+            for choice in reader if isinstance(reader, tuple) else ():
+                spelled = rf"(?<![\w-]){re.escape(choice)}(?![\w-])"
+                assert f"`{choice}`" in text or any(
+                    re.search(spelled, block) for block in blocks
+                ), choice
 
 
 @pytest.mark.parametrize(

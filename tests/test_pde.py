@@ -10,6 +10,7 @@ with a known closed form, which pins the time stepping exactly.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regionopt.errors import SolverFailure
 from regionopt.grid import (
@@ -377,6 +378,64 @@ def test_forward_monotone_in_control():
         y_lo = solve_forward(phi, SpaceTimeField(grid, u_lo), params)
         y_hi = solve_forward(phi, SpaceTimeField(grid, u_hi), params)
         assert np.all(y_hi.values <= y_lo.values + 1e-12)
+
+
+def random_forward_problem(N, M, seed, d, L, a_top, a_spread, eps):
+    """A harvest problem on seeded random data: y0 in [0, 1] with one
+    interior node at 1, growth with dt * max(a) <= a_top < 1, and a level
+    set of white noise."""
+    grid = GridSpec(N=N, M=M, T=1.0)
+    rng = np.random.default_rng(seed)
+    shape = (N + 1, N + 1)
+    y0 = rng.uniform(0.0, 1.0, shape) * (rng.random(shape) < 0.5)
+    y0[rng.integers(1, N), rng.integers(1, N)] = 1.0
+    a = (a_top - a_spread * rng.random(shape)) / grid.dt
+    params = ControlProblemParams(
+        d=d,
+        a=ScalarField(grid, a),
+        y0=ScalarField(grid, y0),
+        L=L,
+        alpha=0.0,
+        beta=0.0,
+        mollifier=Mollifier(eps),
+    )
+    return params, LevelSetFunction(ScalarField(grid, rng.standard_normal(shape)))
+
+
+SIZES = dict(
+    N=st.sampled_from([4, 6, 8]),
+    M=st.sampled_from([2, 4]),
+    seed=st.integers(0, 2**32 - 1),
+    d=st.floats(1e-3, 2.0),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    L=st.floats(0.0, 10.0),
+    level=st.floats(0.0, 1.0),
+    a_top=st.floats(-5.0, 0.99),
+    a_spread=st.floats(0.0, 5.0),
+    eps=st.floats(0.05, 1.0),
+    **SIZES,
+)
+def test_forward_stays_nonnegative_on_random_data(
+    N, M, seed, d, L, level, a_top, a_spread, eps
+):
+    params, phi = random_forward_problem(N, M, seed, d, L, a_top, a_spread, eps)
+    control = SpaceTimeField.constant(params.grid, level * L)
+    y = solve_forward(phi, control, params)
+    assert y.values.min() >= -1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(**SIZES)
+def test_forward_keeps_lumped_mass_on_random_data(N, M, seed, d):
+    params, phi = random_forward_problem(N, M, seed, d, 1.0, 0.0, 0.0, 1.0)
+    y = solve_forward(phi, SpaceTimeField.constant(params.grid, 0.0), params)
+    h = params.grid.h
+    mass = h * h * y.values[:, 1:-1, 1:-1].sum(axis=(1, 2))
+    assert np.all(np.abs(mass - mass[0]) <= 1e-10 * mass[0])
 
 
 def test_forward_rejects_out_of_range_control():
