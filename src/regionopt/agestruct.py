@@ -23,11 +23,12 @@ The solver locks the time step to the age step, so aging is an exact
 shift along characteristics, and reuses the implicit step solver of the
 pde module for diffusion and decay, all age levels of a time step in one
 batched solve on full-grid levels.  The principal eigenvalue comes from
-a block-1 LOBPCG that factorizes nothing: its products go through the
-step solver's five-point stencil with the operator's own main diagonal,
-and its preconditioner is the step solver's DCT inverse at a fixed
-shift.  Mortality is sampled finitely on the age grid; whatever is
-transported past the maximal age A flows out of the system.
+a block-1 LOBPCG that factorizes no operator: its basis is one n x 3
+block, orthonormalized in place by LAPACK Householder QR, its products
+go through the step solver's five-point stencil with the operator's own
+main diagonal, and its preconditioner is the step solver's DCT inverse
+at a fixed shift.  Mortality is sampled finitely on the age grid;
+whatever is transported past the maximal age A flows out of the system.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf, dorgqr
 
 from .errors import ConvergenceFailure, SolverFailure
 from .grid import GridSpec, ScalarField, curvature_divergence, simpson_integral_2d
@@ -196,13 +198,13 @@ def lotka_root(params: AgeModelParams) -> float:
 
     Solves int beta(a) exp(-int_0^a mu - r a) da = 1 by bracketing and
     bisection on the strictly decreasing left-hand side; the inner
-    integrals use composite trapezoid on the age grid.
+    integrals use composite trapezoid on the age grid.  With no births
+    (fertility identically zero) every cohort ages out past A, whatever
+    the effort, and r* is -inf.
     """
     beta = params.fertility_samples
     if not np.any(beta > 0.0):
-        raise SolverFailure(
-            "characteristic equation has no root: fertility is identically zero"
-        )
+        return -np.inf
     mu = params.mortality_samples
     da = params.da
     ages = params.ages
@@ -257,8 +259,10 @@ def principal_eigenvalue(effort: ScalarField, d: float) -> float:
     nodes with main diagonal (d / h^2) (neighbor count) + u.  Each step
     projects onto span{x, T r, p}, with T the step solver's DCT inverse
     of (mean(u) + 1e-3) I - d lap, the mean taken over the interior
-    nodes (Knyazev 2001), starting from the constant vector.  Stops at a
-    relative eigenresidual of 1e-8.  A negative d or effort raises
+    nodes (Knyazev 2001), starting from the constant vector.  The three
+    columns live in one n x 3 block, orthonormalized in place by LAPACK
+    Householder QR (dgeqrf, then dorgqr over the same memory).  Stops at
+    a relative eigenresidual of 1e-8.  A negative d or effort raises
     ValueError; running out of EIGEN_MAX_ITER steps raises
     ConvergenceFailure, and non-finite values or a failed projection
     raise SolverFailure.
@@ -277,10 +281,10 @@ def principal_eigenvalue(effort: ScalarField, d: float) -> float:
         return blocks.reshape(v.shape[::-1]).T
 
     eigs = np.mean(interior) + 1.0e-3 + stepper.lap_eigs
+    block = np.empty((n1 * n1, 3), order="F")  # x, T r, update (none at step 0)
     x = np.full(n1 * n1, 1.0 / n1)
     image = product(x)
     value = float(x @ image)
-    update = np.empty((n1 * n1, 0))  # no previous update before step 1
     for step in range(EIGEN_MAX_ITER + 1):
         r = image - value * x
         residual = float(np.linalg.norm(r))
@@ -290,19 +294,26 @@ def principal_eigenvalue(effort: ScalarField, d: float) -> float:
             return value
         if step == EIGEN_MAX_ITER:
             break
-        columns = [x, stepper.precondition(eigs, r.reshape(n1, n1)).ravel(), update]
+        block[:, 0] = x
+        block[:, 1] = stepper.precondition(eigs, r.reshape(n1, n1)).ravel()
+        basis, tau, _, info = dgeqrf(block[:, : 3 if step else 2], overwrite_a=True)
+        if info == 0:
+            basis, _, info = dorgqr(basis, tau, overwrite_a=True)
+        if info:
+            raise SolverFailure(f"eigen Rayleigh-Ritz step failed: LAPACK info {info}")
+        images = product(basis)
         try:
-            basis = np.linalg.qr(np.column_stack(columns))[0]
-            images = product(basis)
             values, vectors = np.linalg.eigh(basis.T @ images)
         except np.linalg.LinAlgError as exc:
             raise SolverFailure(f"eigen Rayleigh-Ritz step failed: {exc}") from exc
         coeffs = vectors[:, 0]
-        # basis[:, 0] is +-x, so the rest of the Ritz vector is the update.
+        # basis[:, 0] is +-x, so the rest of the Ritz vector is the update;
+        # both are formed before the next step overwrites the block.
         update = basis[:, 1:] @ coeffs[1:, None]
         x = basis @ coeffs
         image = images @ coeffs
         value = float(values[0])
+        block[:, 2:] = update
     raise ConvergenceFailure(
         f"eigenvalue iteration stagnated after {EIGEN_MAX_ITER} steps: "
         f"residual {residual:.3e} at value {value:.6e}"

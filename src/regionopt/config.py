@@ -309,8 +309,6 @@ def _parse_config(path) -> RunConfig:
         if initial_density is not None:
             # The age model spreads a spatial density uniformly in age.
             y0_values = initial_density.values
-            if np.any(y0_values < 0.0):
-                raise ConfigError("model.y0 must be nonnegative")
             optional["y0"] = lambda x1, x2, a: y0_values
         with _rejected("agestruct section rejected: "):
             age_model = AgeModelParams(
@@ -324,8 +322,10 @@ def _parse_config(path) -> RunConfig:
                 **optional,
             )
         # Only the age-structured march reads the horizon (in whole age
-        # steps) and closes the renewal step implicitly.
+        # steps) and y0, and closes the renewal step implicitly.
         if command == "optimize-eradication":
+            if np.any(initial_density.values < 0.0):
+                raise ConfigError("model.y0 must be nonnegative")
             with _rejected("agestruct section rejected: "):
                 age_model.n_time
             with _rejected("agestruct.fertility rejected: "):

@@ -34,6 +34,7 @@ level, so every step stays linear.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -117,12 +118,15 @@ class ControlProblemParams:
             )
 
 
+@lru_cache(maxsize=None)
 def dct_matrix(n: int) -> np.ndarray:
     """Orthonormal DCT-II matrix; its rows are the eigenvectors of the
-    Neumann path Laplacian of n nodes, with eigenvalues 4 sin^2(pi k / 2n)."""
+    Neumann path Laplacian of n nodes, with eigenvalues 4 sin^2(pi k / 2n).
+    Built once per n and shared, so it is read-only."""
     k = np.arange(n)[:, None]
     q = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * np.arange(n) + 1) / (2 * n))
     q[0] /= np.sqrt(2.0)
+    q.flags.writeable = False
     return q
 
 
@@ -145,21 +149,24 @@ class _ImplicitStepper:
         self.q = dct_matrix(n1)
         eig = 4.0 * np.sin(0.5 * np.pi * np.arange(n1) / n1) ** 2
         self.lap_eigs = lam * (eig[:, None] + eig[None, :])
+        self._bordered = {}  # batch shape -> zero-bordered buffer
 
     def apply(self, diagonal: np.ndarray, x: np.ndarray) -> np.ndarray:
         """The product (lam L + diag(w)) x from its main diagonal
         lap_diag + w: diagonal * x minus lam times each interior neighbor.
 
-        lam x is written once into a zero-bordered buffer, and its four
-        shifted views are subtracted in the order i-1, i+1, j-1, j+1; a
-        border node subtracts +0.0, which leaves every bit unchanged.  The
-        buffer is laid out like x and y, so a strided batch (the eigen
-        solver's columns) is not transposed on every subtraction.
+        lam x is written into the interior of a zero-bordered buffer, and
+        its four shifted views are subtracted in the order i-1, i+1, j-1,
+        j+1; a border node subtracts +0.0, which leaves every bit
+        unchanged.  The stepper keeps one buffer per batch shape and never
+        writes its border: only the first call of a shape allocates it.
         """
         y = diagonal * x
         n = x.shape[-1]
-        bordered = np.zeros_like(y, shape=y.shape[:-2] + (n + 2, n + 2))
-        bordered[..., 1:-1, 1:-1] = self.lam * x
+        if x.shape not in self._bordered:
+            self._bordered[x.shape] = np.zeros(x.shape[:-2] + (n + 2, n + 2))
+        bordered = self._bordered[x.shape]
+        np.multiply(self.lam, x, out=bordered[..., 1:-1, 1:-1])
         y -= bordered[..., :-2, 1:-1]
         y -= bordered[..., 2:, 1:-1]
         y -= bordered[..., 1:-1, :-2]

@@ -27,6 +27,7 @@ from regionopt.agestruct import (
 from regionopt.errors import ConvergenceFailure, SolverFailure
 from regionopt.grid import GridSpec, ScalarField
 from regionopt.levelset import LevelSetFunction, Mollifier, circle_levelset
+from regionopt.pde import _ImplicitStepper
 from regionopt.shapeopt import Convergence
 
 from neumann_oracle import neumann_operator
@@ -126,9 +127,9 @@ def test_scaling_fertility_raises_root():
         assert lotka_root(upper) > lotka_root(lower)
 
 
-def test_zero_fertility_has_no_root():
-    with pytest.raises(SolverFailure):
-        lotka_root(basic_model(fertility=0.0))
+def test_zero_fertility_root_is_minus_infinity():
+    # No births: every cohort ages out past A, whatever the effort.
+    assert lotka_root(basic_model(fertility=0.0)) == -np.inf
 
 
 def test_eigenvalue_empty_and_full_region():
@@ -261,6 +262,37 @@ def test_eigenvalue_bounded_and_monotone_on_random_fields(
     harder = principal_eigenvalue(sharp_effort(inner, L2), d)
     assert small <= harder + 1e-8 * max(1.0, L2)
     assert harder <= L2 + 1e-8 * max(1.0, L2)
+
+
+def test_eigen_step_work_and_in_place_orthonormalization(monkeypatch):
+    # A solve of k steps makes k preconditionings of one block and k + 1
+    # products of at most three blocks, the x, T r and update columns,
+    # and orthonormalizes them in place: no np.linalg.qr, no column_stack.
+    grid = spatial_grid(N=16)
+    effort = sharp_effort(rectangle_phi(grid, 0.1, 0.5, 0.3, 0.8), 2.0)
+    expected = np.linalg.eigvalsh(neumann_operator(effort, 1.0).toarray())[0]
+    blocks = {"precondition": [], "apply": []}
+    for name, counts in blocks.items():
+        method = getattr(_ImplicitStepper, name)
+
+        def recorded(self, first, x, _method=method, _counts=counts):
+            _counts.append(1 if x.ndim == 2 else x.shape[0])
+            return _method(self, first, x)
+
+        monkeypatch.setattr(_ImplicitStepper, name, recorded)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the eigen solver allocates its basis once")
+
+    monkeypatch.setattr(np.linalg, "qr", forbidden)
+    monkeypatch.setattr(np, "column_stack", forbidden)
+    produced = principal_eigenvalue(effort, 1.0)
+    steps = len(blocks["precondition"])
+    assert steps >= 2
+    assert blocks["precondition"] == [1] * steps
+    assert len(blocks["apply"]) == steps + 1
+    assert max(blocks["apply"]) <= 3
+    assert abs(produced - expected) <= 1e-8 * max(1.0, abs(expected))
 
 
 def test_eigen_iteration_budget_raises_convergence_failure(monkeypatch):

@@ -388,6 +388,32 @@ def test_eradicability_full_region_summary(tmp_path):
         assert key in summary
 
 
+def test_eradicability_without_births_is_eradicable(tmp_path):
+    # No births: every cohort ages out past A, so r* = -inf.
+    path = write_config(tmp_path, AGE_TEXT.replace("fertility = 1.0", "fertility = 0"))
+    out = tmp_path / "ev"
+    assert main(["--config", str(path), "--out", str(out)]) == 0
+    summary = read_summary(out)
+    assert summary["r_star"] == "-inf"
+    assert summary["margin"] == "inf"
+    assert summary["verdict"] == "Eradicable"
+
+
+def test_y0_range_checked_only_where_the_age_model_marches(tmp_path, capsys):
+    outputs = []
+    for text in (AGE_TEXT, AGE_TEXT.replace("[model]", "[model]\ny0 = -1")):
+        path = write_config(tmp_path, text)
+        out = tmp_path / f"ev{len(outputs)}"
+        assert main(["--config", str(path), "--out", str(out)]) == 0
+        outputs.append((out / "summary.txt").read_text())
+    assert outputs[1] == outputs[0]
+    text = ERADICATION_TEXT.replace("y0 = gaussian", "y0 = -1")
+    out = tmp_path / "er"
+    assert main(["--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 2
+    assert "model.y0 must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_for_convergence_failure(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(agestruct, "EIGEN_MAX_ITER", 1)
     path = write_config(tmp_path, AGE_TEXT.replace("init = 1.0", "init = circle"))

@@ -217,6 +217,32 @@ def test_matvec_is_bit_exact(N):
         assert np.array_equal(y.view(np.uint64), reference.view(np.uint64))
 
 
+@pytest.mark.parametrize("N", [4, 7])
+def test_kept_border_buffer_leaves_every_bit(N):
+    # One stepper applies to batches of several shapes in turn, keeping a
+    # zero-bordered buffer per shape; each product equals a fresh
+    # stepper's, signed zeros included, and no later call changes it.
+    rng = np.random.default_rng(300 + N)
+    n = N - 1
+    kept = _ImplicitStepper(N, 0.8)
+    diagonal = kept.main + rng.uniform(0.0, 0.5, (n, n))
+    shapes = ((3, n, n), (3, n, n), (2, n, n), (n, n))
+    inputs = [rng.standard_normal(shape) for shape in shapes]
+    for x in inputs:
+        x[rng.random(x.shape) < 0.3] = -0.0
+    products = [kept.apply(diagonal, x) for x in inputs]
+    for x, y in zip(inputs, products):
+        fresh = _ImplicitStepper(N, 0.8).apply(diagonal, x)
+        assert np.array_equal(y.view(np.uint64), fresh.view(np.uint64))
+
+
+def test_dct_matrix_is_built_once_per_size():
+    q = _ImplicitStepper(8, 1.0).q
+    assert _ImplicitStepper(8, 2.0).q is q
+    assert not q.flags.writeable  # shared, so no caller may change it
+    assert np.allclose(q @ q.T, np.eye(7), rtol=0, atol=1e-14)
+
+
 def count_stepper_calls(monkeypatch):
     """Count _ImplicitStepper.precondition and .apply calls by name."""
     counts = {"precondition": 0, "apply": 0}
