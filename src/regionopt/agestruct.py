@@ -47,7 +47,6 @@ from .shapeopt import Convergence, Trace, descend, penalised_cost
 
 EIGEN_TOL = 1.0e-8
 EIGEN_MAX_ITER = 500
-LOTKA_TOL = 1.0e-10
 VERDICT_TOLERANCE = 1.0e-6
 SIGN_VARIANTS = ("descent", "printed")
 
@@ -148,7 +147,7 @@ class AgeModelParams:
         return int(round(steps))
 
     def check_renewal_step(self) -> None:
-        """Raise ValueError unless 1 - beta(0) da / 2, the renewal divisor, is > 0."""
+        """Raise ValueError unless beta(0) da / 2 < 1; renewal root and step need it."""
         newborn = float(self.fertility_samples[0]) * (self.da / 2.0)
         if newborn >= 1.0:
             raise ValueError(
@@ -196,50 +195,44 @@ def age_trapezoid_weights(Na: int, da: float) -> np.ndarray:
 def lotka_root(params: AgeModelParams) -> float:
     """Root r* of the characteristic equation of the age dynamics.
 
-    Solves int beta(a) exp(-int_0^a mu - r a) da = 1 by bracketing and
-    bisection on the strictly decreasing left-hand side; the inner
-    integrals use composite trapezoid on the age grid.  With no births
-    (fertility identically zero) every cohort ages out past A, whatever
-    the effort, and r* is -inf.
+    Solves int beta(a) exp(-int_0^a mu - r a) da = 1 by composite
+    trapezoid on the age grid.  With b_k = w_k beta_k exp(-int_0^{a_k} mu)
+    the left-hand side b_0 + sum_{k>=1} b_k exp(-r a_k) falls strictly
+    from +inf to b_0 = beta(0) da / 2, so check_renewal_step raises
+    ValueError unless b_0 < 1.  As every a_k >= da, the root lies between
+    0 and ln(S / (1 - b_0)) / da, S = sum_{k>=1} b_k, and that bracket is
+    bisected until its ends are adjacent floats, the sum compared in
+    log-sum-exp form so that no exponential overflows.  Without births
+    past age 0 (S = 0) every cohort dies out or ages past A, and r* is -inf.
     """
+    params.check_renewal_step()
     beta = params.fertility_samples
-    if not np.any(beta > 0.0):
-        return -np.inf
     mu = params.mortality_samples
     da = params.da
-    ages = params.ages
-    cumulative_mu = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (mu[:-1] + mu[1:]) * da))
-    )
+    births = 1 + np.flatnonzero(beta[1:] > 0.0)
+    if births.size == 0:
+        return -np.inf
+    cumulative_mu = np.concatenate(([0.0], np.cumsum(0.5 * (mu[:-1] + mu[1:]) * da)))
     weights = age_trapezoid_weights(params.Na, da)
+    log_births = np.log(weights[births]) + np.log(beta[births]) - cumulative_mu[births]
+    ages = params.ages[births]
+    log_rest = float(np.log1p(-weights[0] * beta[0]))
 
-    def lhs(r: float) -> float:
-        return float(weights @ (beta * np.exp(-cumulative_mu - r * ages)))
+    def excess(r: float) -> float:
+        """ln sum_{k>=1} b_k exp(-r a_k) - ln(1 - b_0), strictly decreasing in r."""
+        terms = log_births - r * ages
+        top = terms.max()
+        return float(top + np.log(np.exp(terms - top).sum())) - log_rest
 
-    lo, hi = (0.0, 1.0) if lhs(0.0) >= 1.0 else (-1.0, 0.0)
-    while lhs(hi) > 1.0:
-        lo, hi = hi, 2.0 * hi
-        if hi > 1.0e308:
-            raise SolverFailure("failed to bracket the characteristic root")
-    while lhs(lo) < 1.0:
-        hi, lo = lo, 2.0 * lo
-        if lo < -1.0e308:
-            raise SolverFailure("failed to bracket the characteristic root")
-    for _ in range(20_000):
+    lo, hi = sorted((0.0, excess(0.0) / da))
+    while True:
         mid = 0.5 * (lo + hi)
-        value = lhs(mid)
-        if abs(value - 1.0) <= LOTKA_TOL:
+        if mid == lo or mid == hi:
             return mid
-        if value > 1.0:
+        if excess(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1.0e-15 * max(1.0, abs(mid)):
-            break
-    raise ConvergenceFailure(
-        f"bisection stalled on the characteristic equation: |LHS-1| = "
-        f"{abs(lhs(0.5 * (lo + hi)) - 1.0):.3e} > {LOTKA_TOL}"
-    )
 
 
 def sharp_effort(phi: LevelSetFunction, L: float) -> ScalarField:

@@ -322,14 +322,15 @@ def _parse_config(path) -> RunConfig:
                 **optional,
             )
         # Only the age-structured march reads the horizon (in whole age
-        # steps) and y0, and closes the renewal step implicitly.
+        # steps) and y0.  Both age commands need beta(0) da / 2 < 1: the
+        # renewal root exists only then, and the march divides by 1 minus it.
         if command == "optimize-eradication":
             if np.any(initial_density.values < 0.0):
                 raise ConfigError("model.y0 must be nonnegative")
             with _rejected("agestruct section rejected: "):
                 age_model.n_time
-            with _rejected("agestruct.fertility rejected: "):
-                age_model.check_renewal_step()
+        with _rejected("agestruct.fertility rejected: "):
+            age_model.check_renewal_step()
 
     return RunConfig(
         command=command,

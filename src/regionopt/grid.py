@@ -157,31 +157,22 @@ def gradient_magnitude(field: ScalarField) -> ScalarField:
     """Nodal |grad phi|: central differences inside, one-sided at edges.
 
     Interior nodes use centered differences in both directions.  Edge
-    nodes use the one-sided pair of differences along and across the
-    edge; the four corners copy an adjacent edge value.  The corner
-    pairing is deliberately asymmetric ((1,1) copies from (2,1) while
-    (1,N+1) copies from (1,N), and so on) and is pinned by tests.
+    nodes use forward differences along both axes, backward ones on the
+    last row and column; the four corners copy an adjacent edge value.
+    The corner pairing is deliberately asymmetric ((1,1) copies from
+    (2,1) while (1,N+1) copies from (1,N), and so on) and is pinned by
+    tests.
     """
     phi = field.values
     h = field.grid.h
-    g = np.empty_like(phi)
+    dx = np.diff(phi, axis=0)
+    dy = np.diff(phi, axis=1)
+    dx = np.concatenate((dx, dx[-1:]), axis=0)
+    dy = np.concatenate((dy, dy[:, -1:]), axis=1)
+    g = np.sqrt((dx**2 + dy**2) / (h * h))
     g[1:-1, 1:-1] = np.sqrt(
         ((phi[2:, 1:-1] - phi[:-2, 1:-1]) ** 2 + (phi[1:-1, 2:] - phi[1:-1, :-2]) ** 2)
         / (4.0 * h * h)
-    )
-    g[0, 1:-1] = np.sqrt(
-        ((phi[1, 1:-1] - phi[0, 1:-1]) ** 2 + (phi[0, 2:] - phi[0, 1:-1]) ** 2) / (h * h)
-    )
-    g[-1, 1:-1] = np.sqrt(
-        ((phi[-1, 1:-1] - phi[-2, 1:-1]) ** 2 + (phi[-1, 2:] - phi[-1, 1:-1]) ** 2)
-        / (h * h)
-    )
-    g[1:-1, 0] = np.sqrt(
-        ((phi[2:, 0] - phi[1:-1, 0]) ** 2 + (phi[1:-1, 1] - phi[1:-1, 0]) ** 2) / (h * h)
-    )
-    g[1:-1, -1] = np.sqrt(
-        ((phi[2:, -1] - phi[1:-1, -1]) ** 2 + (phi[1:-1, -1] - phi[1:-1, -2]) ** 2)
-        / (h * h)
     )
     g[0, 0] = g[1, 0]
     g[0, -1] = g[0, -2]

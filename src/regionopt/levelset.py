@@ -153,14 +153,10 @@ def evolve_phi(
     scale = theta * alpha * delta / (h * h)
 
     # flux couplings; boundary faces are omitted (zero flux)
-    east = np.zeros((n_side, n_side))
-    west = np.zeros((n_side, n_side))
-    north = np.zeros((n_side, n_side))
-    south = np.zeros((n_side, n_side))
-    east[:-1, :] = c_e
-    west[1:, :] = c_e
-    north[:, :-1] = c_n
-    south[:, 1:] = c_n
+    east = np.pad(c_e, ((0, 1), (0, 0)))
+    west = np.pad(c_e, ((1, 0), (0, 0)))
+    north = np.pad(c_n, ((0, 0), (0, 1)))
+    south = np.pad(c_n, ((0, 0), (1, 0)))
 
     diag = 1.0 + scale * (east + west + north + south)
     a = sparse.diags(

@@ -4,7 +4,7 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.sparse.linalg import eigsh
 
 from regionopt import agestruct
@@ -130,6 +130,61 @@ def test_scaling_fertility_raises_root():
 def test_zero_fertility_root_is_minus_infinity():
     # No births: every cohort ages out past A, whatever the effort.
     assert lotka_root(basic_model(fertility=0.0)) == -np.inf
+
+
+def test_births_only_at_age_zero_root_is_minus_infinity():
+    # Births b_0 y(0) alone with b_0 < 1 force y(0) = 0: nothing renews.
+    fertility = np.zeros(21)
+    fertility[0] = 1.0
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        assert lotka_root(basic_model(fertility=fertility)) == -np.inf
+
+
+def test_ill_posed_renewal_step_has_no_root():
+    # beta(0) da / 2 = 12.5 >= 1: the left-hand side never falls to 1.
+    with pytest.raises(ValueError, match="renewal step is ill-posed"):
+        lotka_root(basic_model(Na=2, fertility=50.0))
+
+
+def test_root_far_below_replacement_is_found_without_overflow():
+    # The root is near -26, and the bracket's far end near -1800 puts
+    # exp(-r a) far past the double range: the sum must not overflow there.
+    model = basic_model(Na=80, fertility=1.0e-10)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        root = lotka_root(model)
+    assert -27.0 < root < -25.0
+    assert abs(discrete_lotka_lhs(model, root) - 1.0) <= 1e-13
+
+
+@st.composite
+def renewal_models(draw):
+    """Age models with beta(0) da / 2 < 1 and some fertility past age 0.
+
+    Positive fertility stays at least 0.01, so at the root every positive
+    term w beta exp(-C - r a) is at most 1 and its exponential stays finite.
+    """
+    Na = draw(st.integers(2, 80))
+    A = draw(st.floats(0.1, 5.0))
+    rates = st.one_of(st.just(0.0), st.floats(0.01, 3.0))
+    fertility = np.array(draw(st.lists(rates, min_size=Na + 1, max_size=Na + 1)))
+    mortality = np.array(
+        draw(st.lists(st.floats(0.0, 2.0), min_size=Na + 1, max_size=Na + 1))
+    )
+    assume(fertility[0] * (A / Na) / 2.0 < 1.0 and np.any(fertility[1:] > 0.0))
+    return basic_model(A=A, Na=Na, fertility=fertility, mortality=mortality, T=A)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(renewal_models())
+def test_root_solves_the_discrete_equation_to_rounding(model):
+    root = lotka_root(model)
+    da = model.da
+    mu = model.mortality_samples
+    cumulative = np.concatenate(([0.0], np.cumsum(0.5 * (mu[:-1] + mu[1:]) * da)))
+    births = model.fertility_samples > 0.0
+    terms = (age_trapezoid_weights(model.Na, da) * model.fertility_samples)[births]
+    lhs = np.sum(terms * np.exp(-cumulative[births] - root * model.ages[births]))
+    assert abs(lhs - 1.0) <= 1e-13
 
 
 def test_eigenvalue_empty_and_full_region():

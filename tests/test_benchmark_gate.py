@@ -1,0 +1,47 @@
+"""The benchmark's correctness gate passes on a few of its own inputs.
+
+perfbench/check.py judges every benchmark run: the summaries of the
+seeds listed in perfbench/references.json must match the recorded
+values (discrete fields exactly, floats to a relative 1e-9), and each
+output must pass the invariant checks.  This test writes the seed-0
+inputs of both workloads with perfbench/gen.py (all of ``time-marchers``
+and two regions of ``verdict-sweep``), runs them through the command
+line runner and asks check.py for its verdict, so that a change which
+moves a referenced number past the gate fails here first.  Both modules
+are loaded by path; nothing under perfbench/ is imported as a package.
+"""
+
+import importlib.util
+import os
+from pathlib import Path
+
+import pytest
+
+from regionopt import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name):
+    path = PERFBENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+gen = load("gen")
+check = load("check")
+
+
+@pytest.mark.parametrize(
+    "workload, picked", [("time-marchers", (0, 1, 2)), ("verdict-sweep", (0, 2))]
+)
+def test_seed_zero_outputs_pass_the_benchmark_check(tmp_path, workload, picked):
+    configs = gen.generate(workload, 0, str(tmp_path / "inputs"))
+    references = check.load_references()[workload]["0"]
+    for index in picked:
+        path = configs[index]
+        out = str(tmp_path / os.path.splitext(os.path.basename(path))[0])
+        assert cli.run(cli.parse_config(path), out_dir=out) == 0
+        assert check.check_config_output(out, path, references[index]) == []

@@ -399,6 +399,33 @@ def test_eradicability_without_births_is_eradicable(tmp_path):
     assert summary["verdict"] == "Eradicable"
 
 
+def test_eradicability_with_births_only_at_age_zero_is_eradicable(tmp_path):
+    # Births b_0 y(0) alone with b_0 < 1 force y(0) = 0, so r* = -inf.
+    rows = [f"{age:.17g},{1.0 if age == 0.0 else 0.0}" for age in np.linspace(0, 1, 21)]
+    (tmp_path / "fert.csv").write_text("age,value\n" + "\n".join(rows) + "\n")
+    text = AGE_TEXT.replace("fertility = 1.0", "fertility = fert.csv")
+    out = tmp_path / "ev"
+    assert main(["--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
+    summary = read_summary(out)
+    assert summary["r_star"] == "-inf"
+    assert summary["margin"] == "inf"
+    assert summary["verdict"] == "Eradicable"
+
+
+def test_ill_posed_renewal_step_rejected_for_both_age_commands(tmp_path, capsys):
+    # beta(0) da / 2 = 50 * 0.5 / 2 >= 1: no renewal root and no renewal step.
+    errors = []
+    for text in (AGE_TEXT, ERADICATION_TEXT):
+        text = re.sub(r"Na = \d+", "Na = 2", text)
+        text = re.sub(r"fertility = [\d.]+", "fertility = 50", text)
+        path, out = write_config(tmp_path, text), tmp_path / "o"
+        assert main(["--config", str(path), "--out", str(out)]) == 2
+        errors.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert "agestruct.fertility rejected: " in errors[0] and "12.5 >= 1" in errors[0]
+    assert errors[1] == errors[0]
+
+
 def test_y0_range_checked_only_where_the_age_model_marches(tmp_path, capsys):
     outputs = []
     for text in (AGE_TEXT, AGE_TEXT.replace("[model]", "[model]\ny0 = -1")):
@@ -534,9 +561,9 @@ PINNED_SUMMARIES = {
         AGE_TEXT,
         {
             "command": "eradicability",
-            "r_star": 1.16415321827e-10,
+            "r_star": -2.33731163079e-16,
             "lambda1": 2.0,
-            "margin": 1.99999999988,
+            "margin": 2.0,
             "verdict": "Eradicable",
             "tolerance": 1e-06,
         },
