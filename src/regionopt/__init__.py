@@ -32,7 +32,6 @@ from .grid import (
     GridSpec,
     ScalarField,
     SpaceTimeField,
-    curvature_divergence,
     gradient_magnitude,
     read_field_csv,
     simpson_integral_2d,
@@ -43,6 +42,7 @@ from .levelset import (
     Mollifier,
     checkerboard_levelset,
     circle_levelset,
+    curvature_divergence,
     delta_mollified,
     evolve_phi,
     heaviside_mollified,
@@ -71,7 +71,6 @@ __all__ = [
     "SpaceTimeField",
     "simpson_integral_2d",
     "gradient_magnitude",
-    "curvature_divergence",
     "write_field_csv",
     "read_field_csv",
     "Mollifier",
@@ -81,6 +80,7 @@ __all__ = [
     "region_area",
     "region_length",
     "evolve_phi",
+    "curvature_divergence",
     "circle_levelset",
     "checkerboard_levelset",
     "write_region_pgm",

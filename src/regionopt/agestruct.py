@@ -40,8 +40,13 @@ import numpy as np
 from scipy.linalg.lapack import dgeqrf, dorgqr
 
 from .errors import ConvergenceFailure, SolverFailure
-from .grid import GridSpec, ScalarField, curvature_divergence, simpson_integral_2d
-from .levelset import LevelSetFunction, Mollifier, heaviside_mollified
+from .grid import GridSpec, ScalarField, simpson_integral_2d
+from .levelset import (
+    LevelSetFunction,
+    Mollifier,
+    curvature_divergence,
+    heaviside_mollified,
+)
 from .pde import _ImplicitStepper
 from .shapeopt import Convergence, Trace, descend, penalised_cost
 
@@ -480,7 +485,9 @@ def eradication_velocity(
     -beta + L * integral with the length term applied implicitly at
     weight alpha.  The "printed" variant follows the published system
     verbatim (opposite alpha and beta signs), with its negative-weight
-    curvature term applied explicitly inside the velocity.
+    curvature term applied explicitly inside the velocity: the same
+    zero-flux operator (levelset.curvature_divergence) that the descent
+    variant's level-set step solves with implicitly.
     """
     if sign_variant not in SIGN_VARIANTS:
         raise ValueError(f"sign_variant must be one of {SIGN_VARIANTS}")

@@ -5,10 +5,9 @@ split into N subintervals per side (nodes x_i = (i-1)h with h = 1/N, so
 N+1 nodes per side) and M implicit-Euler levels on [0, T].  This module
 holds the shared bookkeeping: the grid description, nodal scalar and
 space-time fields, tensor-product composite Simpson quadrature, the
-gradient-magnitude stencil with its one-sided boundary closure, the
-regularized curvature operator, and the CSV node tables (fields on the
-grid, samples on the age grid) read and written by the command line
-runner.
+gradient-magnitude stencil with its one-sided boundary closure, and the
+CSV node tables (fields on the grid, samples on the age grid) read and
+written by the command line runner.
 
 Simpson quadrature requires an even number of subintervals, hence the
 parity constraints on N and M.
@@ -179,28 +178,6 @@ def gradient_magnitude(field: ScalarField) -> ScalarField:
     g[-1, 0] = g[-1, 1]
     g[-1, -1] = g[-1, -2]
     return ScalarField(field.grid, g)
-
-
-def curvature_divergence(field: ScalarField, eta: float = 1.0e-8) -> ScalarField:
-    """div(grad phi / sqrt(|grad phi|^2 + eta^2)) at every node.
-
-    The gradient is normalized with the eta safeguard so flat regions
-    stay finite, then the divergence is taken with centered differences
-    (one-sided at the boundary nodes).  For a level set that is positive
-    inside a disc of radius R the value on the interface is -1/R: the
-    normalized gradient points inward there.
-    """
-    if eta <= 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    h = field.grid.h
-    gx, gy = np.gradient(field.values, h, edge_order=1)
-    norm = np.sqrt(gx * gx + gy * gy + eta * eta)
-    n1 = gx / norm
-    n2 = gy / norm
-    div = np.gradient(n1, h, axis=0, edge_order=1) + np.gradient(
-        n2, h, axis=1, edge_order=1
-    )
-    return ScalarField(field.grid, div)
 
 
 def write_field_csv(field: ScalarField, path) -> None:

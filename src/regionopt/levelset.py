@@ -19,7 +19,10 @@ evolve_phi performs one step of the descent flow
 treating the curvature term implicitly with coefficients frozen at the
 current iterate (a linear solve per step, unconditionally stable) and
 the remaining velocity explicitly.  The flow keeps the homogeneous
-Neumann condition through zero-flux closure of the curvature operator.
+Neumann condition through zero-flux closure of the curvature operator:
+boundary faces carry no flux.  curvature_divergence applies the same
+zero-flux operator explicitly, as the "printed" sign variant of the
+eradication descent does inside its velocity.
 """
 
 from __future__ import annotations
@@ -90,23 +93,64 @@ def region_length(phi: LevelSetFunction, m: Mollifier) -> float:
     )
 
 
-def _face_coefficients(phi: np.ndarray, h: float, eta: float):
-    """1/sqrt(|grad phi|^2 + eta^2) on east and north cell faces.
+CURVATURE_ETA = 1.0e-8  # keeps 1/sqrt(|grad phi|^2 + eta^2) finite where phi is flat
+
+
+def _face_coefficients(phi: np.ndarray, h: float):
+    """1/sqrt(|grad phi|^2 + CURVATURE_ETA^2) on east and north cell faces.
 
     The face gradient takes the difference across the face and averages
     the central tangential differences of the two adjacent nodes, so the
     assembled operator is symmetric.
     """
+    eta2 = CURVATURE_ETA * CURVATURE_ETA
     gx, gy = np.gradient(phi, h, edge_order=1)
     # east faces between (i, j) and (i+1, j)
     dx_e = (phi[1:, :] - phi[:-1, :]) / h
     ty_e = 0.5 * (gy[1:, :] + gy[:-1, :])
-    c_e = 1.0 / np.sqrt(dx_e * dx_e + ty_e * ty_e + eta * eta)
+    c_e = 1.0 / np.sqrt(dx_e * dx_e + ty_e * ty_e + eta2)
     # north faces between (i, j) and (i, j+1)
     dy_n = (phi[:, 1:] - phi[:, :-1]) / h
     tx_n = 0.5 * (gx[:, 1:] + gx[:, :-1])
-    c_n = 1.0 / np.sqrt(dy_n * dy_n + tx_n * tx_n + eta * eta)
+    c_n = 1.0 / np.sqrt(dy_n * dy_n + tx_n * tx_n + eta2)
     return c_e, c_n
+
+
+def _zero_flux_divergence(phi: np.ndarray, h: float, weight, shift: float = 0.0):
+    """shift * I + diag(weight) * K in CSR, where K u / h^2 = div(c grad u).
+
+    The face coefficients c are frozen at phi.  Boundary faces are
+    omitted (zero flux), so each row of K sums to zero.
+    """
+    n_side = phi.shape[0]
+    c_e, c_n = _face_coefficients(phi, h)
+    east = np.pad(c_e, ((0, 1), (0, 0)))
+    west = np.pad(c_e, ((1, 0), (0, 0)))
+    north = np.pad(c_n, ((0, 0), (0, 1)))
+    south = np.pad(c_n, ((0, 0), (1, 0)))
+    return sparse.diags(
+        [
+            (shift - weight * (east + west + north + south)).ravel(),
+            (weight * east)[:-1, :].ravel(),
+            (weight * west)[1:, :].ravel(),
+            (weight * north).ravel()[:-1],
+            (weight * south).ravel()[1:],
+        ],
+        [0, n_side, -n_side, 1, -1],
+        format="csr",
+    )
+
+
+def curvature_divergence(field: ScalarField) -> ScalarField:
+    """div(grad phi / sqrt(|grad phi|^2 + CURVATURE_ETA^2)) at every node.
+
+    The zero-flux operator that evolve_phi solves with, applied to phi.
+    Positive inside a disc of radius R, phi has curvature -1/R on the circle.
+    """
+    p = field.values
+    h = field.grid.h
+    kp = _zero_flux_divergence(p, h, 1.0 / (h * h)) @ p.ravel()
+    return ScalarField(field.grid, kp.reshape(p.shape))
 
 
 def evolve_phi(
@@ -115,14 +159,14 @@ def evolve_phi(
     theta: float,
     m: Mollifier,
     alpha: float = 0.0,
-    eta: float = 1.0e-8,
 ) -> LevelSetFunction:
     """One semi-implicit step of the level-set descent flow.
 
     Solves (I - theta * D * alpha * Lcurv) phi' = phi + theta * D * velocity
     where D = diag(delta_eps(phi)) and Lcurv is the zero-flux divergence
     form of the curvature operator with coefficients frozen at phi.  With
-    alpha = 0 the update is the explicit pointwise one.
+    alpha = 0 the update is the explicit pointwise one.  A non-finite
+    result raises SolverFailure.
 
     Parameters
     ----------
@@ -137,44 +181,16 @@ def evolve_phi(
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     if velocity.grid != phi.grid:
         raise ValueError("velocity and phi live on different grids")
-    grid = phi.grid
-    h = grid.h
+    h = phi.grid.h
     p = phi.phi.values
     delta = delta_mollified(p, m)
-    rhs = (p + theta * delta * velocity.values).ravel()
-
-    if alpha == 0.0:
-        out = rhs.reshape(p.shape)
-        return LevelSetFunction(ScalarField(grid, out.copy()))
-
-    n_side = grid.N + 1
-    n = n_side * n_side
-    c_e, c_n = _face_coefficients(p, h, eta)
-    scale = theta * alpha * delta / (h * h)
-
-    # flux couplings; boundary faces are omitted (zero flux)
-    east = np.pad(c_e, ((0, 1), (0, 0)))
-    west = np.pad(c_e, ((1, 0), (0, 0)))
-    north = np.pad(c_n, ((0, 0), (0, 1)))
-    south = np.pad(c_n, ((0, 0), (1, 0)))
-
-    diag = 1.0 + scale * (east + west + north + south)
-    a = sparse.diags(
-        [
-            diag.ravel(),
-            -(scale * east)[:-1, :].ravel(),
-            -(scale * west)[1:, :].ravel(),
-            -(scale * north).ravel()[:-1],
-            -(scale * south).ravel()[1:],
-        ],
-        [0, n_side, -n_side, 1, -1],
-        shape=(n, n),
-        format="csr",
-    )
-    out = spsolve(a, rhs)
+    out = p + theta * delta * velocity.values
+    if alpha != 0.0:
+        a = _zero_flux_divergence(p, h, -theta * alpha * delta / (h * h), shift=1.0)
+        out = spsolve(a, out.ravel()).reshape(p.shape)
     if not np.all(np.isfinite(out)):
-        raise SolverFailure("implicit level-set step produced non-finite values")
-    return LevelSetFunction(ScalarField(grid, out.reshape(p.shape)))
+        raise SolverFailure("level-set step produced non-finite values")
+    return LevelSetFunction(ScalarField(phi.grid, out))
 
 
 def write_region_pgm(phi: LevelSetFunction, path) -> None:

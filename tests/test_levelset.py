@@ -8,6 +8,7 @@ from regionopt.levelset import (
     Mollifier,
     checkerboard_levelset,
     circle_levelset,
+    curvature_divergence,
     delta_mollified,
     evolve_phi,
     heaviside_mollified,
@@ -178,8 +179,8 @@ def test_evolve_phi_positive_velocity_grows_region():
 
 
 def test_evolve_phi_matches_dense_reference():
-    # rebuild the frozen-coefficient implicit system with plain loops and
-    # compare against the sparse production path
+    # rebuild the frozen-coefficient zero-flux operator with plain loops and
+    # compare the implicit step and the explicit curvature against it
     g = GridSpec(4, 2, 1.0)
     rng = np.random.default_rng(9)
     pv = rng.standard_normal((5, 5))
@@ -202,28 +203,28 @@ def test_evolve_phi_matches_dense_reference():
         return 1.0 / np.sqrt(dy * dy + tx * tx + eta * eta)
 
     n = n_side * n_side
-    a = np.zeros((n, n))
+    # k u / h^2 = div(c grad u); boundary faces carry no flux
+    k = np.zeros((n, n))
     for i in range(n_side):
         for j in range(n_side):
             q = i * n_side + j
-            s = theta * alpha * delta[i, j] / (h * h)
-            a[q, q] = 1.0
             if i + 1 < n_side:
                 c = c_east(i, j)
-                a[q, q] += s * c
-                a[q, q + n_side] -= s * c
+                k[q, q] -= c
+                k[q, q + n_side] += c
             if i - 1 >= 0:
                 c = c_east(i - 1, j)
-                a[q, q] += s * c
-                a[q, q - n_side] -= s * c
+                k[q, q] -= c
+                k[q, q - n_side] += c
             if j + 1 < n_side:
                 c = c_north(i, j)
-                a[q, q] += s * c
-                a[q, q + 1] -= s * c
+                k[q, q] -= c
+                k[q, q + 1] += c
             if j - 1 >= 0:
                 c = c_north(i, j - 1)
-                a[q, q] += s * c
-                a[q, q - 1] -= s * c
+                k[q, q] -= c
+                k[q, q - 1] += c
+    a = np.eye(n) - (theta * alpha * delta.ravel() / (h * h))[:, None] * k
     rhs = (pv + theta * delta * vv).ravel()
     expect = np.linalg.solve(a, rhs).reshape(5, 5)
 
@@ -233,9 +234,10 @@ def test_evolve_phi_matches_dense_reference():
         theta,
         m,
         alpha=alpha,
-        eta=eta,
     )
     assert np.allclose(out.phi.values, expect, rtol=1e-12, atol=1e-12)
+    curv = curvature_divergence(ScalarField(g, pv)).values
+    assert np.allclose(curv, (k @ pv.ravel()).reshape(5, 5) / (h * h), rtol=1e-12, atol=1e-12)
 
 
 def test_evolve_phi_validation():
@@ -251,13 +253,14 @@ def test_evolve_phi_validation():
         evolve_phi(phi, other, 0.1, Mollifier(1.0))
 
 
-def test_evolve_phi_non_finite_implicit_step_is_solver_failure():
+@pytest.mark.parametrize("alpha", [0.0, 0.4], ids=["explicit", "implicit"])
+def test_evolve_phi_non_finite_step_is_solver_failure(alpha):
     g = GridSpec(4, 2, 1.0)
     phi = circle_levelset(g)
     vel = ScalarField.constant(g, 0.0)
     vel.values[2, 2] = np.nan
     with pytest.raises(SolverFailure, match="non-finite"):
-        evolve_phi(phi, vel, 0.1, Mollifier(1.0), alpha=0.4)
+        evolve_phi(phi, vel, 0.1, Mollifier(1.0), alpha=alpha)
 
 
 def test_write_region_pgm(tmp_path):
