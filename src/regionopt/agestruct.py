@@ -24,11 +24,12 @@ shift along characteristics, and reuses the implicit step solver of the
 pde module for diffusion and decay, all age levels of a time step in one
 batched solve on full-grid levels.  The principal eigenvalue comes from
 a block-1 LOBPCG that factorizes no operator: its basis is one n x 3
-block, orthonormalized in place by LAPACK Householder QR, its products
-go through the step solver's five-point stencil with the operator's own
-main diagonal, and its preconditioner is the step solver's DCT inverse
-at a fixed shift.  Mortality is sampled finitely on the age grid;
-whatever is transported past the maximal age A flows out of the system.
+block, orthonormalized in place by Householder QR from NumPy's LAPACK
+(numpy.linalg.lapack_lite), its products go through the step solver's
+five-point stencil with the operator's own main diagonal, and its
+preconditioner is the step solver's DCT inverse at a fixed shift.
+Mortality is sampled finitely on the age grid; whatever is transported
+past the maximal age A flows out of the system.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dorgqr
+from numpy.linalg import lapack_lite
 
 from .errors import ConvergenceFailure, SolverFailure
 from .grid import GridSpec, ScalarField, simpson_integral_2d
@@ -259,11 +260,11 @@ def principal_eigenvalue(effort: ScalarField, d: float) -> float:
     of (mean(u) + 1e-3) I - d lap, the mean taken over the interior
     nodes (Knyazev 2001), starting from the constant vector.  The three
     columns live in one n x 3 block, orthonormalized in place by LAPACK
-    Householder QR (dgeqrf, then dorgqr over the same memory).  Stops at
-    a relative eigenresidual of 1e-8.  A negative d or effort raises
-    ValueError; running out of EIGEN_MAX_ITER steps raises
-    ConvergenceFailure, and non-finite values or a failed projection
-    raise SolverFailure.
+    Householder QR (lapack_lite's dgeqrf, then dorgqr over the same
+    memory).  Stops at a relative eigenresidual of 1e-8.  A negative d
+    or effort raises ValueError; running out of EIGEN_MAX_ITER steps
+    raises ConvergenceFailure, and non-finite values or a failed
+    projection raise SolverFailure.
     """
     if d < 0.0 or np.any(effort.values < 0.0):
         raise ValueError("d and the effort must be nonnegative")
@@ -279,8 +280,13 @@ def principal_eigenvalue(effort: ScalarField, d: float) -> float:
         return blocks.reshape(v.shape[::-1]).T
 
     eigs = np.mean(interior) + 1.0e-3 + stepper.lap_eigs
-    block = np.empty((n1 * n1, 3), order="F")  # x, T r, update (none at step 0)
-    x = np.full(n1 * n1, 1.0 / n1)
+    n = n1 * n1
+    # rows x, T r, update (none at step 0): C-ordered, so block[:k].T is
+    # the Fortran n x k matrix that LAPACK factors in place
+    block = np.empty((3, n))
+    tau = np.empty(3)
+    work = np.empty(192)  # three columns at any LAPACK block size up to 64
+    x = np.full(n, 1.0 / n1)
     image = product(x)
     value = float(x @ image)
     for step in range(EIGEN_MAX_ITER + 1):
@@ -292,13 +298,15 @@ def principal_eigenvalue(effort: ScalarField, d: float) -> float:
             return value
         if step == EIGEN_MAX_ITER:
             break
-        block[:, 0] = x
-        block[:, 1] = stepper.precondition(eigs, r.reshape(n1, n1)).ravel()
-        basis, tau, _, info = dgeqrf(block[:, : 3 if step else 2], overwrite_a=True)
+        block[0] = x
+        block[1] = stepper.precondition(eigs, r.reshape(n1, n1)).ravel()
+        k = 3 if step else 2
+        info = lapack_lite.dgeqrf(n, k, block, n, tau, work, work.size, 0)["info"]
         if info == 0:
-            basis, _, info = dorgqr(basis, tau, overwrite_a=True)
+            info = lapack_lite.dorgqr(n, k, k, block, n, tau, work, work.size, 0)["info"]
         if info:
             raise SolverFailure(f"eigen Rayleigh-Ritz step failed: LAPACK info {info}")
+        basis = block[:k].T
         images = product(basis)
         try:
             values, vectors = np.linalg.eigh(basis.T @ images)
@@ -311,7 +319,7 @@ def principal_eigenvalue(effort: ScalarField, d: float) -> float:
         x = basis @ coeffs
         image = images @ coeffs
         value = float(values[0])
-        block[:, 2:] = update
+        block[2] = update[:, 0]
     raise ConvergenceFailure(
         f"eigenvalue iteration stagnated after {EIGEN_MAX_ITER} steps: "
         f"residual {residual:.3e} at value {value:.6e}"

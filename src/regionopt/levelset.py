@@ -20,9 +20,13 @@ treating the curvature term implicitly with coefficients frozen at the
 current iterate (a linear solve per step, unconditionally stable) and
 the remaining velocity explicitly.  The flow keeps the homogeneous
 Neumann condition through zero-flux closure of the curvature operator:
-boundary faces carry no flux.  curvature_divergence applies the same
-zero-flux operator explicitly, as the "printed" sign variant of the
-eradication descent does inside its velocity.
+boundary faces carry no flux.  The operator is held as five band arrays
+on the grid; the step solves with it by block-tridiagonal elimination
+over grid rows, one dense NumPy solve per row: about N^4 work against
+a sparse LU's N^3, no slower for the grids the descents run on (N up to
+about 80) but twice as slow at N = 160.  curvature_divergence applies
+it explicitly as shifted-slice products, as the "printed" sign variant
+of the eradication descent does inside its velocity.
 """
 
 from __future__ import annotations
@@ -30,8 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import spsolve
 
 from .errors import SolverFailure
 from .grid import GridSpec, ScalarField, gradient_magnitude, simpson_integral_2d
@@ -117,28 +119,56 @@ def _face_coefficients(phi: np.ndarray, h: float):
 
 
 def _zero_flux_divergence(phi: np.ndarray, h: float, weight, shift: float = 0.0):
-    """shift * I + diag(weight) * K in CSR, where K u / h^2 = div(c grad u).
+    """Bands of shift * I + diag(weight) * K, where K u / h^2 = div(c grad u).
 
-    The face coefficients c are frozen at phi.  Boundary faces are
-    omitted (zero flux), so each row of K sums to zero.
+    Returns (main, east, west, north, south) on the grid of phi: row
+    (i, j) of the operator holds main[i, j] at (i, j) and east, west,
+    north, south[i, j] at (i+1, j), (i-1, j), (i, j+1), (i, j-1).  The
+    face coefficients c are frozen at phi.  Boundary faces are omitted
+    (zero flux), so each row of K sums to zero and a band is 0 wherever
+    its neighbour lies off the grid.
     """
-    n_side = phi.shape[0]
     c_e, c_n = _face_coefficients(phi, h)
     east = np.pad(c_e, ((0, 1), (0, 0)))
     west = np.pad(c_e, ((1, 0), (0, 0)))
     north = np.pad(c_n, ((0, 0), (0, 1)))
     south = np.pad(c_n, ((0, 0), (1, 0)))
-    return sparse.diags(
-        [
-            (shift - weight * (east + west + north + south)).ravel(),
-            (weight * east)[:-1, :].ravel(),
-            (weight * west)[1:, :].ravel(),
-            (weight * north).ravel()[:-1],
-            (weight * south).ravel()[1:],
-        ],
-        [0, n_side, -n_side, 1, -1],
-        format="csr",
-    )
+    main = shift - weight * (east + west + north + south)
+    return main, weight * east, weight * west, weight * north, weight * south
+
+
+def _solve_by_rows(bands, rhs: np.ndarray) -> np.ndarray:
+    """Solve the five-band system of _zero_flux_divergence for rhs.
+
+    Block-tridiagonal elimination over the grid rows i: row block i is
+    tridiagonal in j and couples to rows i -+ 1 through the diagonal
+    west and east bands.  Each row solves its Schur complement S_i once,
+    for the east coupling and the right-hand side together (N+2
+    columns); back substitution then runs over the rows in reverse.
+    Elimination across blocks does not pivot, which is stable for the
+    strictly row diagonally dominant I - diag(theta alpha delta / h^2) K.
+    """
+    main, east, west, north, south = bands
+    n = rhs.shape[0]
+    # entry i + 1 belongs to row i; entry 0 is a zero row -1
+    gains = np.zeros((n + 1, n, n))  # S_i^-1 diag(east[i])
+    parts = np.zeros((n + 1, n))  # S_i^-1 (rhs[i] - west[i] parts[i - 1])
+    cols = np.zeros((n, n + 1))
+    for i in range(n):
+        schur = -west[i][:, None] * gains[i]
+        flat = schur.reshape(-1)
+        flat[:: n + 1] += main[i]
+        flat[1 :: n + 1] += north[i, :-1]
+        flat[n :: n + 1] += south[i, 1:]
+        cols.reshape(-1)[: n * (n + 1) : n + 2] = east[i]
+        cols[:, n] = rhs[i] - west[i] * parts[i]
+        solved = np.linalg.solve(schur, cols)
+        gains[i + 1] = solved[:, :n]
+        parts[i + 1] = solved[:, n]
+    out = parts[1:]
+    for i in range(n - 2, -1, -1):
+        out[i] -= gains[i + 1] @ out[i + 1]
+    return out
 
 
 def curvature_divergence(field: ScalarField) -> ScalarField:
@@ -149,8 +179,16 @@ def curvature_divergence(field: ScalarField) -> ScalarField:
     """
     p = field.values
     h = field.grid.h
-    kp = _zero_flux_divergence(p, h, 1.0 / (h * h)) @ p.ravel()
-    return ScalarField(field.grid, kp.reshape(p.shape))
+    main, east, west, north, south = _zero_flux_divergence(p, h, 1.0 / (h * h))
+    pad = np.pad(p, 1)
+    kp = (
+        west * pad[:-2, 1:-1]
+        + south * pad[1:-1, :-2]
+        + main * p
+        + north * pad[1:-1, 2:]
+        + east * pad[2:, 1:-1]
+    )
+    return ScalarField(field.grid, kp)
 
 
 def evolve_phi(
@@ -166,7 +204,7 @@ def evolve_phi(
     where D = diag(delta_eps(phi)) and Lcurv is the zero-flux divergence
     form of the curvature operator with coefficients frozen at phi.  With
     alpha = 0 the update is the explicit pointwise one.  A non-finite
-    result raises SolverFailure.
+    result or a singular row block raises SolverFailure.
 
     Parameters
     ----------
@@ -186,8 +224,11 @@ def evolve_phi(
     delta = delta_mollified(p, m)
     out = p + theta * delta * velocity.values
     if alpha != 0.0:
-        a = _zero_flux_divergence(p, h, -theta * alpha * delta / (h * h), shift=1.0)
-        out = spsolve(a, out.ravel()).reshape(p.shape)
+        bands = _zero_flux_divergence(p, h, -theta * alpha * delta / (h * h), shift=1.0)
+        try:
+            out = _solve_by_rows(bands, out)
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailure(f"level-set step failed: {exc}") from exc
     if not np.all(np.isfinite(out)):
         raise SolverFailure("level-set step produced non-finite values")
     return LevelSetFunction(ScalarField(phi.grid, out))

@@ -535,15 +535,20 @@ def test_eradication_run_solves_the_age_model_once_per_evaluated_phi(
 # numbers: floats to a relative 1e-9 (the rule of perfbench/references.json),
 # integers and strings exactly.
 PINNED_SUMMARIES = {
+    # Late iterates of this run have flat patches, where the level-set
+    # system's face coefficients reach about 1e10: its region length holds
+    # only about seven digits across exact solvers (reordering the same
+    # sparse LU moves it by up to 1.1e-7), so it records this solver's
+    # rounding.
     "optimize-region": (
         TEST1_TEXT,
         {
             "command": "optimize-region",
             "iterations": 10,
             "stop_reason": "J tolerance",
-            "final_cost": 0.015436763824504235,
-            "final_region_area": 0.4418009237418874,
-            "final_region_length": 7.1910496226592695e-06,
+            "final_cost": 0.015436763823872296,
+            "final_region_area": 0.44180092373863195,
+            "final_region_length": 7.1910492529660925e-06,
         },
     ),
     "forward": (

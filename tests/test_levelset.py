@@ -1,11 +1,16 @@
+import csv
+
 import numpy as np
 import pytest
+from test_cli import TEST1_TEXT, write_config
 
+from regionopt.cli import main
 from regionopt.errors import SolverFailure
 from regionopt.grid import GridSpec, ScalarField
 from regionopt.levelset import (
     LevelSetFunction,
     Mollifier,
+    _zero_flux_divergence,
     checkerboard_levelset,
     circle_levelset,
     curvature_divergence,
@@ -181,63 +186,110 @@ def test_evolve_phi_positive_velocity_grows_region():
 def test_evolve_phi_matches_dense_reference():
     # rebuild the frozen-coefficient zero-flux operator with plain loops and
     # compare the implicit step and the explicit curvature against it
+    for n_grid in (4, 10):
+        g = GridSpec(n_grid, 2, 1.0)
+        n_side = n_grid + 1
+        rng = np.random.default_rng(9)
+        pv = rng.standard_normal((n_side, n_side))
+        vv = rng.standard_normal((n_side, n_side))
+        theta, alpha, eta = 0.07, 0.3, 1e-8
+        m = Mollifier(0.8)
+        h = g.h
+        gx, gy = np.gradient(pv, h, edge_order=1)
+        delta = delta_mollified(pv, m)
+
+        def c_east(i, j):
+            dx = (pv[i + 1, j] - pv[i, j]) / h
+            ty = 0.5 * (gy[i + 1, j] + gy[i, j])
+            return 1.0 / np.sqrt(dx * dx + ty * ty + eta * eta)
+
+        def c_north(i, j):
+            dy = (pv[i, j + 1] - pv[i, j]) / h
+            tx = 0.5 * (gx[i, j + 1] + gx[i, j])
+            return 1.0 / np.sqrt(dy * dy + tx * tx + eta * eta)
+
+        n = n_side * n_side
+        # k u / h^2 = div(c grad u); boundary faces carry no flux
+        k = np.zeros((n, n))
+        for i in range(n_side):
+            for j in range(n_side):
+                q = i * n_side + j
+                if i + 1 < n_side:
+                    c = c_east(i, j)
+                    k[q, q] -= c
+                    k[q, q + n_side] += c
+                if i - 1 >= 0:
+                    c = c_east(i - 1, j)
+                    k[q, q] -= c
+                    k[q, q - n_side] += c
+                if j + 1 < n_side:
+                    c = c_north(i, j)
+                    k[q, q] -= c
+                    k[q, q + 1] += c
+                if j - 1 >= 0:
+                    c = c_north(i, j - 1)
+                    k[q, q] -= c
+                    k[q, q - 1] += c
+        a = np.eye(n) - (theta * alpha * delta.ravel() / (h * h))[:, None] * k
+        rhs = (pv + theta * delta * vv).ravel()
+        expect = np.linalg.solve(a, rhs).reshape(n_side, n_side)
+
+        out = evolve_phi(
+            LevelSetFunction(ScalarField(g, pv)),
+            ScalarField(g, vv),
+            theta,
+            m,
+            alpha=alpha,
+        )
+        assert np.allclose(out.phi.values, expect, rtol=1e-12, atol=1e-12), n_grid
+        curv = curvature_divergence(ScalarField(g, pv)).values
+        expect_curv = (k @ pv.ravel()).reshape(n_side, n_side) / (h * h)
+        assert np.allclose(curv, expect_curv, rtol=1e-12, atol=1e-12), n_grid
+
+
+def test_evolve_phi_backward_error_with_flat_patches():
+    # Clipping flattens phi inside and outside a ring, where the face
+    # coefficients reach 1/CURVATURE_ETA: the system's rows then span
+    # about ten orders of magnitude.  The row-block solve must still be
+    # backward stable.
+    g = GridSpec(48, 2, 1.0)
+    radius = circle_levelset(g).phi.values
+    phi = LevelSetFunction(ScalarField(g, np.clip(radius, -0.05, 0.05)))
+    p = phi.phi.values
+    vel = ScalarField(g, np.cos(7.0 * p))
+    theta, alpha, m = 0.05, 0.4, Mollifier(0.1)
+    x = evolve_phi(phi, vel, theta, m, alpha=alpha).phi.values
+    delta = delta_mollified(p, m)
+    b = p + theta * delta * vel.values
+    bands = _zero_flux_divergence(p, g.h, -theta * alpha * delta / g.h**2, 1.0)
+    main, east, west, north, south = bands
+    assert np.abs(east).max() > 1e9
+    ax = main * x
+    ax[:-1] += east[:-1] * x[1:]
+    ax[1:] += west[1:] * x[:-1]
+    ax[:, :-1] += north[:, :-1] * x[:, 1:]
+    ax[:, 1:] += south[:, 1:] * x[:, :-1]
+    norm_a = sum(np.abs(band) for band in bands).max()
+    scale = norm_a * np.abs(x).max() + np.abs(b).max()
+    assert np.abs(ax - b).max() / scale <= 1e-14
+
+
+def test_singular_row_block_is_solver_failure(tmp_path, monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
     g = GridSpec(4, 2, 1.0)
-    rng = np.random.default_rng(9)
-    pv = rng.standard_normal((5, 5))
-    vv = rng.standard_normal((5, 5))
-    theta, alpha, eta = 0.07, 0.3, 1e-8
-    m = Mollifier(0.8)
-    h = g.h
-    n_side = 5
-    gx, gy = np.gradient(pv, h, edge_order=1)
-    delta = delta_mollified(pv, m)
-
-    def c_east(i, j):
-        dx = (pv[i + 1, j] - pv[i, j]) / h
-        ty = 0.5 * (gy[i + 1, j] + gy[i, j])
-        return 1.0 / np.sqrt(dx * dx + ty * ty + eta * eta)
-
-    def c_north(i, j):
-        dy = (pv[i, j + 1] - pv[i, j]) / h
-        tx = 0.5 * (gx[i, j + 1] + gx[i, j])
-        return 1.0 / np.sqrt(dy * dy + tx * tx + eta * eta)
-
-    n = n_side * n_side
-    # k u / h^2 = div(c grad u); boundary faces carry no flux
-    k = np.zeros((n, n))
-    for i in range(n_side):
-        for j in range(n_side):
-            q = i * n_side + j
-            if i + 1 < n_side:
-                c = c_east(i, j)
-                k[q, q] -= c
-                k[q, q + n_side] += c
-            if i - 1 >= 0:
-                c = c_east(i - 1, j)
-                k[q, q] -= c
-                k[q, q - n_side] += c
-            if j + 1 < n_side:
-                c = c_north(i, j)
-                k[q, q] -= c
-                k[q, q + 1] += c
-            if j - 1 >= 0:
-                c = c_north(i, j - 1)
-                k[q, q] -= c
-                k[q, q - 1] += c
-    a = np.eye(n) - (theta * alpha * delta.ravel() / (h * h))[:, None] * k
-    rhs = (pv + theta * delta * vv).ravel()
-    expect = np.linalg.solve(a, rhs).reshape(5, 5)
-
-    out = evolve_phi(
-        LevelSetFunction(ScalarField(g, pv)),
-        ScalarField(g, vv),
-        theta,
-        m,
-        alpha=alpha,
-    )
-    assert np.allclose(out.phi.values, expect, rtol=1e-12, atol=1e-12)
-    curv = curvature_divergence(ScalarField(g, pv)).values
-    assert np.allclose(curv, (k @ pv.ravel()).reshape(5, 5) / (h * h), rtol=1e-12, atol=1e-12)
+    vel = ScalarField.constant(g, 1.0)
+    with pytest.raises(SolverFailure, match="Singular matrix"):
+        evolve_phi(circle_levelset(g), vel, 0.1, Mollifier(1.0), alpha=0.4)
+    # the CLI maps it to exit 3 and keeps the trace up to the failure
+    out = tmp_path / "fail"
+    assert main(["--config", str(write_config(tmp_path, TEST1_TEXT)), "--out", str(out)]) == 3
+    with open(out / "trace.csv", newline="") as handle:
+        rows = list(csv.reader(handle))
+    # the start iterate's record, closed by the failure
+    assert [(row[0], row[-1]) for row in rows[1:]] == [("1", "solver failure")]
 
 
 def test_evolve_phi_validation():
