@@ -27,7 +27,9 @@ a block-1 LOBPCG that factorizes no operator: its basis is one n x 3
 block, orthonormalized in place by Householder QR from NumPy's LAPACK
 (numpy.linalg.lapack_lite), its products go through the step solver's
 five-point stencil with the operator's own main diagonal, and its
-preconditioner is the step solver's DCT inverse at a fixed shift.
+preconditioner is the step solver's DCT inverse at a fixed shift, run
+in single precision: it only picks the search direction, and lambda_1
+is left to the double precision Rayleigh-Ritz step and residual test.
 Mortality is sampled finitely on the age grid; whatever is transported
 past the maximal age A flows out of the system.
 """
@@ -52,6 +54,7 @@ from .pde import _ImplicitStepper
 from .shapeopt import Convergence, Trace, descend, penalised_cost
 
 EIGEN_TOL = 1.0e-8
+EIGEN_ROUNDOFF = 16.0  # least stopping residual, in units of eps * max |row sum|
 EIGEN_MAX_ITER = 500
 VERDICT_TOLERANCE = 1.0e-6
 SIGN_VARIANTS = ("descent", "printed")
@@ -258,13 +261,17 @@ def principal_eigenvalue(effort: ScalarField, d: float) -> float:
     nodes with main diagonal (d / h^2) (neighbor count) + u.  Each step
     projects onto span{x, T r, p}, with T the step solver's DCT inverse
     of (mean(u) + 1e-3) I - d lap, the mean taken over the interior
-    nodes (Knyazev 2001), starting from the constant vector.  The three
-    columns live in one n x 3 block, orthonormalized in place by LAPACK
-    Householder QR (lapack_lite's dgeqrf, then dorgqr over the same
-    memory).  Stops at a relative eigenresidual of 1e-8.  A negative d
-    or effort raises ValueError; running out of EIGEN_MAX_ITER steps
-    raises ConvergenceFailure, and non-finite values or a failed
-    projection raise SolverFailure.
+    nodes (Knyazev 2001), starting from the constant vector.  T runs in
+    float32 on the unit residual: T r is only a search direction, so its
+    rounding can cost steps, while the float64 Rayleigh-Ritz step and
+    residual test decide lambda_1.  The three columns live in one n x 3
+    block, orthonormalized in place by LAPACK Householder QR
+    (lapack_lite's dgeqrf, then dorgqr over the same memory).  Stops at
+    a relative eigenresidual of 1e-8, or at EIGEN_ROUNDOFF units of
+    round-off of one product where that is larger (large d / h^2).  A
+    negative d or effort raises ValueError; running out of
+    EIGEN_MAX_ITER steps raises ConvergenceFailure, and non-finite
+    values or a failed projection raise SolverFailure.
     """
     if d < 0.0 or np.any(effort.values < 0.0):
         raise ValueError("d and the effort must be nonnegative")
@@ -273,13 +280,18 @@ def principal_eigenvalue(effort: ScalarField, d: float) -> float:
     stepper = _ImplicitStepper(grid.N, d / (grid.h * grid.h))
     interior = effort.values[1:-1, 1:-1]
     diagonal = stepper.lap_diag + interior
+    # A row's absolute sum: its diagonal plus d / h^2 per neighbor (lap_diag).
+    floor = EIGEN_ROUNDOFF * np.finfo(float).eps * (diagonal + stepper.lap_diag).max()
 
     def product(v: np.ndarray) -> np.ndarray:
         """The operator applied to a vector, or to each column at once."""
         blocks = stepper.apply(diagonal, v.T.reshape(-1, n1, n1))
         return blocks.reshape(v.shape[::-1]).T
 
+    # Scaled to a least value of 1 and capped at the float32 range, the
+    # spectrum casts without overflow, and so does the unit residual.
     eigs = np.mean(interior) + 1.0e-3 + stepper.lap_eigs
+    eigs = np.minimum(eigs / eigs.min(), np.finfo(np.float32).max).astype(np.float32)
     n = n1 * n1
     # rows x, T r, update (none at step 0): C-ordered, so block[:k].T is
     # the Fortran n x k matrix that LAPACK factors in place
@@ -294,12 +306,13 @@ def principal_eigenvalue(effort: ScalarField, d: float) -> float:
         residual = float(np.linalg.norm(r))
         if not np.isfinite(residual):
             raise SolverFailure("eigen iteration produced non-finite values")
-        if residual <= EIGEN_TOL * max(1.0, abs(value)):
+        if residual <= max(EIGEN_TOL * max(1.0, abs(value)), floor):
             return value
         if step == EIGEN_MAX_ITER:
             break
         block[0] = x
-        block[1] = stepper.precondition(eigs, r.reshape(n1, n1)).ravel()
+        unit = (r / residual).astype(np.float32).reshape(n1, n1)
+        block[1] = stepper.precondition(eigs, unit).ravel()
         k = 3 if step else 2
         info = lapack_lite.dgeqrf(n, k, block, n, tau, work, work.size, 0)["info"]
         if info == 0:
@@ -412,7 +425,8 @@ def total_population(density: AgeDensityField) -> np.ndarray:
 
 def _final_population(phi: LevelSetFunction, model: AgeModelParams, m: Mollifier):
     density = solve_age_structured(mollified_effort(phi, model.L, m), model)
-    return float(total_population(density)[-1]), density
+    final = AgeDensityField(density.grid, density.ages, density.values[-1:])
+    return float(total_population(final)[0]), density
 
 
 def evaluate_psi(

@@ -220,19 +220,20 @@ def read_node_csv(path, names, nodes) -> np.ndarray:
     header = ",".join((*names, "value"))
     with open(path) as fh:
         got = fh.readline().strip()
-        if got != header:
-            raise ValueError(f"{path}: expected header {header!r}, got {got!r}")
-        try:
-            with warnings.catch_warnings():
-                # A table with no rows fails the row count below instead.
-                warnings.simplefilter("ignore", UserWarning)
-                raw = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except UnicodeDecodeError:
-            raise
-        except ValueError as exc:
-            # loadtxt counts rows from 0 after the header: name the line.
-            fh.seek(0)
-            next(fh)
+    if got != header:
+        raise ValueError(f"{path}: expected header {header!r}, got {got!r}")
+    try:
+        with warnings.catch_warnings():
+            # A table with no rows fails the row count below instead.
+            warnings.simplefilter("ignore", UserWarning)
+            # Given a path, not a handle, NumPy's C reader takes the file in chunks.
+            raw = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
+    except UnicodeDecodeError:
+        raise
+    except ValueError as exc:
+        # Name the file line of the row that does not parse.
+        with open(path) as fh:
+            fh.readline()
             raise ValueError(f"{path}: {_bad_row(fh, len(names) + 1) or exc}") from None
     shape = np.shape(nodes[0])
     rows, cols = int(np.prod(shape)), len(names) + 1

@@ -119,13 +119,15 @@ class ControlProblemParams:
 
 
 @lru_cache(maxsize=None)
-def dct_matrix(n: int) -> np.ndarray:
+def dct_matrix(n: int, dtype: np.dtype) -> np.ndarray:
     """Orthonormal DCT-II matrix; its rows are the eigenvectors of the
     Neumann path Laplacian of n nodes, with eigenvalues 4 sin^2(pi k / 2n).
-    Built once per n and shared, so it is read-only."""
+    Built in double precision, rounded to dtype once per (n, dtype) and
+    shared, so it is read-only."""
     k = np.arange(n)[:, None]
     q = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * np.arange(n) + 1) / (2 * n))
     q[0] /= np.sqrt(2.0)
+    q = q.astype(dtype, copy=False)
     q.flags.writeable = False
     return q
 
@@ -146,7 +148,9 @@ class _ImplicitStepper:
         deg[:-1] += 1.0
         self.lap_diag = lam * (deg[:, None] + deg[None, :])  # diagonal of lam L
         self.main = 1.0 + self.lap_diag
-        self.q = dct_matrix(n1)
+        # Built with the stepper, before the march allocates its levels, so
+        # that the matrix does not raise the march's peak memory.
+        self.q = dct_matrix(n1, np.dtype(np.float64))
         eig = 4.0 * np.sin(0.5 * np.pi * np.arange(n1) / n1) ** 2
         self.lap_eigs = lam * (eig[:, None] + eig[None, :])
         self._bordered = {}  # batch shape -> zero-bordered buffer
@@ -175,8 +179,9 @@ class _ImplicitStepper:
 
     def precondition(self, denominator: np.ndarray, r: np.ndarray) -> np.ndarray:
         """The exact inverse of shift I + lam L applied to r, in the DCT
-        basis, given its eigenvalues denominator = shift + lap_eigs."""
-        q = self.q
+        basis, given its eigenvalues denominator = shift + lap_eigs.
+        Works in the precision of r, which denominator must share."""
+        q = self.q if r.dtype == self.q.dtype else dct_matrix(len(self.q), r.dtype)
         return q.T @ ((q @ r @ q.T) / denominator) @ q
 
     def step(self, e1: np.ndarray, rhs: np.ndarray) -> np.ndarray:

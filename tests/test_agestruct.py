@@ -323,15 +323,18 @@ def test_eigen_step_work_and_in_place_orthonormalization(monkeypatch):
     # A solve of k steps makes k preconditionings of one block and k + 1
     # products of at most three blocks, the x, T r and update columns,
     # and orthonormalizes them in place: no np.linalg.qr, no column_stack.
+    # The preconditioned block is single precision; everything else is not.
     grid = spatial_grid(N=16)
     effort = sharp_effort(rectangle_phi(grid, 0.1, 0.5, 0.3, 0.8), 2.0)
     expected = np.linalg.eigvalsh(neumann_operator(effort, 1.0).toarray())[0]
     blocks = {"precondition": [], "apply": []}
+    dtypes = {"precondition": set(), "apply": set()}
     for name, counts in blocks.items():
         method = getattr(_ImplicitStepper, name)
 
-        def recorded(self, first, x, _method=method, _counts=counts):
+        def recorded(self, first, x, _method=method, _counts=counts, _seen=dtypes[name]):
             _counts.append(1 if x.ndim == 2 else x.shape[0])
+            _seen.add((first.dtype, x.dtype))
             return _method(self, first, x)
 
         monkeypatch.setattr(_ImplicitStepper, name, recorded)
@@ -347,7 +350,41 @@ def test_eigen_step_work_and_in_place_orthonormalization(monkeypatch):
     assert blocks["precondition"] == [1] * steps
     assert len(blocks["apply"]) == steps + 1
     assert max(blocks["apply"]) <= 3
+    assert dtypes["precondition"] == {(np.dtype(np.float32), np.dtype(np.float32))}
+    assert dtypes["apply"] == {(np.dtype(np.float64), np.dtype(np.float64))}
     assert abs(produced - expected) <= 1e-8 * max(1.0, abs(expected))
+
+
+def test_eigen_stopping_test_is_floored_at_round_off():
+    # With d / h^2 = 1e9 one product rounds off by about eps * 8e9 = 2e-6,
+    # far above EIGEN_TOL * lambda, which the solver then cannot meet.
+    grid = spatial_grid(N=32)
+    phi = LevelSetFunction.from_function(
+        grid, lambda x1, x2: 0.3 - np.hypot(x1 - 0.3, x2 - 0.6)
+    )
+    effort = sharp_effort(phi, 4.0)
+    d = 1.0e6
+    expected = eigsh(
+        neumann_operator(effort, d), k=1, sigma=0.0, which="LM",
+        return_eigenvectors=False,
+    )[0]
+    produced = principal_eigenvalue(effort, d)
+    row_sum = 8.0 * d / grid.h**2 + 4.0
+    floor = agestruct.EIGEN_ROUNDOFF * np.finfo(float).eps * row_sum
+    assert floor > 1e2 * agestruct.EIGEN_TOL * expected
+    # A unit vector with residual norm at most the floor lies that close
+    # to an eigenvalue of the symmetric operator.
+    assert abs(produced - expected) <= floor
+
+
+def test_eigen_preconditioner_casts_without_overflow():
+    # d / h^2 = 1e38 puts the preconditioner's spectrum past the float32
+    # range; the solver scales it before the cast.
+    grid = spatial_grid(N=32)
+    effort = sharp_effort(rectangle_phi(grid, 0.1, 0.5, 0.3, 0.8), 1.0e36)
+    with np.errstate(over="raise"):
+        produced = principal_eigenvalue(effort, 1.0e35)
+    assert 0.0 < produced < 1.0e36
 
 
 def test_eigen_iteration_budget_raises_convergence_failure(monkeypatch):
@@ -362,6 +399,29 @@ def test_eigen_non_finite_operator_is_solver_failure():
     phi = circle_levelset(grid)
     with pytest.raises(SolverFailure, match="non-finite"):
         principal_eigenvalue(sharp_effort(phi, 2.0), np.nan)
+
+
+@pytest.mark.parametrize("radius, verdict", [(0.25, "NotEradicable"), (0.45, "Eradicable")])
+def test_march_grows_at_minus_the_margin(radius, verdict):
+    # Without the logistic term the march under the verdict's effort is
+    # linear, so its total population grows like exp(-margin t) once the
+    # principal mode dominates, up to the O(da) error of the age march.
+    grid = spatial_grid(N=20)
+    phi = LevelSetFunction.from_function(
+        grid, lambda x1, x2: radius - np.hypot(x1 - 0.5, x2 - 0.5)
+    )
+    gaps = []
+    for Na in (20, 40):
+        model = basic_model(Na=Na, d=0.1, L=4.0, T=6.0)
+        report = eradicability_verdict(phi, model)
+        assert report.verdict == verdict
+        density = solve_age_structured(sharp_effort(phi, model.L), model)
+        times = np.arange(model.n_time + 1) * model.da
+        late = times >= 3.0
+        rate = np.polyfit(times[late], np.log(total_population(density)[late]), 1)[0]
+        assert rate * report.margin < 0.0
+        gaps.append(abs(rate + report.margin))
+    assert 0.4 < gaps[1] / gaps[0] < 0.6
 
 
 def test_verdict_trivial_cases():

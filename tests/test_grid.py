@@ -212,6 +212,21 @@ def test_field_csv_bytes_match_per_row_format(tmp_path):
     assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
 
 
+def test_field_csv_skips_comments_and_blank_lines_and_reads_crlf(tmp_path):
+    g = GridSpec(4, 2, 1.0)
+    f = ScalarField(g, np.random.default_rng(5).standard_normal((5, 5)))
+    clean = tmp_path / "clean.csv"
+    write_field_csv(f, clean)
+    lines = clean.read_bytes().split(b"\n")
+    lines.insert(1, b"# written by hand")
+    lines.insert(4, b"")
+    lines[6] += b"\r"
+    lines[9] += b"  # a trailing comment"
+    edited = tmp_path / "edited.csv"
+    edited.write_bytes(b"\n".join(lines))
+    assert np.array_equal(read_field_csv(edited, g).values, f.values)
+
+
 def test_field_csv_rejects_wrong_grid(tmp_path):
     g = GridSpec(8, 2, 1.0)
     f = ScalarField.constant(g, 1.0)

@@ -32,6 +32,7 @@ from regionopt.pde import (
     _ImplicitStepper,
     _complete_with_ghost,
     bang_bang_control,
+    dct_matrix,
     linear_solve,
     solve_adjoint,
     solve_forward,
@@ -237,10 +238,26 @@ def test_kept_border_buffer_leaves_every_bit(N):
 
 
 def test_dct_matrix_is_built_once_per_size():
-    q = _ImplicitStepper(8, 1.0).q
-    assert _ImplicitStepper(8, 2.0).q is q
-    assert not q.flags.writeable  # shared, so no caller may change it
-    assert np.allclose(q @ q.T, np.eye(7), rtol=0, atol=1e-14)
+    # precondition works in the precision of its input, through one
+    # shared, read-only matrix per (size, dtype).
+    rng = np.random.default_rng(3)
+    r = rng.standard_normal((2, 7, 7))
+    exact = None
+    for dtype, tol in ((np.float64, 1e-14), (np.float32, 1e-6)):
+        q = dct_matrix(7, np.dtype(dtype))
+        assert q.dtype == dtype
+        assert not q.flags.writeable  # shared, so no caller may change it
+        assert np.allclose(q @ q.T, np.eye(7), rtol=0, atol=tol)
+        built = dct_matrix.cache_info().misses
+        for lam in (1.0, 2.0):  # two steppers of one size share it
+            stepper = _ImplicitStepper(8, lam)
+            denominator = (1.0 + stepper.lap_eigs).astype(dtype)
+            z = stepper.precondition(denominator, r.astype(dtype))
+            assert z.dtype == dtype
+        assert dct_matrix.cache_info().misses == built
+        if exact is None:
+            exact = z
+        assert np.allclose(z, exact, rtol=0, atol=tol * np.abs(exact).max())
 
 
 def count_stepper_calls(monkeypatch):
