@@ -254,6 +254,19 @@ def mollified_effort(phi: LevelSetFunction, L: float, m: Mollifier) -> ScalarFie
     return ScalarField(phi.grid, L * heaviside_mollified(phi.phi.values, m))
 
 
+def eigen_roundoff(effort: ScalarField, d: float) -> float:
+    """Least stopping residual of principal_eigenvalue: EIGEN_ROUNDOFF
+    units of round-off of one product, eps times the largest absolute
+    row sum of -d lap + u (its main diagonal plus d / h^2 per neighbor).
+    The residual of a unit vector bounds |lambda - theta| for this
+    symmetric operator, so it bounds the error of lambda_1 as well.
+    """
+    grid = effort.grid
+    lap_diag = _ImplicitStepper(grid.N, d / (grid.h * grid.h)).lap_diag
+    row_sum = lap_diag + effort.values[1:-1, 1:-1] + lap_diag
+    return float(EIGEN_ROUNDOFF * np.finfo(float).eps * row_sum.max())
+
+
 def principal_eigenvalue(effort: ScalarField, d: float) -> float:
     """Smallest eigenvalue of -d lap + u (Neumann) by block-1 LOBPCG.
 
@@ -267,21 +280,20 @@ def principal_eigenvalue(effort: ScalarField, d: float) -> float:
     residual test decide lambda_1.  The three columns live in one n x 3
     block, orthonormalized in place by LAPACK Householder QR
     (lapack_lite's dgeqrf, then dorgqr over the same memory).  Stops at
-    a relative eigenresidual of 1e-8, or at EIGEN_ROUNDOFF units of
-    round-off of one product where that is larger (large d / h^2).  A
-    negative d or effort raises ValueError; running out of
+    a relative eigenresidual of 1e-8, or at eigen_roundoff (EIGEN_ROUNDOFF
+    units of round-off of one product) where that is larger (large
+    d / h^2).  A negative d or effort raises ValueError; running out of
     EIGEN_MAX_ITER steps raises ConvergenceFailure, and non-finite
     values or a failed projection raise SolverFailure.
     """
     if d < 0.0 or np.any(effort.values < 0.0):
         raise ValueError("d and the effort must be nonnegative")
+    floor = eigen_roundoff(effort, d)
     grid = effort.grid
     n1 = grid.N - 1
     stepper = _ImplicitStepper(grid.N, d / (grid.h * grid.h))
     interior = effort.values[1:-1, 1:-1]
     diagonal = stepper.lap_diag + interior
-    # A row's absolute sum: its diagonal plus d / h^2 per neighbor (lap_diag).
-    floor = EIGEN_ROUNDOFF * np.finfo(float).eps * (diagonal + stepper.lap_diag).max()
 
     def product(v: np.ndarray) -> np.ndarray:
         """The operator applied to a vector, or to each column at once."""
@@ -341,12 +353,14 @@ def principal_eigenvalue(effort: ScalarField, d: float) -> float:
 
 @dataclass
 class EradicabilityReport:
-    """Verdict of the eigenvalue-versus-growth-rate comparison."""
+    """Verdict of the eigenvalue-versus-growth-rate comparison, with the
+    half-width of the Indeterminate band it applied."""
 
     r_star: float
     lambda1: float
     margin: float
     verdict: str
+    tolerance: float
 
 
 def eradicability_verdict(
@@ -354,20 +368,23 @@ def eradicability_verdict(
 ) -> EradicabilityReport:
     """Compare lambda_1 under the sharp effort L chi_omega against r*.
 
-    Margins beyond +-VERDICT_TOLERANCE give Eradicable / NotEradicable;
-    anything inside the band is Indeterminate (the comparison is too
-    close for the discrete operators to call).
+    Margins beyond the band max(VERDICT_TOLERANCE, eigen_roundoff) give
+    Eradicable / NotEradicable; anything inside it is Indeterminate: too
+    close for the discrete operators to call, or within the round-off
+    of lambda_1 where d / h^2 swamps the effort.
     """
     r_star = lotka_root(model)
-    lambda1 = principal_eigenvalue(sharp_effort(phi, model.L), model.d)
+    effort = sharp_effort(phi, model.L)
+    lambda1 = principal_eigenvalue(effort, model.d)
+    tolerance = max(VERDICT_TOLERANCE, eigen_roundoff(effort, model.d))
     margin = lambda1 - r_star
-    if margin > VERDICT_TOLERANCE:
+    if margin > tolerance:
         verdict = "Eradicable"
-    elif margin < -VERDICT_TOLERANCE:
+    elif margin < -tolerance:
         verdict = "NotEradicable"
     else:
         verdict = "Indeterminate"
-    return EradicabilityReport(r_star, lambda1, margin, verdict)
+    return EradicabilityReport(r_star, lambda1, margin, verdict, tolerance)
 
 
 def solve_age_structured(effort: ScalarField, model: AgeModelParams) -> AgeDensityField:
@@ -447,28 +464,24 @@ def evaluate_psi(
     return psi, terms
 
 
-def solve_eradication_adjoint(
+def _eradication_dual_levels(
     effort: ScalarField,
     density: AgeDensityField,
     model: AgeModelParams,
-    terminal_value: float = 1.0,
-) -> AgeDensityField:
-    """Backward dual field of the final-population cost.
+    terminal_value: float,
+):
+    """Dual r of the final-population cost, marched backward in time.
 
-    Integrates the backward-in-time, backward-in-age transport with
-    implicit diffusion: each step sets r at (age level l, time k) from
-    r at (l+1, k+1) along the characteristic, with decay mu(a) + M(P) + u
-    implicit and the nonlocal sources (the logistic derivative paired
-    with int r y da, and the fertility times the newborn trace) lagged at
-    time level k+1.  The effort must be the one the density was computed
-    under.  Terminal data is terminal_value except on the maximal-age
-    line, which is held at 0.
+    Yields (k, r_k, sum_a w_a r_k y_k) for k = steps down to 0, with the
+    age trapezoid weights w.  Each step sets r at (age level l, time k)
+    from (l+1, k+1) along the characteristic, with diffusion and decay
+    mu(a) + M(P) + u implicit and the sources lagged at time k+1: the
+    logistic derivative times the yielded pairing, and the fertility
+    times the newborn trace.  r starts at terminal_value, with 0 on the
+    maximal-age line at every level; each level is a new array, and the
+    march holds two.
     """
-    if np.any(effort.values < 0.0):
-        raise ValueError("effort must be nonnegative")
     grid = effort.grid
-    if density.grid != grid:
-        raise ValueError("density is not on the effort grid")
     steps = density.values.shape[0] - 1
     dt = model.da
     beta = model.fertility_samples
@@ -476,51 +489,72 @@ def solve_eradication_adjoint(
     weights = age_trapezoid_weights(model.Na, model.da)
     stepper = _ImplicitStepper(grid.N, model.d * dt / (grid.h * grid.h))
     slope = model.logistic_slope
-    r = np.empty_like(density.values)
-    r[steps] = terminal_value
-    r[steps, model.Na] = 0.0
-    for k in range(steps - 1, -1, -1):
-        pressure = np.tensordot(weights, density.values[k], axes=(0, 0))
-        coupling = np.tensordot(
-            weights, r[k + 1] * density.values[k + 1], axes=(0, 0)
-        )
-        source = dt * (-slope * coupling + np.multiply.outer(beta, r[k + 1][0]))
+    r = np.full(density.values.shape[1:], float(terminal_value))
+    r[model.Na] = 0.0
+    for k in range(steps, -1, -1):
+        coupling = np.tensordot(weights, r * density.values[k], axes=(0, 0))
+        yield k, r, coupling
+        if k == 0:
+            return
+        pressure = np.tensordot(weights, density.values[k - 1], axes=(0, 0))
+        source = dt * (-slope * coupling + np.multiply.outer(beta, r[0]))
         e1 = dt * (mu[:-1, None, None] + slope * pressure + effort.values)
-        r[k][:-1] = stepper.step(e1, r[k + 1][1:] + source[:-1])
-        r[k][model.Na] = 0.0
-    return AgeDensityField(grid=grid, ages=model.ages, values=r)
+        below = np.empty_like(r)
+        below[:-1] = stepper.step(e1, r[1:] + source[:-1])
+        below[model.Na] = 0.0
+        r = below
+
+
+def solve_eradication_adjoint(
+    effort: ScalarField,
+    density: AgeDensityField,
+    model: AgeModelParams,
+    terminal_value: float = 1.0,
+) -> ScalarField:
+    """The nodal integral sum_k w_k sum_a w_a r y of the eradication dual
+    r against the density y (trapezoid weights in time and age).
+
+    The dual is streamed (_eradication_dual_levels), not stored, so
+    beyond its inputs this allocates nothing of space-time size.  The
+    effort must be the one the density was computed under.
+    """
+    if np.any(effort.values < 0.0):
+        raise ValueError("effort must be nonnegative")
+    if density.grid != effort.grid:
+        raise ValueError("density is not on the effort grid")
+    steps = density.values.shape[0] - 1
+    time_w = age_trapezoid_weights(steps, model.da)
+    integral = np.zeros(effort.values.shape)
+    for k, _, coupling in _eradication_dual_levels(
+        effort, density, model, terminal_value
+    ):
+        integral += time_w[k] * coupling
+    return ScalarField(effort.grid, integral)
 
 
 def eradication_velocity(
     phi: LevelSetFunction,
-    density: AgeDensityField,
-    dual: AgeDensityField,
+    integral: ScalarField,
     model: AgeModelParams,
     penalties,
     sign_variant: str = "descent",
 ):
     """Nodal velocity for the eradication descent and its curvature weight.
 
-    Returns (velocity field, implicit curvature weight).  The data term
-    integrates r * y over age and time by trapezoid in both.  The
-    "descent" variant mirrors the harvest problem: velocity
-    -beta + L * integral with the length term applied implicitly at
-    weight alpha.  The "printed" variant follows the published system
-    verbatim (opposite alpha and beta signs), with its negative-weight
-    curvature term applied explicitly inside the velocity: the same
-    zero-flux operator (levelset.curvature_divergence) that the descent
-    variant's level-set step solves with implicitly.
+    Returns (velocity field, implicit curvature weight).  integral is
+    what solve_eradication_adjoint returns.  The "descent" variant
+    mirrors the harvest problem: velocity -beta + L * integral with the
+    length term applied implicitly at weight alpha.  The "printed"
+    variant follows the published system verbatim (opposite alpha and
+    beta signs), with its negative-weight curvature term applied
+    explicitly inside the velocity: the same zero-flux operator
+    (levelset.curvature_divergence) that the descent variant's level-set
+    step solves with implicitly.
     """
     if sign_variant not in SIGN_VARIANTS:
         raise ValueError(f"sign_variant must be one of {SIGN_VARIANTS}")
     alpha, beta_weight = penalties
-    steps = density.values.shape[0] - 1
-    dt = model.da
-    age_w = age_trapezoid_weights(model.Na, model.da)
-    time_w = age_trapezoid_weights(steps, dt)
-    product = dual.values * density.values
-    merged = np.tensordot(age_w, np.tensordot(time_w, product, axes=(0, 0)), axes=(0, 0))
-    data_term = model.L * merged
+    data_term = model.L * integral.values
     if sign_variant == "descent":
         velocity = ScalarField(phi.grid, -beta_weight + data_term)
         return velocity, alpha
@@ -551,10 +585,8 @@ def optimize_eradication_region(
 
     def direction(phi, density):
         effort = mollified_effort(phi, model.L, m)
-        dual = solve_eradication_adjoint(effort, density, model)
-        return eradication_velocity(
-            phi, density, dual, model, penalties, sign_variant
-        )
+        integral = solve_eradication_adjoint(effort, density, model)
+        return eradication_velocity(phi, integral, model, penalties, sign_variant)
 
     return descend(
         phi0,

@@ -20,7 +20,6 @@ import sys
 import numpy as np
 
 from .agestruct import (
-    VERDICT_TOLERANCE,
     eradicability_verdict,
     optimize_eradication_region,
     total_population,
@@ -115,7 +114,7 @@ def _run_eradicability(config: RunConfig, out_dir: str) -> int:
             ("lambda1", format(report.lambda1, ".12g")),
             ("margin", format(report.margin, ".12g")),
             ("verdict", report.verdict),
-            ("tolerance", format(VERDICT_TOLERANCE, ".12g")),
+            ("tolerance", format(report.tolerance, ".12g")),
         ],
     )
     return 0

@@ -121,8 +121,14 @@ class SpaceTimeField:
 
     @classmethod
     def constant(cls, grid: GridSpec, value: float) -> "SpaceTimeField":
+        """The field equal to value on every node and level.
+
+        Its values are a read-only np.broadcast_to view of one number,
+        so it allocates nothing of space-time size; writing into it
+        raises ValueError.
+        """
         n = grid.N + 1
-        return cls(grid, np.full((grid.M + 1, n, n), float(value)))
+        return cls(grid, np.broadcast_to(float(value), (grid.M + 1, n, n)))
 
     def level(self, k: int) -> ScalarField:
         """Spatial field at time level k (0-based)."""

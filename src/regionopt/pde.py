@@ -292,19 +292,21 @@ def solve_adjoint(phi: LevelSetFunction, params: ControlProblemParams) -> SpaceT
     return SpaceTimeField(grid, p)
 
 
-def _march_state(params, removal, forcing, what):
-    """March y[k+1] = step(dt (-a + removal[k+1]), y[k] + dt forcing[k+1]) from y0.
+def _march_state(params, weight, rate, forcing, what):
+    """March y[k+1] = step(dt (-a + weight rate[k+1]), y[k] + dt forcing[k+1]) from y0.
 
-    Without forcing, each new level must stay nonnegative; what names
-    the solve in the SolverFailure.
+    The removal rate weight * rate[k+1] of each step is formed inside
+    the loop, one level at a time, so the state is the only space-time
+    array that the march allocates.  Without forcing, each new level
+    must stay nonnegative; what names the solve in the SolverFailure.
     """
     grid = params.grid
     dt = grid.dt
     stepper = _ImplicitStepper(grid.N, params.lam)
-    y = np.empty_like(removal)
+    y = np.empty((grid.M + 1,) + weight.shape)
     y[0] = params.y0.values
     for k in range(grid.M):
-        e1 = dt * (-params.a.values + removal[k + 1])
+        e1 = dt * (-params.a.values + weight * rate[k + 1])
         rhs = y[k] if forcing is None else y[k] + dt * forcing.values[k + 1]
         y[k + 1] = stepper.step(e1, rhs)
         if forcing is None:
@@ -325,10 +327,8 @@ def solve_sensitivity(
     m = params.mollifier
     hphi = heaviside_mollified(phi.phi.values, m)
     shifted = 1.0 + adjoint.values
-    coupling = params.L * hphi * (
-        heaviside_mollified(shifted, m) + shifted * delta_mollified(shifted, m)
-    )
-    return _march_state(params, coupling, None, "sensitivity")
+    rate = heaviside_mollified(shifted, m) + shifted * delta_mollified(shifted, m)
+    return _march_state(params, params.L * hphi, rate, None, "sensitivity")
 
 
 def solve_forward(
@@ -348,11 +348,11 @@ def solve_forward(
         raise ValueError("phi/control are not on the problem grid")
     if forcing is not None and forcing.grid != grid:
         raise ValueError("forcing is not on the problem grid")
-    if np.any(control.values < 0.0) or np.any(control.values > params.L + 1e-12):
+    if control.values.min() < 0.0 or control.values.max() > params.L + 1e-12:
         raise ValueError("control must lie in [0, L]")
     params.check_time_step()
     hphi = heaviside_mollified(phi.phi.values, params.mollifier)
-    return _march_state(params, hphi * control.values, forcing, "state")
+    return _march_state(params, hphi, control.values, forcing, "state")
 
 
 def bang_bang_control(

@@ -1,6 +1,7 @@
 """Tests for the age-structured eradicability and region-design module."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.sparse.linalg import eigsh
 
 from regionopt import agestruct
 from regionopt.agestruct import (
+    AgeDensityField,
     AgeModelParams,
     ERADICATION_TRACE_COLUMNS,
     age_trapezoid_weights,
@@ -26,7 +28,12 @@ from regionopt.agestruct import (
 )
 from regionopt.errors import ConvergenceFailure, SolverFailure
 from regionopt.grid import GridSpec, ScalarField
-from regionopt.levelset import LevelSetFunction, Mollifier, circle_levelset
+from regionopt.levelset import (
+    LevelSetFunction,
+    Mollifier,
+    circle_levelset,
+    curvature_divergence,
+)
 from regionopt.pde import _ImplicitStepper
 from regionopt.shapeopt import Convergence
 
@@ -68,6 +75,14 @@ def basic_model(**overrides):
     )
     settings.update(overrides)
     return AgeModelParams(**settings)
+
+
+def dual_levels(effort, density, model, terminal_value=1.0):
+    """The dual's levels, read from the streamed march and stacked in
+    time order."""
+    levels = agestruct._eradication_dual_levels(effort, density, model, terminal_value)
+    stacked = [r for _, r, _ in levels][::-1]
+    return AgeDensityField(density.grid, model.ages, np.stack(stacked))
 
 
 def discrete_lotka_lhs(model, r):
@@ -457,6 +472,39 @@ def test_verdict_indeterminate_by_tuned_fertility():
     assert report.verdict == "Indeterminate"
 
 
+@pytest.mark.parametrize("N, d", [(16, 1.0e20), (16, 1.0e35), (128, 1.0e35)])
+def test_verdict_within_round_off_is_indeterminate(N, d):
+    # With d / h^2 this large the effort is rounded out of the operator's
+    # main diagonal, and lambda_1 carries no information about the region:
+    # -7.7e6, 4.6e21 and 0.0 here, each inside the round-off band.
+    grid = spatial_grid(N=N)
+    phi = LevelSetFunction.from_function(
+        grid, lambda x1, x2: 0.3 - np.hypot(x1 - 0.5, x2 - 0.5)
+    )
+    model = basic_model(d=d, L=4.0)
+    report = eradicability_verdict(phi, model)
+    bound = agestruct.eigen_roundoff(sharp_effort(phi, model.L), d)
+    row_sum = 8.0 * d / grid.h**2 + 4.0
+    assert bound == pytest.approx(
+        agestruct.EIGEN_ROUNDOFF * np.finfo(float).eps * row_sum, rel=1e-12
+    )
+    assert report.tolerance == bound
+    assert abs(report.margin) <= bound
+    assert report.verdict == "Indeterminate"
+
+
+def test_verdict_band_is_the_tolerance_at_moderate_diffusion():
+    grid = spatial_grid(N=128)
+    phi = LevelSetFunction.from_function(
+        grid, lambda x1, x2: 0.3 - np.hypot(x1 - 0.5, x2 - 0.5)
+    )
+    effort = sharp_effort(phi, 4.0)
+    assert agestruct.eigen_roundoff(effort, 1.0) < 1e-9
+    report = eradicability_verdict(phi, basic_model(L=4.0))
+    assert report.tolerance == agestruct.VERDICT_TOLERANCE
+    assert report.verdict == "NotEradicable"
+
+
 def test_verdict_summary_lists_fields():
     # The eradicability summary.txt lists r_star, lambda1, margin and
     # verdict from the report and the module's verdict tolerance.
@@ -648,7 +696,7 @@ def test_adjoint_terminal_and_age_boundary():
     phi = circle_levelset(grid)
     effort = mollified_effort(phi, model.L, Mollifier(1.0))
     density = solve_age_structured(effort, model)
-    dual = solve_eradication_adjoint(effort, density, model)
+    dual = dual_levels(effort, density, model)
     assert np.all(dual.values[-1, : model.Na] == 1.0)
     assert np.all(dual.values[:, model.Na] == 0.0)
 
@@ -661,7 +709,7 @@ def test_adjoint_reduces_to_backward_transport():
     phi = uniform_phi(grid, -1000.0)
     effort = mollified_effort(phi, model.L, Mollifier(1.0))
     density = solve_age_structured(effort, model)
-    dual = solve_eradication_adjoint(effort, density, model)
+    dual = dual_levels(effort, density, model)
     steps = model.n_time
     for k in range(steps + 1):
         for level in range(model.Na + 1):
@@ -678,8 +726,8 @@ def test_adjoint_linear_in_terminal_data():
     m = Mollifier(1.0)
     effort = mollified_effort(phi, model.L, m)
     density = solve_age_structured(effort, model)
-    single = solve_eradication_adjoint(effort, density, model, terminal_value=1.0)
-    double = solve_eradication_adjoint(effort, density, model, terminal_value=2.0)
+    single = dual_levels(effort, density, model, terminal_value=1.0)
+    double = dual_levels(effort, density, model, terminal_value=2.0)
     assert np.allclose(double.values, 2.0 * single.values, rtol=1e-12, atol=1e-12)
 
 
@@ -690,19 +738,66 @@ def test_velocity_variants():
     m = Mollifier(1.0)
     effort = mollified_effort(phi, model.L, m)
     density = solve_age_structured(effort, model)
-    dual = solve_eradication_adjoint(effort, density, model)
+    integral = solve_eradication_adjoint(effort, density, model)
     velocity, weight = eradication_velocity(
-        phi, density, dual, model, (0.3, 0.7), "descent"
+        phi, integral, model, (0.3, 0.7), "descent"
     )
     assert np.all(velocity.values == -0.7)
     assert weight == 0.3
     velocity, weight = eradication_velocity(
-        phi, density, dual, model, (0.3, 0.7), "printed"
+        phi, integral, model, (0.3, 0.7), "printed"
     )
     assert np.allclose(velocity.values, 0.7, rtol=0, atol=1e-12)
     assert weight == 0.0
     with pytest.raises(ValueError):
-        eradication_velocity(phi, density, dual, model, (0.3, 0.7), "upwind")
+        eradication_velocity(phi, integral, model, (0.3, 0.7), "upwind")
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.8])
+def test_streamed_integral_matches_full_history(slope):
+    # The reference stores every level of the dual and integrates r * y
+    # over time, then age, in one product.
+    grid = spatial_grid(N=8)
+    model = basic_model(Na=10, T=1.5, fertility=1.5, mortality=0.3, logistic_slope=slope)
+    phi = circle_levelset(grid)
+    m = Mollifier(1.0)
+    effort = mollified_effort(phi, model.L, m)
+    density = solve_age_structured(effort, model)
+    dual = dual_levels(effort, density, model)
+    age_w = age_trapezoid_weights(model.Na, model.da)
+    time_w = age_trapezoid_weights(model.n_time, model.da)
+    product = dual.values * density.values
+    expected = np.tensordot(age_w, np.tensordot(time_w, product, axes=(0, 0)), axes=(0, 0))
+    integral = solve_eradication_adjoint(effort, density, model)
+    assert np.abs(expected).min() > 0.0
+    assert np.allclose(integral.values, expected, rtol=1e-12, atol=0.0)
+    penalties = (0.3, 0.7)
+    for variant, reference in (
+        ("descent", -0.7 + model.L * expected),
+        ("printed", -0.3 * curvature_divergence(phi.phi).values + 0.7 - model.L * expected),
+    ):
+        velocity, _ = eradication_velocity(phi, integral, model, penalties, variant)
+        scale = np.abs(reference).max()
+        assert np.abs(velocity.values - reference).max() <= 1e-12 * scale
+
+
+def test_dual_streams_in_two_levels():
+    # Beyond its inputs, the paired dual holds a few age-space levels,
+    # not a space-time-age array: at 51 time levels one level is 2% of
+    # the density.
+    grid = spatial_grid(N=8)
+    model = basic_model(Na=10, T=5.0, fertility=1.5, mortality=0.3, logistic_slope=0.5)
+    effort = mollified_effort(circle_levelset(grid), model.L, Mollifier(1.0))
+    density = solve_age_structured(effort, model)
+    solve_eradication_adjoint(effort, density, model)  # warm the DCT cache
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solve_eradication_adjoint(effort, density, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 0.5 * density.values.nbytes
 
 
 def test_loop_trivial_stop_by_tolerance():

@@ -4,6 +4,7 @@ import pytest
 from regionopt.grid import (
     GridSpec,
     ScalarField,
+    SpaceTimeField,
     gradient_magnitude,
     read_field_csv,
     simpson_integral_2d,
@@ -234,3 +235,15 @@ def test_field_csv_rejects_wrong_grid(tmp_path):
     write_field_csv(f, path)
     with pytest.raises(ValueError):
         read_field_csv(path, GridSpec(10, 2, 1.0))
+
+
+def test_constant_space_time_field_is_read_only():
+    g = GridSpec(4, 6, 1.0)
+    field = SpaceTimeField.constant(g, 2.5)
+    assert field.values.shape == (7, 5, 5)
+    assert np.all(field.values == 2.5)
+    with pytest.raises(ValueError):
+        field.values[3, 2, 2] = 0.0
+    level = field.level(3)
+    level.values[2, 2] = 0.0  # a level is a copy
+    assert field.values[3, 2, 2] == 2.5

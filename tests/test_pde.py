@@ -8,6 +8,8 @@ Spatially uniform problems reduce every solver to a scalar recurrence
 with a known closed form, which pins the time stepping exactly.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -489,6 +491,34 @@ def test_forward_rejects_out_of_range_control():
         solve_forward(phi, SpaceTimeField.constant(grid, 1.5), params)
     with pytest.raises(ValueError):
         solve_forward(phi, SpaceTimeField.constant(grid, -0.1), params)
+
+
+def test_forward_under_constant_control_holds_one_space_time_array():
+    # The constant control is a broadcast view and the removal rate is
+    # formed one level at a time, so beyond small per-level arrays the
+    # march allocates its state alone.
+    grid = GridSpec(N=32, M=200, T=1.0)
+    params = make_params(grid)
+    phi = circle_levelset(grid)
+    solve_forward(phi, SpaceTimeField.constant(grid, 0.5), params)  # warm caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        y = solve_forward(phi, SpaceTimeField.constant(grid, 0.5), params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 1.5 * y.values.nbytes
+
+
+def test_forward_same_bits_under_constant_and_stored_control():
+    grid = GridSpec(N=8, M=6, T=0.5)
+    params = make_params(grid, growth=GROWTH_RATE)
+    phi = circle_levelset(grid)
+    constant = SpaceTimeField.constant(grid, 0.5)
+    stored = SpaceTimeField(grid, np.full(constant.values.shape, 0.5))
+    y = solve_forward(phi, constant, params)
+    assert np.array_equal(y.values, solve_forward(phi, stored, params).values)
 
 
 def test_params_validation():
