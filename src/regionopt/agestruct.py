@@ -180,19 +180,25 @@ class AgeModelParams:
 
 @dataclass
 class AgeDensityField:
-    """Density on the (time, age, space, space) grid."""
+    """Density on the (time, age, space, space) grid, with the model and
+    the effort it was marched under: the dual and the population integral
+    read both from here, so they cannot be paired with other ones."""
 
-    grid: GridSpec
-    ages: np.ndarray
+    model: AgeModelParams
+    effort: ScalarField
     values: np.ndarray
 
     def __post_init__(self):
         n = self.grid.N + 1
-        expected = (self.values.shape[0], self.ages.size, n, n)
+        expected = (self.values.shape[0], self.model.Na + 1, n, n)
         if self.values.shape != expected:
             raise ValueError(
                 f"values have shape {self.values.shape}, expected {expected}"
             )
+
+    @property
+    def grid(self) -> GridSpec:
+        return self.effort.grid
 
 
 def age_trapezoid_weights(Na: int, da: float) -> np.ndarray:
@@ -425,14 +431,12 @@ def solve_age_structured(effort: ScalarField, model: AgeModelParams) -> AgeDensi
             )
         births = np.tensordot(weights[1:] * beta[1:], y[k + 1][1:], axes=(0, 0))
         y[k + 1][0] = births / (1.0 - newborn_weight)
-    return AgeDensityField(grid=grid, ages=model.ages, values=y)
+    return AgeDensityField(model, effort, y)
 
 
 def total_population(density: AgeDensityField) -> np.ndarray:
     """Population integral over age and space at each time level."""
-    Na = density.ages.size - 1
-    da = density.ages[-1] / Na if Na else 0.0
-    weights = age_trapezoid_weights(Na, da)
+    weights = age_trapezoid_weights(density.model.Na, density.model.da)
     per_time = np.empty(density.values.shape[0])
     for k in range(per_time.size):
         merged = np.tensordot(weights, density.values[k], axes=(0, 0))
@@ -442,7 +446,7 @@ def total_population(density: AgeDensityField) -> np.ndarray:
 
 def _final_population(phi: LevelSetFunction, model: AgeModelParams, m: Mollifier):
     density = solve_age_structured(mollified_effort(phi, model.L, m), model)
-    final = AgeDensityField(density.grid, density.ages, density.values[-1:])
+    final = AgeDensityField(density.model, density.effort, density.values[-1:])
     return float(total_population(final)[0]), density
 
 
@@ -464,13 +468,9 @@ def evaluate_psi(
     return psi, terms
 
 
-def _eradication_dual_levels(
-    effort: ScalarField,
-    density: AgeDensityField,
-    model: AgeModelParams,
-    terminal_value: float,
-):
-    """Dual r of the final-population cost, marched backward in time.
+def _eradication_dual_levels(density: AgeDensityField, terminal_value: float):
+    """Dual r of the final-population cost, marched backward in time
+    under the density's own model and effort.
 
     Yields (k, r_k, sum_a w_a r_k y_k) for k = steps down to 0, with the
     age trapezoid weights w.  Each step sets r at (age level l, time k)
@@ -481,7 +481,7 @@ def _eradication_dual_levels(
     maximal-age line at every level; each level is a new array, and the
     march holds two.
     """
-    grid = effort.grid
+    model, effort, grid = density.model, density.effort, density.grid
     steps = density.values.shape[0] - 1
     dt = model.da
     beta = model.fertility_samples
@@ -505,31 +505,20 @@ def _eradication_dual_levels(
         r = below
 
 
-def solve_eradication_adjoint(
-    effort: ScalarField,
-    density: AgeDensityField,
-    model: AgeModelParams,
-    terminal_value: float = 1.0,
-) -> ScalarField:
+def solve_eradication_adjoint(density: AgeDensityField) -> ScalarField:
     """The nodal integral sum_k w_k sum_a w_a r y of the eradication dual
     r against the density y (trapezoid weights in time and age).
 
-    The dual is streamed (_eradication_dual_levels), not stored, so
-    beyond its inputs this allocates nothing of space-time size.  The
-    effort must be the one the density was computed under.
+    The dual is marched under the density's model and effort, and
+    streamed (_eradication_dual_levels), not stored, so beyond its inputs
+    this allocates nothing of space-time size.
     """
-    if np.any(effort.values < 0.0):
-        raise ValueError("effort must be nonnegative")
-    if density.grid != effort.grid:
-        raise ValueError("density is not on the effort grid")
     steps = density.values.shape[0] - 1
-    time_w = age_trapezoid_weights(steps, model.da)
-    integral = np.zeros(effort.values.shape)
-    for k, _, coupling in _eradication_dual_levels(
-        effort, density, model, terminal_value
-    ):
+    time_w = age_trapezoid_weights(steps, density.model.da)
+    integral = np.zeros(density.values.shape[2:])
+    for k, _, coupling in _eradication_dual_levels(density, 1.0):
         integral += time_w[k] * coupling
-    return ScalarField(effort.grid, integral)
+    return ScalarField(density.grid, integral)
 
 
 def eradication_velocity(
@@ -584,8 +573,7 @@ def optimize_eradication_region(
         raise ValueError(f"sign_variant must be one of {SIGN_VARIANTS}")
 
     def direction(phi, density):
-        effort = mollified_effort(phi, model.L, m)
-        integral = solve_eradication_adjoint(effort, density, model)
+        integral = solve_eradication_adjoint(density)
         return eradication_velocity(phi, integral, model, penalties, sign_variant)
 
     return descend(

@@ -123,7 +123,7 @@ def dct_matrix(n: int, dtype: np.dtype) -> np.ndarray:
     """Orthonormal DCT-II matrix; its rows are the eigenvectors of the
     Neumann path Laplacian of n nodes, with eigenvalues 4 sin^2(pi k / 2n).
     Built in double precision, rounded to dtype once per (n, dtype) and
-    shared, so it is read-only."""
+    shared by every stepper that preconditions in dtype, so read-only."""
     k = np.arange(n)[:, None]
     q = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * np.arange(n) + 1) / (2 * n))
     q[0] /= np.sqrt(2.0)
@@ -137,7 +137,8 @@ class _ImplicitStepper:
 
     step() takes and returns levels (..., N+1, N+1); apply, precondition
     and linear_solve work on the (N-1)^2 interior blocks.  Any leading
-    axis is a batch of independent systems.
+    axis is a batch of independent systems.  precondition reads the
+    shared dct_matrix of its input's precision; the stepper keeps none.
     """
 
     def __init__(self, N: int, lam: float):
@@ -148,9 +149,6 @@ class _ImplicitStepper:
         deg[:-1] += 1.0
         self.lap_diag = lam * (deg[:, None] + deg[None, :])  # diagonal of lam L
         self.main = 1.0 + self.lap_diag
-        # Built with the stepper, before the march allocates its levels, so
-        # that the matrix does not raise the march's peak memory.
-        self.q = dct_matrix(n1, np.dtype(np.float64))
         eig = 4.0 * np.sin(0.5 * np.pi * np.arange(n1) / n1) ** 2
         self.lap_eigs = lam * (eig[:, None] + eig[None, :])
         self._bordered = {}  # batch shape -> zero-bordered buffer
@@ -181,7 +179,7 @@ class _ImplicitStepper:
         """The exact inverse of shift I + lam L applied to r, in the DCT
         basis, given its eigenvalues denominator = shift + lap_eigs.
         Works in the precision of r, which denominator must share."""
-        q = self.q if r.dtype == self.q.dtype else dct_matrix(len(self.q), r.dtype)
+        q = dct_matrix(r.shape[-1], r.dtype)
         return q.T @ ((q @ r @ q.T) / denominator) @ q
 
     def step(self, e1: np.ndarray, rhs: np.ndarray) -> np.ndarray:

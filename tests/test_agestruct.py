@@ -77,12 +77,12 @@ def basic_model(**overrides):
     return AgeModelParams(**settings)
 
 
-def dual_levels(effort, density, model, terminal_value=1.0):
+def dual_levels(density, terminal_value=1.0):
     """The dual's levels, read from the streamed march and stacked in
     time order."""
-    levels = agestruct._eradication_dual_levels(effort, density, model, terminal_value)
+    levels = agestruct._eradication_dual_levels(density, terminal_value)
     stacked = [r for _, r, _ in levels][::-1]
-    return AgeDensityField(density.grid, model.ages, np.stack(stacked))
+    return AgeDensityField(density.model, density.effort, np.stack(stacked))
 
 
 def discrete_lotka_lhs(model, r):
@@ -623,19 +623,20 @@ def test_negative_effort_rejected():
     negative = ScalarField(grid, values)
     with pytest.raises(ValueError, match="effort must be nonnegative"):
         solve_age_structured(negative, model)
-    density = solve_age_structured(ScalarField.constant(grid, 0.0), model)
-    with pytest.raises(ValueError, match="effort must be nonnegative"):
-        solve_eradication_adjoint(negative, density, model)
     with pytest.raises(ValueError, match="effort must be nonnegative"):
         principal_eigenvalue(negative, 1.0)
 
 
-def test_adjoint_rejects_effort_on_another_grid():
+def test_density_values_must_match_its_model_and_effort():
+    # The values must have Na + 1 ages and the effort's spatial grid.
     model = basic_model(Na=4)
     density = solve_age_structured(ScalarField.constant(spatial_grid(N=4), 0.0), model)
     other = ScalarField.constant(spatial_grid(N=6), 0.0)
-    with pytest.raises(ValueError, match="not on the effort grid"):
-        solve_eradication_adjoint(other, density, model)
+    with pytest.raises(ValueError, match="values have shape"):
+        AgeDensityField(model, other, density.values)
+    with pytest.raises(ValueError, match="values have shape"):
+        AgeDensityField(basic_model(Na=5), density.effort, density.values)
+    assert AgeDensityField(model, density.effort, density.values[-1:]).grid == density.grid
 
 
 def test_positivity_failure_names_highest_failing_age_level(monkeypatch):
@@ -696,7 +697,7 @@ def test_adjoint_terminal_and_age_boundary():
     phi = circle_levelset(grid)
     effort = mollified_effort(phi, model.L, Mollifier(1.0))
     density = solve_age_structured(effort, model)
-    dual = dual_levels(effort, density, model)
+    dual = dual_levels(density)
     assert np.all(dual.values[-1, : model.Na] == 1.0)
     assert np.all(dual.values[:, model.Na] == 0.0)
 
@@ -709,7 +710,7 @@ def test_adjoint_reduces_to_backward_transport():
     phi = uniform_phi(grid, -1000.0)
     effort = mollified_effort(phi, model.L, Mollifier(1.0))
     density = solve_age_structured(effort, model)
-    dual = dual_levels(effort, density, model)
+    dual = dual_levels(density)
     steps = model.n_time
     for k in range(steps + 1):
         for level in range(model.Na + 1):
@@ -726,8 +727,8 @@ def test_adjoint_linear_in_terminal_data():
     m = Mollifier(1.0)
     effort = mollified_effort(phi, model.L, m)
     density = solve_age_structured(effort, model)
-    single = dual_levels(effort, density, model, terminal_value=1.0)
-    double = dual_levels(effort, density, model, terminal_value=2.0)
+    single = dual_levels(density, terminal_value=1.0)
+    double = dual_levels(density, terminal_value=2.0)
     assert np.allclose(double.values, 2.0 * single.values, rtol=1e-12, atol=1e-12)
 
 
@@ -738,7 +739,7 @@ def test_velocity_variants():
     m = Mollifier(1.0)
     effort = mollified_effort(phi, model.L, m)
     density = solve_age_structured(effort, model)
-    integral = solve_eradication_adjoint(effort, density, model)
+    integral = solve_eradication_adjoint(density)
     velocity, weight = eradication_velocity(
         phi, integral, model, (0.3, 0.7), "descent"
     )
@@ -763,12 +764,12 @@ def test_streamed_integral_matches_full_history(slope):
     m = Mollifier(1.0)
     effort = mollified_effort(phi, model.L, m)
     density = solve_age_structured(effort, model)
-    dual = dual_levels(effort, density, model)
+    dual = dual_levels(density)
     age_w = age_trapezoid_weights(model.Na, model.da)
     time_w = age_trapezoid_weights(model.n_time, model.da)
     product = dual.values * density.values
     expected = np.tensordot(age_w, np.tensordot(time_w, product, axes=(0, 0)), axes=(0, 0))
-    integral = solve_eradication_adjoint(effort, density, model)
+    integral = solve_eradication_adjoint(density)
     assert np.abs(expected).min() > 0.0
     assert np.allclose(integral.values, expected, rtol=1e-12, atol=0.0)
     penalties = (0.3, 0.7)
@@ -789,15 +790,41 @@ def test_dual_streams_in_two_levels():
     model = basic_model(Na=10, T=5.0, fertility=1.5, mortality=0.3, logistic_slope=0.5)
     effort = mollified_effort(circle_levelset(grid), model.L, Mollifier(1.0))
     density = solve_age_structured(effort, model)
-    solve_eradication_adjoint(effort, density, model)  # warm the DCT cache
+    solve_eradication_adjoint(density)  # warm the DCT cache
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        solve_eradication_adjoint(effort, density, model)
+        solve_eradication_adjoint(density)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak - base < 0.5 * density.values.nbytes
+
+
+def test_descent_builds_one_effort_per_forward_march(monkeypatch):
+    # The direction reads the effort from the density it was marched
+    # under, so the only efforts built are those of the forward marches.
+    counts = {"mollified_effort": 0, "solve_age_structured": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(agestruct, name, counted(name, getattr(agestruct, name)))
+    grid = spatial_grid(N=8)
+    _, trace, _ = optimize_eradication_region(
+        circle_levelset(grid),
+        basic_model(Na=10, T=0.5),
+        (0.1, 0.1),
+        Mollifier(1.0),
+        Convergence(max_iter=3),
+    )
+    assert len(trace.records) >= 2
+    assert counts["mollified_effort"] == counts["solve_age_structured"]
 
 
 def test_loop_trivial_stop_by_tolerance():

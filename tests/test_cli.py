@@ -283,6 +283,29 @@ def test_age_samples_from_csv(tmp_path):
         read_node_csv(tmp_path / "short.csv", ("age",), (ages,))
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("A", "-1.0", "agestruct.A must be positive, got -1.0"),
+        ("Na", "-3", "agestruct.Na must be at least 2, got -3"),
+    ],
+    ids=["A", "Na"],
+)
+def test_age_range_checked_before_tables_are_read(
+    tmp_path, capsys, key, value, message
+):
+    # The fertility table matches the valid age grid; the range check
+    # fires before the table is read against the bad one.
+    rows = [f"{age!r},1.0" for age in np.linspace(0.0, 1.0, 21)]
+    (tmp_path / "fert.csv").write_text("age,value\n" + "\n".join(rows) + "\n")
+    text = AGE_TEXT.replace("fertility = 1.0", "fertility = fert.csv")
+    text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    out = tmp_path / "o"
+    assert main(["--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_age_horizon_must_match_age_step(tmp_path):
     text = ERADICATION_TEXT.replace("T = 0.5", "T = 0.93")
     with pytest.raises(ConfigError, match="agestruct"):
