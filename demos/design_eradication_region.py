@@ -5,8 +5,7 @@ Designing a treatment region for the age-structured pest
 Minimizes the combined cost Psi = final population + length and area
 penalties over the region where the effort acts, using the backward
 dual field of the age-structured system to steer a level-set descent.
-Every step is only accepted if Psi actually decreases, and the run
-records which velocity sign convention was used.
+Every step is only accepted if Psi actually decreases.
 """
 
 import pathlib
@@ -55,8 +54,7 @@ for r in trace.records:
         f"{r.n:4d} {r.cost:9.5f} {population:11.5f}"
         f" {length:9.5f} {area:9.5f}"
     )
-print("stopped:", trace.stop_reason,
-      "| sign variant:", trace.constants["sign_variant"])
+print("stopped:", trace.stop_reason)
 
 # How does the best region actually perform?  The descent returns the
 # population density under the mollified effort on that region; watch

@@ -4,8 +4,7 @@ Grid toolbox: Simpson quadrature, stencils and field files
 
 Exercises the discretization layer on its own: composite Simpson
 integration over the unit square, the one-sided/central gradient
-stencils, curvature of a known shape, and the CSV field format used by
-the command line runner.
+stencils, and the CSV field format used by the command line runner.
 """
 
 import pathlib
@@ -15,7 +14,6 @@ import numpy as np
 from regionopt import (
     GridSpec,
     ScalarField,
-    curvature_divergence,
     gradient_magnitude,
     read_field_csv,
     simpson_integral_2d,
@@ -45,18 +43,6 @@ for N in (10, 20, 40):
 plane = ScalarField.from_function(grid, lambda x1, x2: 3.0 * x1 + 4.0 * x2)
 mag = gradient_magnitude(plane)
 print("plane |grad| max deviation from 5:", np.abs(mag.values - 5.0).max())
-
-# Curvature of the signed distance to a circle of radius R is 1/R on the
-# circle; sample the divergence-form curvature near the interface.
-circle = ScalarField.from_function(
-    grid, lambda x1, x2: 0.25 - np.sqrt((x1 - 0.5) ** 2 + (x2 - 0.5) ** 2)
-)
-curv = curvature_divergence(circle)
-ring = np.abs(circle.values) < 0.05
-print(
-    "curvature on the ring: mean %.3f (1/R = 4), spread %.3f"
-    % (np.abs(curv.values[ring]).mean(), np.abs(curv.values[ring]).std())
-)
 
 # Fields round-trip through the 17-digit CSV format bit for bit.
 path = out / "plane.csv"

@@ -42,7 +42,6 @@ from .levelset import (
     Mollifier,
     checkerboard_levelset,
     circle_levelset,
-    curvature_divergence,
     delta_mollified,
     evolve_phi,
     heaviside_mollified,
@@ -80,7 +79,6 @@ __all__ = [
     "region_area",
     "region_length",
     "evolve_phi",
-    "curvature_divergence",
     "circle_levelset",
     "checkerboard_levelset",
     "write_region_pgm",

@@ -44,12 +44,7 @@ from numpy.linalg import lapack_lite
 
 from .errors import ConvergenceFailure, SolverFailure
 from .grid import GridSpec, ScalarField, simpson_integral_2d
-from .levelset import (
-    LevelSetFunction,
-    Mollifier,
-    curvature_divergence,
-    heaviside_mollified,
-)
+from .levelset import LevelSetFunction, Mollifier, heaviside_mollified
 from .pde import _ImplicitStepper
 from .shapeopt import Convergence, Trace, descend, penalised_cost
 
@@ -57,7 +52,6 @@ EIGEN_TOL = 1.0e-8
 EIGEN_ROUNDOFF = 16.0  # least stopping residual, in units of eps * max |row sum|
 EIGEN_MAX_ITER = 500
 VERDICT_TOLERANCE = 1.0e-6
-SIGN_VARIANTS = ("descent", "printed")
 
 ERADICATION_TRACE_COLUMNS = (
     "n",
@@ -69,7 +63,6 @@ ERADICATION_TRACE_COLUMNS = (
     "region_length",
     "phi_change",
     "theta",
-    "sign_variant",
     "stop_reason",
 )
 
@@ -521,37 +514,16 @@ def solve_eradication_adjoint(density: AgeDensityField) -> ScalarField:
     return ScalarField(density.grid, integral)
 
 
-def eradication_velocity(
-    phi: LevelSetFunction,
-    integral: ScalarField,
-    model: AgeModelParams,
-    penalties,
-    sign_variant: str = "descent",
-):
-    """Nodal velocity for the eradication descent and its curvature weight.
+def eradication_velocity(integral: ScalarField, model: AgeModelParams, penalties):
+    """Nodal descent velocity -beta + L * integral and its curvature weight.
 
-    Returns (velocity field, implicit curvature weight).  integral is
-    what solve_eradication_adjoint returns.  The "descent" variant
-    mirrors the harvest problem: velocity -beta + L * integral with the
-    length term applied implicitly at weight alpha.  The "printed"
-    variant follows the published system verbatim (opposite alpha and
-    beta signs), with its negative-weight curvature term applied
-    explicitly inside the velocity: the same zero-flux operator
-    (levelset.curvature_divergence) that the descent variant's level-set
-    step solves with implicitly.
+    integral is what solve_eradication_adjoint returns.  As in the
+    harvest problem, the returned weight alpha applies the length term
+    implicitly inside evolve_phi.  The published system's opposite alpha
+    and beta signs point uphill, so they are not offered.
     """
-    if sign_variant not in SIGN_VARIANTS:
-        raise ValueError(f"sign_variant must be one of {SIGN_VARIANTS}")
     alpha, beta_weight = penalties
-    data_term = model.L * integral.values
-    if sign_variant == "descent":
-        velocity = ScalarField(phi.grid, -beta_weight + data_term)
-        return velocity, alpha
-    curvature = curvature_divergence(phi.phi)
-    velocity = ScalarField(
-        phi.grid, -alpha * curvature.values + beta_weight - data_term
-    )
-    return velocity, 0.0
+    return ScalarField(integral.grid, -beta_weight + model.L * integral.values), alpha
 
 
 def optimize_eradication_region(
@@ -560,28 +532,24 @@ def optimize_eradication_region(
     penalties,
     m: Mollifier,
     convergence: Convergence = Convergence(),
-    sign_variant: str = "descent",
     callback=None,
 ):
     """Shape the harvesting region to minimize Psi by shapeopt.descend.
 
-    The age-structured model gives Psi and its dual the velocity.  Every
-    step is gated on an actual Psi decrease regardless of the sign
-    variant.  Returns (best iterate by Psi, trace, its age density).
+    The age-structured model gives Psi, and its dual the velocity of
+    eradication_velocity; every step is gated on an actual Psi decrease.
+    Returns (best iterate by Psi, trace, its age density).
     """
-    if sign_variant not in SIGN_VARIANTS:
-        raise ValueError(f"sign_variant must be one of {SIGN_VARIANTS}")
 
     def direction(phi, density):
-        integral = solve_eradication_adjoint(density)
-        return eradication_velocity(phi, integral, model, penalties, sign_variant)
+        return eradication_velocity(solve_eradication_adjoint(density), model, penalties)
 
     return descend(
         phi0,
         partial(_final_population, model=model, m=m),
         direction,
         m,
-        Trace(ERADICATION_TRACE_COLUMNS, {"sign_variant": sign_variant}),
+        Trace(ERADICATION_TRACE_COLUMNS),
         penalties=penalties,
         convergence=convergence,
         callback=callback,

@@ -131,7 +131,6 @@ def _run_optimize_eradication(
         (config.alpha, config.beta),
         config.mollifier,
         config.convergence,
-        sign_variant=config.sign_variant,
         callback=callback,
     )
     trace.write_csv(os.path.join(out_dir, "trace.csv"))
@@ -150,7 +149,6 @@ def _run_optimize_eradication(
             ("command", "optimize-eradication"),
             ("iterations", trace.records[-1].n),
             ("stop_reason", trace.stop_reason),
-            ("sign_variant", config.sign_variant),
             ("final_psi", format(record.cost, ".17g")),
             ("final_region_area", format(record.region_area, ".17g")),
             ("population_initial", format(population[0], ".17g")),

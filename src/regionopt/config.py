@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .agestruct import SIGN_VARIANTS, AgeModelParams
+from .agestruct import AgeModelParams
 from .errors import ConfigError
 from .grid import GridSpec, ScalarField, read_field_csv, read_node_csv
 from .levelset import (
@@ -63,7 +63,6 @@ _KEYS = {
         "fertility": (None, _AGE),
         "mortality": (None, _AGE),
         "m": (float, ()),
-        "sign_variant": (SIGN_VARIANTS, (), "descent"),
     },
 }
 
@@ -93,7 +92,6 @@ class RunConfig:
     alpha: float
     beta: float
     convergence: Convergence
-    sign_variant: str
     mollifier: Mollifier | None
     control: ControlProblemParams | None
     age_model: AgeModelParams | None
@@ -339,7 +337,6 @@ def _parse_config(path) -> RunConfig:
         phi0=phi0,
         control_level=u,
         convergence=convergence,
-        sign_variant=age["sign_variant"],
         mollifier=mollifier,
         control=control,
         age_model=age_model,

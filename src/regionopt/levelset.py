@@ -24,9 +24,7 @@ boundary faces carry no flux.  The operator is held as five band arrays
 on the grid; the step solves with it by block-tridiagonal elimination
 over grid rows, one dense NumPy solve per row: about N^4 work against
 a sparse LU's N^3, no slower for the grids the descents run on (N up to
-about 80) but twice as slow at N = 160.  curvature_divergence applies
-it explicitly as shifted-slice products, as the "printed" sign variant
-of the eradication descent does inside its velocity.
+about 80) but twice as slow at N = 160.
 """
 
 from __future__ import annotations
@@ -169,26 +167,6 @@ def _solve_by_rows(bands, rhs: np.ndarray) -> np.ndarray:
     for i in range(n - 2, -1, -1):
         out[i] -= gains[i + 1] @ out[i + 1]
     return out
-
-
-def curvature_divergence(field: ScalarField) -> ScalarField:
-    """div(grad phi / sqrt(|grad phi|^2 + CURVATURE_ETA^2)) at every node.
-
-    The zero-flux operator that evolve_phi solves with, applied to phi.
-    Positive inside a disc of radius R, phi has curvature -1/R on the circle.
-    """
-    p = field.values
-    h = field.grid.h
-    main, east, west, north, south = _zero_flux_divergence(p, h, 1.0 / (h * h))
-    pad = np.pad(p, 1)
-    kp = (
-        west * pad[:-2, 1:-1]
-        + south * pad[1:-1, :-2]
-        + main * p
-        + north * pad[1:-1, 2:]
-        + east * pad[2:, 1:-1]
-    )
-    return ScalarField(field.grid, kp)
 
 
 def evolve_phi(

@@ -93,14 +93,10 @@ class IterationRecord:
 
 @dataclass
 class Trace:
-    """Accepted iterates in order plus the reason the loop stopped.
-
-    columns is the CSV header; constants maps each column between theta
-    and stop_reason to its value on every row.
-    """
+    """Accepted iterates in order plus the reason the loop stopped;
+    columns is the CSV header."""
 
     columns: tuple = TRACE_COLUMNS
-    constants: dict = field(default_factory=dict)
     records: list = field(default_factory=list)
     stop_reason: str | None = None
 
@@ -129,7 +125,6 @@ class Trace:
                 writer.writerow(
                     [r.n]
                     + [format(value, ".17g") for value in values]
-                    + list(self.constants.values())
                     + [reason]
                 )
 

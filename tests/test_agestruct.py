@@ -28,12 +28,7 @@ from regionopt.agestruct import (
 )
 from regionopt.errors import ConvergenceFailure, SolverFailure
 from regionopt.grid import GridSpec, ScalarField
-from regionopt.levelset import (
-    LevelSetFunction,
-    Mollifier,
-    circle_levelset,
-    curvature_divergence,
-)
+from regionopt.levelset import LevelSetFunction, Mollifier, circle_levelset
 from regionopt.pde import _ImplicitStepper
 from regionopt.shapeopt import Convergence
 
@@ -740,18 +735,10 @@ def test_velocity_variants():
     effort = mollified_effort(phi, model.L, m)
     density = solve_age_structured(effort, model)
     integral = solve_eradication_adjoint(density)
-    velocity, weight = eradication_velocity(
-        phi, integral, model, (0.3, 0.7), "descent"
-    )
+    velocity, weight = eradication_velocity(integral, model, (0.3, 0.7))
+    assert velocity.grid == grid
     assert np.all(velocity.values == -0.7)
     assert weight == 0.3
-    velocity, weight = eradication_velocity(
-        phi, integral, model, (0.3, 0.7), "printed"
-    )
-    assert np.allclose(velocity.values, 0.7, rtol=0, atol=1e-12)
-    assert weight == 0.0
-    with pytest.raises(ValueError):
-        eradication_velocity(phi, integral, model, (0.3, 0.7), "upwind")
 
 
 @pytest.mark.parametrize("slope", [0.0, 0.8])
@@ -772,14 +759,10 @@ def test_streamed_integral_matches_full_history(slope):
     integral = solve_eradication_adjoint(density)
     assert np.abs(expected).min() > 0.0
     assert np.allclose(integral.values, expected, rtol=1e-12, atol=0.0)
-    penalties = (0.3, 0.7)
-    for variant, reference in (
-        ("descent", -0.7 + model.L * expected),
-        ("printed", -0.3 * curvature_divergence(phi.phi).values + 0.7 - model.L * expected),
-    ):
-        velocity, _ = eradication_velocity(phi, integral, model, penalties, variant)
-        scale = np.abs(reference).max()
-        assert np.abs(velocity.values - reference).max() <= 1e-12 * scale
+    velocity, _ = eradication_velocity(integral, model, (0.3, 0.7))
+    reference = -0.7 + model.L * expected
+    scale = np.abs(reference).max()
+    assert np.abs(velocity.values - reference).max() <= 1e-12 * scale
 
 
 def test_dual_streams_in_two_levels():
@@ -872,22 +855,6 @@ def test_heavy_area_penalty_shrinks_region():
     assert np.all(np.diff(psis) < 0.0)
 
 
-def test_printed_variant_still_gated_on_decrease():
-    grid = spatial_grid(N=8)
-    model = basic_model(Na=10, T=0.5)
-    _, trace, _ = optimize_eradication_region(
-        circle_levelset(grid),
-        model,
-        (0.1, 0.1),
-        Mollifier(1.0),
-        Convergence(max_iter=4),
-        sign_variant="printed",
-    )
-    assert trace.constants["sign_variant"] == "printed"
-    psis = trace.costs()
-    assert np.all(np.diff(psis) < 0.0)
-
-
 def test_eradication_trace_csv(tmp_path):
     grid = spatial_grid(N=8)
     model = basic_model(Na=10, T=0.5)
@@ -905,7 +872,6 @@ def test_eradication_trace_csv(tmp_path):
     assert rows[0] == list(ERADICATION_TRACE_COLUMNS)
     assert len(rows) == len(trace.records) + 1
     assert rows[-1][-1] == trace.stop_reason
-    assert all(row[-2] == trace.constants["sign_variant"] for row in rows[1:])
     for row, record in zip(rows[1:], trace.records):
         assert float(row[1]) == record.cost
 

@@ -315,10 +315,13 @@ def test_age_horizon_must_match_age_step(tmp_path):
     assert parse_config(write_config(tmp_path, text)).age_model.T == 0.93
 
 
-def test_bad_sign_variant_rejected(tmp_path):
-    text = AGE_TEXT + "sign_variant = upwind\n"
-    with pytest.raises(ConfigError, match="sign_variant"):
-        parse_config(write_config(tmp_path, text))
+def test_bad_sign_variant_rejected(tmp_path, capsys):
+    # The eradication descent has one velocity, so no key selects one.
+    text = ERADICATION_TEXT + "sign_variant = descent\n"
+    out = tmp_path / "o"
+    assert main(["--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 2
+    assert "unknown key agestruct.sign_variant" in capsys.readouterr().err
+    assert not out.exists()
 
 
 FORWARD_TEXT = """
@@ -524,8 +527,9 @@ def test_eradication_run_is_deterministic(tmp_path):
     ).read_bytes()
     density_files = sorted(first.glob("density_a*.csv"))
     assert len(density_files) == 11
-    summary = read_summary(first)
-    assert summary["sign_variant"] == "descent"
+    with open(first / "trace.csv", newline="") as handle:
+        assert next(csv.reader(handle)) == list(agestruct.ERADICATION_TRACE_COLUMNS)
+    assert "sign_variant" not in read_summary(first)
 
 
 def test_eradication_run_solves_the_age_model_once_per_evaluated_phi(
@@ -602,7 +606,6 @@ PINNED_SUMMARIES = {
             "command": "optimize-eradication",
             "iterations": 3,
             "stop_reason": "iteration budget",
-            "sign_variant": "descent",
             "final_psi": 0.29285652293974823,
             "final_region_area": 0.51038784781337421,
             "population_initial": 0.11651668629226231,
@@ -784,15 +787,21 @@ def test_readme_names_every_setting():
             entry = re.match(r"(\w+) =", line)
             if entry:
                 in_blocks.add(f"{section}.{entry.group(1)}")
+    known = set()
     for section, keys in config_module._KEYS.items():
         for key, (reader, *_) in keys.items():
             name = f"{section}.{key}"
+            known.add(name)
             assert f"`{name}`" in text or name in in_blocks, name
             for choice in reader if isinstance(reader, tuple) else ():
                 spelled = rf"(?<![\w-]){re.escape(choice)}(?![\w-])"
                 assert f"`{choice}`" in text or any(
                     re.search(spelled, block) for block in blocks
                 ), choice
+    # and the settings table names no key that the key table lacks
+    table = re.search(r"^\| key \| value \|.*?\n\n", text, re.S | re.M).group(0)
+    rows = re.findall(r"^\| `([^`]+)` \|", table, re.M)
+    assert rows and set(rows) <= known, set(rows) - known
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,6 @@ from regionopt.grid import (
     simpson_integral_2d,
     write_field_csv,
 )
-from regionopt.levelset import curvature_divergence
 
 # Simpson integral of (1/2pi) exp(-(x1^2+x2^2)/2) over the unit square,
 # computed with an independent N = 400 run (dblquad agrees to 7e-15).
@@ -159,30 +158,6 @@ def test_gradient_magnitude_interior_convergence_order():
         errs.append(err)
     orders = [np.log2(errs[k] / errs[k + 1]) for k in range(2)]
     assert min(orders) >= 1.8
-
-
-def test_curvature_flat_interface_zero():
-    # a plane has no curvature inside; zero flux through the walls leaves
-    # the unit normal flux of the wall faces as +-1/h on the wall rows
-    g = GridSpec(20, 2, 1.0)
-    f = ScalarField.from_function(g, lambda x1, x2: x1 - 0.3)
-    k = curvature_divergence(f).values
-    expect = np.zeros_like(k)
-    expect[0, :] = 1.0 / g.h
-    expect[-1, :] = -1.0 / g.h
-    assert np.allclose(k, expect, rtol=1e-12, atol=1e-12)
-
-
-def test_curvature_circle_signed_distance():
-    # phi positive inside a disc of radius 0.25: curvature -1/R on the interface
-    g = GridSpec(80, 2, 1.0)
-    f = ScalarField.from_function(
-        g, lambda x1, x2: 0.25 - np.sqrt((x1 - 0.5) ** 2 + (x2 - 0.5) ** 2)
-    )
-    k = curvature_divergence(f)
-    near = np.abs(f.values) < 1.5 * g.h
-    vals = k.values[near]
-    assert np.abs(vals.mean() + 4.0) <= 0.4
 
 
 def test_field_csv_roundtrip(tmp_path):

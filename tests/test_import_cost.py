@@ -43,7 +43,6 @@ CONFIGS = {
     "forward": FORWARD_TEXT,
     "optimize-region": TEST1_TEXT,
     "optimize-eradication": ERADICATION_TEXT,
-    "optimize-eradication-printed": ERADICATION_TEXT + "sign_variant = printed\n",
     "eradicability": AGE_TEXT.replace("init = 1.0", "init = circle"),
 }
 
