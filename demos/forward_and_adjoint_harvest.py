@@ -9,8 +9,6 @@ trace: integral of H_eps(phi) u y over space-time versus minus the
 integral of y0 * p(.,0).
 """
 
-import numpy as np
-
 from regionopt import (
     ControlProblemParams,
     GridSpec,

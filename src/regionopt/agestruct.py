@@ -537,8 +537,9 @@ def optimize_eradication_region(
     """Shape the harvesting region to minimize Psi by shapeopt.descend.
 
     The age-structured model gives Psi, and its dual the velocity of
-    eradication_velocity; every step is gated on an actual Psi decrease.
-    Returns (best iterate by Psi, trace, its age density).
+    eradication_velocity; under convergence.step = "halving" every step
+    is gated on an actual Psi decrease.  Returns (best iterate by Psi,
+    trace, its age density).
     """
 
     def direction(phi, density):

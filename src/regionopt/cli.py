@@ -47,7 +47,7 @@ def _region_snapshot_callback(out_dir: str, every: int):
     return callback
 
 
-def _run_forward(config: RunConfig, out_dir: str, snapshot_every: int) -> int:
+def _run_forward(config: RunConfig, out_dir: str) -> int:
     grid = config.grid
     control = SpaceTimeField.constant(grid, config.control_level)
     state = solve_forward(config.phi0, control, config.control)
@@ -57,7 +57,7 @@ def _run_forward(config: RunConfig, out_dir: str, snapshot_every: int) -> int:
     drift = float(np.max(np.abs(masses - masses[0])) / max(abs(masses[0]), 1e-300))
     written = 0
     for k in range(grid.M + 1):
-        if k % snapshot_every == 0 or k == grid.M:
+        if k % config.snapshot_every == 0 or k == grid.M:
             write_field_csv(
                 state.level(k), os.path.join(out_dir, f"field_k{k:04d}.csv")
             )
@@ -76,16 +76,10 @@ def _run_forward(config: RunConfig, out_dir: str, snapshot_every: int) -> int:
     return 0
 
 
-def _run_optimize_region(
-    config: RunConfig, out_dir: str, paper_mode: bool, snapshot_every: int
-) -> int:
-    callback = _region_snapshot_callback(out_dir, snapshot_every)
+def _run_optimize_region(config: RunConfig, out_dir: str) -> int:
+    callback = _region_snapshot_callback(out_dir, config.snapshot_every)
     best, trace, _ = optimize_region(
-        config.phi0,
-        config.control,
-        config.convergence,
-        paper_mode=paper_mode,
-        callback=callback,
+        config.phi0, config.control, config.convergence, callback=callback
     )
     trace.write_csv(os.path.join(out_dir, "trace.csv"))
     write_region_pgm(best, os.path.join(out_dir, "omega_final.pgm"))
@@ -120,10 +114,8 @@ def _run_eradicability(config: RunConfig, out_dir: str) -> int:
     return 0
 
 
-def _run_optimize_eradication(
-    config: RunConfig, out_dir: str, snapshot_every: int
-) -> int:
-    callback = _region_snapshot_callback(out_dir, snapshot_every)
+def _run_optimize_eradication(config: RunConfig, out_dir: str) -> int:
+    callback = _region_snapshot_callback(out_dir, config.snapshot_every)
     model = config.age_model
     best, trace, density = optimize_eradication_region(
         config.phi0,
@@ -158,20 +150,20 @@ def _run_optimize_eradication(
     return 0
 
 
-def _run_pipeline(
-    config: RunConfig, target: str, paper_mode: bool, snapshot_every: int
-) -> int:
+_PIPELINES = {
+    "forward": _run_forward,
+    "optimize-region": _run_optimize_region,
+    "eradicability": _run_eradicability,
+    "optimize-eradication": _run_optimize_eradication,
+}
+
+
+def _run_pipeline(config: RunConfig, target: str) -> int:
     try:
         # Settings too large for double precision, or for memory, fail as
         # solver failures.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            if config.command == "forward":
-                return _run_forward(config, target, snapshot_every)
-            if config.command == "optimize-region":
-                return _run_optimize_region(config, target, paper_mode, snapshot_every)
-            if config.command == "eradicability":
-                return _run_eradicability(config, target)
-            return _run_optimize_eradication(config, target, snapshot_every)
+            return _PIPELINES[config.command](config, target)
     except (SolverFailure, FloatingPointError, MemoryError) as exc:
         trace = getattr(exc, "trace", None)
         if trace is not None:
@@ -183,32 +175,22 @@ def _run_pipeline(
         return 4
 
 
-def run(
-    config: RunConfig,
-    out_dir: str | None = None,
-    paper_mode: bool = False,
-    snapshot_every: int = 1,
-) -> int:
+def run(config: RunConfig, out_dir: str | None = None) -> int:
     """Execute the configured pipeline, writing artifacts into out_dir.
 
-    out_dir defaults to the config's output directory and is created if
-    absent.  paper_mode applies to optimize-region only.  Returns the
-    process exit status; a failed descent leaves its partial trace.csv.
-    An artifact that cannot be written raises ConfigError naming it.
+    Every setting, the step policy and snapshot interval included, comes
+    from config.  out_dir defaults to the config's output directory and
+    is created if absent.  Returns the process exit status; a failed
+    descent leaves its partial trace.csv.  An artifact that cannot be
+    written raises ConfigError naming it.
     """
-    if snapshot_every < 1:
-        raise ConfigError(f"snapshot-every must be >= 1, got {snapshot_every}")
-    if paper_mode and config.command != "optimize-region":
-        raise ConfigError(
-            f"--paper-mode applies to optimize-region only, not {config.command}"
-        )
     target = out_dir if out_dir is not None else config.output
     try:
         os.makedirs(target, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {target}: {exc}") from None
     try:
-        return _run_pipeline(config, target, paper_mode, snapshot_every)
+        return _run_pipeline(config, target)
     except OSError as exc:
         raise ConfigError(f"cannot write artifacts to {target}: {exc}") from None
 
@@ -227,27 +209,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--out", default=None, help="output directory (overrides the config)"
     )
-    parser.add_argument(
-        "--paper-mode",
-        action="store_true",
-        help="optimize-region only: take every step at full size, no backtracking",
-    )
-    parser.add_argument(
-        "--snapshot-every",
-        type=int,
-        default=1,
-        metavar="K",
-        help="write region or field snapshots every K iterations/time levels",
-    )
     args = parser.parse_args(argv)
     try:
-        config = parse_config(args.config)
-        return run(
-            config,
-            out_dir=args.out,
-            paper_mode=args.paper_mode,
-            snapshot_every=args.snapshot_every,
-        )
+        return run(parse_config(args.config), out_dir=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

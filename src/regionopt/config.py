@@ -44,7 +44,11 @@ _MARCHING = _HARVEST + ("optimize-eradication",)
 # command if every command needs it.  A default stands for an absent key
 # and for a string left empty; the defaults of a model type stay with it.
 _KEYS = {
-    "run": {"command": (COMMANDS, COMMANDS), "output": (str, (), "out")},
+    "run": {
+        "command": (COMMANDS, COMMANDS),
+        "output": (str, (), "out"),
+        "snapshot_every": (int, (), 1),
+    },
     "grid": {"N": (int, COMMANDS), "M": (int, COMMANDS), "T": (float, COMMANDS)},
     "model": {
         "d": (float, COMMANDS),
@@ -86,6 +90,7 @@ class RunConfig:
 
     command: str
     output: str
+    snapshot_every: int
     grid: GridSpec
     phi0: LevelSetFunction
     control_level: float
@@ -228,6 +233,9 @@ def _parse_config(path) -> RunConfig:
             if raw or not isinstance(value[section].get(key), str):
                 reader = _KEYS[section][key][0]
                 value[section][key] = _read(raw, reader, f"{section}.{key}")
+    every = value["run"]["snapshot_every"]
+    if every < 1:
+        raise ConfigError(f"run.snapshot_every must be >= 1, got {every}")
     with _rejected("grid section rejected: "):
         grid = GridSpec(**value["grid"])
 
@@ -331,8 +339,7 @@ def _parse_config(path) -> RunConfig:
             age_model.check_renewal_step()
 
     return RunConfig(
-        command=command,
-        output=value["run"]["output"],
+        **value["run"],
         grid=grid,
         phi0=phi0,
         control_level=u,

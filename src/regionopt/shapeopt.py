@@ -14,9 +14,10 @@ as a curvature term treated semi-implicitly inside evolve_phi.  The loop
 (descend, shared with the eradication cost of the agestruct module)
 adds the two penalties to the data term of each iterate, stops on a
 small decrement or an increase, otherwise steps phi along the velocity
-and repeats.  When a step increases the cost the step size is halved
-and retried a few times before giving up; a pure descent mode disables
-that retry and stops on the first increase.
+and repeats.  Convergence.step picks the step policy: under "halving"
+a step that increases the cost is halved and retried a few times before
+giving up; under "paper" each step is taken as it comes and the loop
+stops on the first increase.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .pde import (
 
 # the nominal step and up to five halvings of it
 MAX_TRIALS = 6
+STEP_POLICIES = ("halving", "paper")
 
 TRACE_COLUMNS = (
     "n",
@@ -63,16 +65,21 @@ TRACE_COLUMNS = (
 @dataclass(frozen=True)
 class Convergence:
     """descend's [convergence] settings: iteration budget, tolerances on
-    the cost decrement and the L2 change of phi, initial step size."""
+    the cost decrement and the L2 change of phi, initial step size and
+    step policy (one of STEP_POLICIES)."""
 
     max_iter: int = 200
     eps1: float = 1.0e-3
     eps2: float = 1.0e-3
     theta0: float = 0.05
+    step: str = "halving"
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.step not in STEP_POLICIES:
+            policies = ", ".join(STEP_POLICIES)
+            raise ValueError(f"step must be one of {policies}; got {self.step!r}")
         for key in ("eps1", "eps2", "theta0"):
             if not getattr(self, key) > 0.0:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
@@ -202,7 +209,6 @@ def descend(
     *,
     penalties,
     convergence: Convergence,
-    paper_mode: bool = False,
     callback=None,
 ):
     """Run the outer descent loop from phi0.
@@ -213,9 +219,10 @@ def descend(
     curvature weight).  Each pass evaluates the cost, checks the
     stopping rules of convergence (small decrement, increase, small phi
     change, iteration budget), then moves phi one semi-implicit step of
-    size theta0 along the velocity.  An increase triggers step-size
-    halving with up to 5 retries unless paper_mode is set, in which case
-    the first increase stops the loop on the spot.
+    size theta0 along the velocity.  Under convergence.step = "halving"
+    a trial step that does not decrease the cost is halved, with up to 5
+    retries; under "paper" the one trial is taken as it is, so the first
+    increase stops the loop at the next pass.
 
     Fills trace and returns (best_phi, trace, best_state): the iterate
     of lowest cost, whose record is trace.best(), and its solver state.
@@ -232,6 +239,7 @@ def descend(
     phi_change = 0.0
     theta = 0.0
     n = 1
+    paper = convergence.step == "paper"
     try:
         cost, terms, area, length, state = penalised_cost(phi, measure, penalties, m)
         while True:
@@ -266,10 +274,10 @@ def descend(
             velocity, curvature_weight = direction(phi, state)
             theta = convergence.theta0
             closest_gap = np.inf
-            for _ in range(1 if paper_mode else MAX_TRIALS):
+            for _ in range(1 if paper else MAX_TRIALS):
                 phi_next = evolve_phi(phi, velocity, theta, m, alpha=curvature_weight)
                 trial = penalised_cost(phi_next, measure, penalties, m)
-                if paper_mode or trial[0] < cost:
+                if paper or trial[0] < cost:
                     break
                 closest_gap = min(closest_gap, abs(trial[0] - cost))
                 theta *= 0.5
@@ -296,16 +304,15 @@ def optimize_region(
     phi0: LevelSetFunction,
     params: ControlProblemParams,
     convergence: Convergence = Convergence(),
-    paper_mode: bool = False,
     callback=None,
 ):
     """Minimize J from phi0 by descend: the adjoint gives J, the
     sensitivity the velocity, and alpha weighs the implicit curvature.
 
-    convergence holds the iteration budget, stopping tolerances and
-    initial step size.  Returns (best iterate by cost, trace, its
-    adjoint).  Solver failures re-raise with the partial trace attached
-    as exc.trace.
+    convergence holds the iteration budget, stopping tolerances,
+    initial step size and step policy.  Returns (best iterate by cost,
+    trace, its adjoint).  Solver failures re-raise with the partial trace
+    attached as exc.trace.
     """
 
     def direction(phi, adjoint):
@@ -320,6 +327,5 @@ def optimize_region(
         Trace(),
         penalties=(params.alpha, params.beta),
         convergence=convergence,
-        paper_mode=paper_mode,
         callback=callback,
     )

@@ -1,6 +1,7 @@
 """Tests for configuration parsing and the command line pipelines."""
 
 import csv
+import inspect
 import math
 import os
 import re
@@ -366,11 +367,10 @@ def test_age_keys_type_checked_for_forward(tmp_path, capsys, key, value, message
 
 
 def test_forward_conservation_run(tmp_path):
-    path = write_config(tmp_path, FORWARD_TEXT)
+    text = FORWARD_TEXT.replace("[run]", "[run]\nsnapshot_every = 50")
+    path = write_config(tmp_path, text)
     out = tmp_path / "fw"
-    status = main(
-        ["--config", str(path), "--out", str(out), "--snapshot-every", "50"]
-    )
+    status = main(["--config", str(path), "--out", str(out)])
     assert status == 0
     summary = read_summary(out)
     assert float(summary["mass_drift"]) <= 1e-8
@@ -558,6 +558,32 @@ def test_eradication_run_solves_the_age_model_once_per_evaluated_phi(
     assert counts["solve_age_structured"] == counts["evolve_phi"] + 1
 
 
+def test_paper_step_reaches_the_eradication_descent(tmp_path, monkeypatch):
+    # Under step = paper every trial step is taken as it comes: one
+    # evolve_phi per accepted iterate after the first.  A large theta0
+    # overshoots, so the run stops on an increase past its best record.
+    evolve_phi = shapeopt.evolve_phi
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return evolve_phi(*args, **kwargs)
+
+    monkeypatch.setattr(shapeopt, "evolve_phi", counted)
+    text = ERADICATION_TEXT.replace("L = 1.0", "L = 4.0").replace(
+        "max_iter = 3", "max_iter = 20\ntheta0 = 200.0\nstep = paper"
+    )
+    path = write_config(tmp_path, text)
+    out = tmp_path / "o"
+    assert run(parse_config(path), out_dir=str(out)) == 0
+    with open(out / "trace.csv", newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    assert len(calls) == len(rows) - 1 >= 1
+    assert rows[-1][-1] == "J increase"
+    costs = [float(row[1]) for row in rows]
+    assert min(costs) < costs[-1]
+
+
 # command -> (config, its summary.txt lines).  A refactor keeps these
 # numbers: floats to a relative 1e-9 (the rule of perfbench/references.json),
 # integers and strings exactly.
@@ -634,12 +660,44 @@ def test_exit_code_for_missing_config(tmp_path):
     assert main(["--config", str(tmp_path / "nope.ini")]) == 2
 
 
-def test_exit_code_for_bad_snapshot_interval(tmp_path):
+def test_exit_code_for_bad_snapshot_interval(tmp_path, capsys):
+    for value in ("0", "2.5"):
+        text = TEST1_TEXT.replace("[run]", f"[run]\nsnapshot_every = {value}")
+        path = write_config(tmp_path, text)
+        out = tmp_path / "x"
+        assert main(["--config", str(path), "--out", str(out)]) == 2
+        assert "run.snapshot_every" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_unknown_step_policy_rejected(tmp_path, capsys):
+    text = TEST1_TEXT.replace("[convergence]", "[convergence]\nstep = bogus")
+    path = write_config(tmp_path, text)
+    out = tmp_path / "x"
+    assert main(["--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "convergence.step" in err and "halving" in err and "paper" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--paper-mode"], ["--snapshot-every", "5"]])
+def test_removed_flags_are_usage_errors(tmp_path, capsys, flags):
+    # The step policy and snapshot interval are config keys, not flags.
     path = write_config(tmp_path, TEST1_TEXT)
-    status = main(
-        ["--config", str(path), "--out", str(tmp_path / "x"), "--snapshot-every", "0"]
-    )
-    assert status == 2
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(path), "--out", str(out), *flags])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_takes_the_config_alone(capsys):
+    assert list(inspect.signature(run).parameters) == ["config", "out_dir"]
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    flags = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+    assert flags == {"--help", "--config", "--out"}
 
 
 SOLVER_FAILURE_TEXT = """
@@ -711,15 +769,6 @@ def test_negative_penalty_rejected_for_every_command(tmp_path, capsys):
             assert not out.exists()
 
 
-def test_paper_mode_rejected_outside_optimize_region(tmp_path, capsys):
-    path = write_config(tmp_path, FORWARD_TEXT)
-    out = tmp_path / "fw"
-    status = main(["--config", str(path), "--out", str(out), "--paper-mode"])
-    assert status == 2
-    assert "optimize-region only" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_run_seed_is_an_unknown_key(tmp_path, capsys):
     text = TEST1_TEXT.replace("[run]", "[run]\nseed = 7")
     path = write_config(tmp_path, text)
@@ -767,7 +816,9 @@ def test_readme_config_parses(tmp_path):
         block = re.search(r"```ini\n(.*?)```", handle.read(), re.S).group(1)
     config = parse_config(write_config(tmp_path, block))
     assert config.command == "optimize-region"
-    stated = Convergence(max_iter=200, eps1=0.001, eps2=0.001, theta0=0.05)
+    stated = Convergence(
+        max_iter=200, eps1=0.001, eps2=0.001, theta0=0.05, step="halving"
+    )
     assert config.convergence == stated == Convergence()
 
 

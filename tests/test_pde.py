@@ -25,7 +25,6 @@ from regionopt.levelset import (
     LevelSetFunction,
     Mollifier,
     circle_levelset,
-    delta_mollified,
     heaviside_mollified,
 )
 from regionopt import pde

@@ -168,7 +168,7 @@ def test_paper_mode_accepts_then_checks():
     grid = GridSpec(N=10, M=10, T=1.0)
     params = make_params(grid, L=0.0, alpha=0.0, beta=0.0)
     best, trace, _ = optimize_region(
-        circle_levelset(grid), params, Convergence(max_iter=10), paper_mode=True
+        circle_levelset(grid), params, Convergence(max_iter=10, step="paper")
     )
     assert len(trace.records) == 2
     assert trace.records[1].cost == 0.0
@@ -275,8 +275,9 @@ def test_best_state_is_the_adjoint_of_the_best_iterate(paper_mode):
     best, trace, adjoint = optimize_region(
         circle_levelset(grid),
         params,
-        Convergence(max_iter=20, theta0=10.0),
-        paper_mode=paper_mode,
+        Convergence(
+            max_iter=20, theta0=10.0, step="paper" if paper_mode else "halving"
+        ),
     )
     if paper_mode:
         assert trace.stop_reason == "J increase"
