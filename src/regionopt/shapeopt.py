@@ -230,6 +230,13 @@ def descend(
     exc.trace.  The optional callback receives (n, phi, record) after
     each accepted iterate.
 
+    Every reference to an iterate's state is dropped once direction has
+    read it, so each trial is measured with no other solver state alive.
+    If the best iterate's state is gone when the loop stops (every
+    halving trial failed, or a "paper" step raised the cost), the last
+    trial's state is dropped and measure(best_phi) runs once more; the
+    solvers are deterministic, so it gives the same bits.
+
     Stop reasons: "J tolerance", "J increase", "phi tolerance",
     "iteration budget".
     """
@@ -272,9 +279,11 @@ def descend(
                 stop = "iteration budget"
                 break
             velocity, curvature_weight = direction(phi, state)
+            state = best_state = None  # served its direction
             theta = convergence.theta0
             closest_gap = np.inf
             for _ in range(1 if paper else MAX_TRIALS):
+                trial = None  # so each trial's march is the one state alive
                 phi_next = evolve_phi(phi, velocity, theta, m, alpha=curvature_weight)
                 trial = penalised_cost(phi_next, measure, penalties, m)
                 if paper or trial[0] < cost:
@@ -292,6 +301,9 @@ def descend(
             phi = phi_next
             cost, terms, area, length, state = trial
             n += 1
+        if best_state is None:  # dropped with its direction
+            state = trial = None
+            best_state = measure(best_phi)[1]
     except SolverFailure as exc:
         trace.stop_reason = "solver failure"
         exc.trace = trace

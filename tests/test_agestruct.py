@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.sparse.linalg import eigsh
 
-from regionopt import agestruct
+from regionopt import agestruct, shapeopt
 from regionopt.agestruct import (
     AgeDensityField,
     AgeModelParams,
@@ -888,3 +888,81 @@ def test_best_state_is_the_density_of_the_best_iterate():
     assert np.array_equal(density.values, fresh.values)
     psi, terms = evaluate_psi(best, model, (0.1, 0.1), m)
     assert (psi, terms) == (trace.best().cost, trace.best().terms)
+
+
+@pytest.mark.parametrize("step", ["halving", "paper"])
+def test_descent_holds_one_density_at_a_time(step):
+    # An iterate's density is released once its direction is formed, so
+    # each trial's march is the only density alive: the peak is one
+    # density plus the dual's few levels, not the accepted iterate's
+    # density beside the trial's (about 2.25 densities).
+    grid = spatial_grid(N=12)
+    model = basic_model(T=2.0)
+    m = Mollifier(1.0)
+    phi0 = circle_levelset(grid)
+    density = solve_age_structured(mollified_effort(phi0, model.L, m), model)
+    nbytes = density.values.nbytes  # the march above warms the DCT cache
+    del density
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _, trace, _ = optimize_eradication_region(
+            phi0, model, (0.1, 0.1), m, Convergence(max_iter=4, step=step)
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.records) == 4
+    assert peak - base <= 1.6 * nbytes
+
+
+@pytest.mark.parametrize("step", ["halving", "paper"])
+def test_descent_ending_on_an_increase_returns_the_best_density(step):
+    # At theta0 = 100 the paper run takes an increasing step and stops on
+    # it; the halving run stops on "J increase" only when every halving
+    # of a step increases Psi.  Either way the best iterate's density was
+    # released with its direction, so it is marched once more, to the
+    # same bits.
+    grid = spatial_grid(N=8)
+    model = basic_model(Na=10, T=0.5)
+    m = Mollifier(1.0)
+    convergence = Convergence(max_iter=20, theta0=100.0, eps1=1.0e-9, step=step)
+    best, trace, density = optimize_eradication_region(
+        circle_levelset(grid), model, (0.0, 0.5), m, convergence
+    )
+    assert trace.stop_reason == "J increase"
+    if step == "paper":
+        assert trace.best() is not trace.records[-1]
+    fresh = solve_age_structured(mollified_effort(best, model.L, m), model)
+    assert np.array_equal(density.values, fresh.values)
+    assert np.array_equal(density.effort.values, fresh.effort.values)
+
+
+def test_halving_descent_on_budget_marches_once_per_evaluated_phi(monkeypatch):
+    # Each evaluated phi (the start and each trial step, one evolve_phi
+    # each) is marched once; a run whose last iterate is its best is
+    # never re-measured.
+    counts = {"solve_age_structured": 0, "evolve_phi": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        agestruct, "solve_age_structured", counted("solve_age_structured", solve_age_structured)
+    )
+    monkeypatch.setattr(shapeopt, "evolve_phi", counted("evolve_phi", shapeopt.evolve_phi))
+    grid = spatial_grid(N=8)
+    _, trace, _ = optimize_eradication_region(
+        circle_levelset(grid),
+        basic_model(Na=10, T=0.5),
+        (0.1, 0.1),
+        Mollifier(1.0),
+        Convergence(max_iter=4),
+    )
+    assert trace.stop_reason == "iteration budget"
+    assert counts["evolve_phi"] >= len(trace.records) - 1 == 3
+    assert counts["solve_age_structured"] == 1 + counts["evolve_phi"]
