@@ -49,7 +49,6 @@ from .pde import _ImplicitStepper
 from .shapeopt import Convergence, Trace, descend, penalised_cost
 
 EIGEN_TOL = 1.0e-8
-EIGEN_ROUNDOFF = 16.0  # least stopping residual, in units of eps * max |row sum|
 EIGEN_MAX_ITER = 500
 VERDICT_TOLERANCE = 1.0e-6
 
@@ -254,16 +253,15 @@ def mollified_effort(phi: LevelSetFunction, L: float, m: Mollifier) -> ScalarFie
 
 
 def eigen_roundoff(effort: ScalarField, d: float) -> float:
-    """Least stopping residual of principal_eigenvalue: EIGEN_ROUNDOFF
-    units of round-off of one product, eps times the largest absolute
-    row sum of -d lap + u (its main diagonal plus d / h^2 per neighbor).
+    """Least stopping residual of principal_eigenvalue: the step
+    solver's round-off of one product (pde.ROUNDOFF units of eps times
+    the largest absolute row sum) with the main diagonal of -d lap + u.
     The residual of a unit vector bounds |lambda - theta| for this
     symmetric operator, so it bounds the error of lambda_1 as well.
     """
     grid = effort.grid
-    lap_diag = _ImplicitStepper(grid.N, d / (grid.h * grid.h)).lap_diag
-    row_sum = lap_diag + effort.values[1:-1, 1:-1] + lap_diag
-    return float(EIGEN_ROUNDOFF * np.finfo(float).eps * row_sum.max())
+    stepper = _ImplicitStepper(grid.N, d / (grid.h * grid.h))
+    return stepper.roundoff(stepper.lap_diag + effort.values[1:-1, 1:-1]).item()
 
 
 def principal_eigenvalue(effort: ScalarField, d: float) -> float:
@@ -279,9 +277,9 @@ def principal_eigenvalue(effort: ScalarField, d: float) -> float:
     residual test decide lambda_1.  The three columns live in one n x 3
     block, orthonormalized in place by LAPACK Householder QR
     (lapack_lite's dgeqrf, then dorgqr over the same memory).  Stops at
-    a relative eigenresidual of 1e-8, or at eigen_roundoff (EIGEN_ROUNDOFF
-    units of round-off of one product) where that is larger (large
-    d / h^2).  A negative d or effort raises ValueError; running out of
+    a relative eigenresidual of 1e-8, or at eigen_roundoff (the
+    round-off of one product) where that is larger (large d / h^2).  A
+    negative d or effort raises ValueError; running out of
     EIGEN_MAX_ITER steps raises ConvergenceFailure, and non-finite
     values or a failed projection raise SolverFailure.
     """

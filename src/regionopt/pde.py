@@ -49,6 +49,7 @@ from .levelset import (
 
 CG_TOL = 1.0e-13
 CG_MAX_ITER = 100
+ROUNDOFF = 16.0  # least attainable residual, in units of eps * max |row sum|
 
 
 @dataclass
@@ -175,6 +176,13 @@ class _ImplicitStepper:
         y -= bordered[..., 1:-1, 2:]
         return y
 
+    def roundoff(self, diagonal: np.ndarray) -> np.ndarray:
+        """ROUNDOFF units of round-off of one apply with this main
+        diagonal: eps times the largest absolute row sum |diagonal| +
+        lap_diag of each block, shaped (..., 1, 1)."""
+        row_sum = np.abs(diagonal) + self.lap_diag
+        return ROUNDOFF * np.finfo(float).eps * row_sum.max(axis=(-2, -1), keepdims=True)
+
     def precondition(self, denominator: np.ndarray, r: np.ndarray) -> np.ndarray:
         """The exact inverse of shift I + lam L applied to r, in the DCT
         basis, given its eigenvalues denominator = shift + lap_eigs.
@@ -197,25 +205,30 @@ def linear_solve(stepper: _ImplicitStepper, e1: np.ndarray, rhs: np.ndarray):
     The preconditioner is the exact inverse at the mean diagonal
     1 + mean(E1), so a uniform E1 is solved by the initial guess alone.
     Each batch member has its own reductions and stops once its max-norm
-    residual is at most CG_TOL * max(|rhs|, 1).  Convergence is checked
-    before each preconditioning, so a solve of k >= 1 iterations costs
-    k + 1 preconditioner calls and k + 2 stencil products, and a solve
-    of 0 iterations one of each.  Returns (v, iterations).
-    Raises SolverFailure on non-finite values, after CG_MAX_ITER
-    iterations, or when the true residual exceeds 1e-10 * max(|rhs|, 1).
+    residual is at most CG_TOL * max(|rhs|, 1), or at the round-off
+    floor stepper.roundoff * max|x| of one stencil product where that is
+    larger (large lam), with x the initial guess.  Convergence is
+    checked before each preconditioning, so a solve of k >= 1
+    iterations costs k + 1 preconditioner calls and k + 2 stencil
+    products, and a solve of 0 iterations one of each.  Returns
+    (v, iterations).  Raises SolverFailure on non-finite values, after
+    CG_MAX_ITER iterations, or when the true residual exceeds both
+    1e-10 * max(|rhs|, 1) and the floor at the solution.
     """
     axes = (-2, -1)
     scale = np.maximum(np.abs(rhs).max(axis=axes, keepdims=True), 1.0)
     denominator = 1.0 + np.mean(e1, axis=axes, keepdims=True) + stepper.lap_eigs
     diagonal = stepper.main + e1
+    unit = stepper.roundoff(diagonal)
     x = stepper.precondition(denominator, rhs)
+    tolerance = np.maximum(CG_TOL * scale, unit * np.abs(x).max(axis=axes, keepdims=True))
     r = rhs - stepper.apply(diagonal, x)
     iterations = 0
     while True:
         rmax = np.abs(r).max(axis=axes, keepdims=True)
         if not np.all(np.isfinite(rmax)):
             raise SolverFailure("conjugate gradients produced non-finite values")
-        live = rmax > CG_TOL * scale
+        live = rmax > tolerance
         if not live.any():
             break
         if iterations == CG_MAX_ITER:
@@ -240,9 +253,14 @@ def linear_solve(stepper: _ImplicitStepper, e1: np.ndarray, rhs: np.ndarray):
     if iterations:
         rmax = np.abs(stepper.apply(diagonal, x) - rhs).max(axis=axes, keepdims=True)
     # else r = rhs - apply(x) is the true residual, and rmax its max-norm.
-    resid = (rmax / scale).max()
-    if resid > 1.0e-10:
-        raise SolverFailure(f"linear solve relative residual {resid:.3e} exceeds 1e-10")
+    floor = unit * np.abs(x).max(axis=axes, keepdims=True)
+    failing = rmax > np.maximum(1.0e-10 * scale, floor)
+    if failing.any():
+        resid = (rmax / scale)[failing].max()
+        raise SolverFailure(
+            f"linear solve relative residual {resid:.3e} exceeds 1e-10 "
+            "and the round-off floor"
+        )
     return x, iterations
 
 

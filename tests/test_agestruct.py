@@ -29,7 +29,7 @@ from regionopt.agestruct import (
 from regionopt.errors import ConvergenceFailure, SolverFailure
 from regionopt.grid import GridSpec, ScalarField
 from regionopt.levelset import LevelSetFunction, Mollifier, circle_levelset
-from regionopt.pde import _ImplicitStepper
+from regionopt.pde import ROUNDOFF, _ImplicitStepper
 from regionopt.shapeopt import Convergence
 
 from neumann_oracle import neumann_operator
@@ -380,7 +380,7 @@ def test_eigen_stopping_test_is_floored_at_round_off():
     )[0]
     produced = principal_eigenvalue(effort, d)
     row_sum = 8.0 * d / grid.h**2 + 4.0
-    floor = agestruct.EIGEN_ROUNDOFF * np.finfo(float).eps * row_sum
+    floor = ROUNDOFF * np.finfo(float).eps * row_sum
     assert floor > 1e2 * agestruct.EIGEN_TOL * expected
     # A unit vector with residual norm at most the floor lies that close
     # to an eigenvalue of the symmetric operator.
@@ -481,7 +481,7 @@ def test_verdict_within_round_off_is_indeterminate(N, d):
     bound = agestruct.eigen_roundoff(sharp_effort(phi, model.L), d)
     row_sum = 8.0 * d / grid.h**2 + 4.0
     assert bound == pytest.approx(
-        agestruct.EIGEN_ROUNDOFF * np.finfo(float).eps * row_sum, rel=1e-12
+        ROUNDOFF * np.finfo(float).eps * row_sum, rel=1e-12
     )
     assert report.tolerance == bound
     assert abs(report.margin) <= bound

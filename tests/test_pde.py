@@ -29,6 +29,7 @@ from regionopt.levelset import (
 )
 from regionopt import pde
 from regionopt.pde import (
+    ROUNDOFF,
     ControlProblemParams,
     _ImplicitStepper,
     _complete_with_ghost,
@@ -167,6 +168,27 @@ def test_uniform_reaction_needs_no_cg_iteration():
         assert iterations == 0
         x_ref = gauss_solve(dense_from_neighbor_rule(N, lam, e1), rhs.ravel())
         assert np.abs(x.ravel() - x_ref).max() <= 1e-12 * max(np.abs(x_ref).max(), 1.0)
+
+
+@pytest.mark.parametrize("N", [20, 64])
+@pytest.mark.parametrize("lam", [1.0e5, 1.0e8])
+def test_large_lam_solve_stops_at_round_off(N, lam):
+    # One stencil product rounds off by about eps * (1 + 8 lam) * max|x|,
+    # above 1e-10 * max|rhs| from lam = 1e5 on, even when the
+    # preconditioner is exact (uniform E1): the solve stops at that
+    # floor instead of failing.
+    rng = np.random.default_rng(29)
+    stepper = _ImplicitStepper(N, lam)
+    rhs = rng.uniform(0.5, 1.5, (N - 1, N - 1))
+    for e1 in (np.full_like(rhs, 0.1), rng.uniform(0.0, 0.5, rhs.shape)):
+        x, iterations = linear_solve(stepper, e1, rhs)
+        if np.ptp(e1) == 0.0:
+            assert iterations == 0
+        residual = np.abs(stepper.apply(stepper.main + e1, x) - rhs).max()
+        row_sum = 1.0 + 8.0 * lam + e1.max()
+        floor = ROUNDOFF * np.finfo(float).eps * row_sum * np.abs(x).max()
+        assert 1e-10 * np.abs(rhs).max() < floor
+        assert residual <= floor
 
 
 @pytest.mark.parametrize("N", [3, 4, 6, 8])
