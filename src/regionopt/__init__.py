@@ -15,7 +15,6 @@ from .agestruct import (
     AgeModelParams,
     EradicabilityReport,
     eradicability_verdict,
-    eradication_velocity,
     evaluate_psi,
     lotka_root,
     mollified_effort,
@@ -104,7 +103,6 @@ __all__ = [
     "total_population",
     "evaluate_psi",
     "solve_eradication_adjoint",
-    "eradication_velocity",
     "optimize_eradication_region",
     "RunConfig",
     "parse_config",

@@ -115,11 +115,12 @@ class AgeModelParams:
             raise ValueError(f"Na must be an integer >= 2, got {self.Na}")
         self.Na = int(self.Na)
         if not self.d >= 0.0:
-            raise ValueError(f"diffusion must be nonnegative, got {self.d}")
+            raise ValueError(f"d must be nonnegative, got {self.d}")
         if not self.L >= 0.0:
-            raise ValueError(f"effort bound must be nonnegative, got {self.L}")
-        if not self.logistic_slope >= 0.0:
-            raise ValueError("logistic slope must be nonnegative")
+            raise ValueError(f"L must be nonnegative, got {self.L}")
+        slope = self.logistic_slope
+        if not slope >= 0.0:
+            raise ValueError(f"logistic_slope must be nonnegative, got {slope}")
         if not (self.T > 0.0):
             raise ValueError(f"horizon must be positive, got {self.T}")
         ages = self.ages
@@ -285,12 +286,12 @@ def principal_eigenvalue(effort: ScalarField, d: float) -> float:
     """
     if d < 0.0 or np.any(effort.values < 0.0):
         raise ValueError("d and the effort must be nonnegative")
-    floor = eigen_roundoff(effort, d)
     grid = effort.grid
     n1 = grid.N - 1
     stepper = _ImplicitStepper(grid.N, d / (grid.h * grid.h))
     interior = effort.values[1:-1, 1:-1]
     diagonal = stepper.lap_diag + interior
+    floor = stepper.roundoff(diagonal).item()  # eigen_roundoff's floor
 
     def product(v: np.ndarray) -> np.ndarray:
         """The operator applied to a vector, or to each column at once."""
@@ -512,18 +513,6 @@ def solve_eradication_adjoint(density: AgeDensityField) -> ScalarField:
     return ScalarField(density.grid, integral)
 
 
-def eradication_velocity(integral: ScalarField, model: AgeModelParams, penalties):
-    """Nodal descent velocity -beta + L * integral and its curvature weight.
-
-    integral is what solve_eradication_adjoint returns.  As in the
-    harvest problem, the returned weight alpha applies the length term
-    implicitly inside evolve_phi.  The published system's opposite alpha
-    and beta signs point uphill, so they are not offered.
-    """
-    alpha, beta_weight = penalties
-    return ScalarField(integral.grid, -beta_weight + model.L * integral.values), alpha
-
-
 def optimize_eradication_region(
     phi0: LevelSetFunction,
     model: AgeModelParams,
@@ -534,14 +523,15 @@ def optimize_eradication_region(
 ):
     """Shape the harvesting region to minimize Psi by shapeopt.descend.
 
-    The age-structured model gives Psi, and its dual the velocity of
-    eradication_velocity; under convergence.step = "halving" every step
-    is gated on an actual Psi decrease.  Returns (best iterate by Psi,
-    trace, its age density).
+    The age-structured model gives Psi, and the pairing of its dual
+    with the density the data velocity L * solve_eradication_adjoint;
+    under convergence.step = "halving" every step is gated on an actual
+    Psi decrease.  Returns (best iterate by Psi, trace, its age density).
     """
 
     def direction(phi, density):
-        return eradication_velocity(solve_eradication_adjoint(density), model, penalties)
+        integral = solve_eradication_adjoint(density)
+        return ScalarField(integral.grid, model.L * integral.values)
 
     return descend(
         phi0,

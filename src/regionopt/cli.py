@@ -76,25 +76,33 @@ def _run_forward(config: RunConfig, out_dir: str) -> int:
     return 0
 
 
-def _run_optimize_region(config: RunConfig, out_dir: str) -> int:
-    callback = _region_snapshot_callback(out_dir, config.snapshot_every)
-    best, trace, _ = optimize_region(
-        config.phi0, config.control, config.convergence, callback=callback
-    )
+def _write_descent(config: RunConfig, out_dir: str, best, trace, extra) -> None:
+    """Write trace.csv, omega_final.pgm and, last, the summary: five lines
+    both descents share (the cost keyed by the trace's cost column), then
+    extra."""
     trace.write_csv(os.path.join(out_dir, "trace.csv"))
     write_region_pgm(best, os.path.join(out_dir, "omega_final.pgm"))
     record = trace.best()
     _write_summary(
         out_dir,
         [
-            ("command", "optimize-region"),
+            ("command", config.command),
             ("iterations", trace.records[-1].n),
             ("stop_reason", trace.stop_reason),
-            ("final_cost", format(record.cost, ".17g")),
+            (f"final_{trace.columns[1]}", format(record.cost, ".17g")),
             ("final_region_area", format(record.region_area, ".17g")),
-            ("final_region_length", format(record.region_length, ".17g")),
+            *extra,
         ],
     )
+
+
+def _run_optimize_region(config: RunConfig, out_dir: str) -> int:
+    callback = _region_snapshot_callback(out_dir, config.snapshot_every)
+    best, trace, _ = optimize_region(
+        config.phi0, config.control, config.convergence, callback=callback
+    )
+    length = format(trace.best().region_length, ".17g")
+    _write_descent(config, out_dir, best, trace, [("final_region_length", length)])
     return 0
 
 
@@ -125,8 +133,6 @@ def _run_optimize_eradication(config: RunConfig, out_dir: str) -> int:
         config.convergence,
         callback=callback,
     )
-    trace.write_csv(os.path.join(out_dir, "trace.csv"))
-    write_region_pgm(best, os.path.join(out_dir, "omega_final.pgm"))
     final = density.values[-1]
     for level in range(model.Na + 1):
         write_field_csv(
@@ -134,19 +140,11 @@ def _run_optimize_eradication(config: RunConfig, out_dir: str) -> int:
             os.path.join(out_dir, f"density_a{level:04d}.csv"),
         )
     population = total_population(density)
-    record = trace.best()
-    _write_summary(
-        out_dir,
-        [
-            ("command", "optimize-eradication"),
-            ("iterations", trace.records[-1].n),
-            ("stop_reason", trace.stop_reason),
-            ("final_psi", format(record.cost, ".17g")),
-            ("final_region_area", format(record.region_area, ".17g")),
-            ("population_initial", format(population[0], ".17g")),
-            ("population_final", format(population[-1], ".17g")),
-        ],
-    )
+    extra = [
+        ("population_initial", format(population[0], ".17g")),
+        ("population_final", format(population[-1], ".17g")),
+    ]
+    _write_descent(config, out_dir, best, trace, extra)
     return 0
 
 

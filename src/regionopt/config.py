@@ -293,6 +293,10 @@ def _parse_config(path) -> RunConfig:
 
     age_model = None
     if command in _AGE:
+        signed = {"model.d": d, "model.L": L, "agestruct.m": age.get("m", 0.0)}
+        for what, number in signed.items():
+            if not number >= 0.0:
+                raise ConfigError(f"{what} must be nonnegative, got {number}")
         A, Na = age["A"], age["Na"]
         if not A > 0.0:
             raise ConfigError(f"agestruct.A must be positive, got {A}")

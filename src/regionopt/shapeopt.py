@@ -12,12 +12,13 @@ effort.  Its shape derivative yields the nodal descent velocity
 where r is the forward sensitivity; the interface-length penalty enters
 as a curvature term treated semi-implicitly inside evolve_phi.  The loop
 (descend, shared with the eradication cost of the agestruct module)
-adds the two penalties to the data term of each iterate, stops on a
-small decrement or an increase, otherwise steps phi along the velocity
-and repeats.  Convergence.step picks the step policy: under "halving"
-a step that increases the cost is halved and retried a few times before
-giving up; under "paper" each step is taken as it comes and the loop
-stops on the first increase.
+owns both penalties: it adds them to each iterate's data term, and
+-beta and the alpha curvature to the data velocity (the L integral
+here), stops on a small decrement or an increase, otherwise steps phi
+along the velocity and repeats.  Convergence.step picks the step
+policy: under "halving" a step that increases the cost is halved and
+retried a few times before giving up; under "paper" each step is taken
+as it comes and the loop stops on the first increase.
 """
 
 from __future__ import annotations
@@ -178,11 +179,11 @@ def descent_velocity(
     sensitivity: SpaceTimeField,
     params: ControlProblemParams,
 ) -> ScalarField:
-    """Nodal descent velocity -beta + L int (1+p) H_eps(1+p) r dt.
+    """Data velocity L int (1+p) H_eps(1+p) r dt of the harvest cost.
 
     The time integral uses composite Simpson over the M (even) steps.
-    The curvature part of the descent direction is not included here;
-    evolve_phi applies it implicitly with weight alpha.
+    The penalties' parts of the descent direction, -beta and the
+    curvature weighted by alpha, are added by descend.
     """
     grid = params.grid
     if adjoint.grid != grid or sensitivity.grid != grid:
@@ -192,7 +193,7 @@ def descent_velocity(
     integrand = integrand * sensitivity.values
     weights = simpson_weights(grid.M, grid.dt)
     integral = np.tensordot(weights, integrand, axes=(0, 0))
-    return ScalarField(grid, -params.beta + params.L * integral)
+    return ScalarField(grid, params.L * integral)
 
 
 def _phi_distance(a: LevelSetFunction, b: LevelSetFunction) -> float:
@@ -213,16 +214,18 @@ def descend(
 ):
     """Run the outer descent loop from phi0.
 
-    measure(phi) returns (data term, solver state), to which
-    penalised_cost adds the length and area penalties = (alpha, beta)
-    once per evaluated phi; direction(phi, state) returns (velocity,
-    curvature weight).  Each pass evaluates the cost, checks the
-    stopping rules of convergence (small decrement, increase, small phi
-    change, iteration budget), then moves phi one semi-implicit step of
-    size theta0 along the velocity.  Under convergence.step = "halving"
-    a trial step that does not decrease the cost is halved, with up to 5
-    retries; under "paper" the one trial is taken as it is, so the first
-    increase stops the loop at the next pass.
+    measure(phi) returns (data term, solver state) and direction(phi,
+    state) the data term's velocity, a ScalarField.  The penalties =
+    (alpha, beta) enter here alone: penalised_cost adds alpha * length +
+    beta * area to each data term, and phi moves along -beta plus the
+    data velocity, with evolve_phi adding the curvature weighted by
+    alpha.  Each pass evaluates the cost, checks the stopping rules of
+    convergence (small decrement, increase, small phi change, iteration
+    budget), then moves phi one semi-implicit step of size theta0 along
+    the velocity.  Under convergence.step = "halving" a trial step that
+    does not decrease the cost is halved, with up to 5 retries; under
+    "paper" the one trial is taken as it is, so the first increase stops
+    the loop at the next pass.
 
     Fills trace and returns (best_phi, trace, best_state): the iterate
     of lowest cost, whose record is trace.best(), and its solver state.
@@ -240,6 +243,7 @@ def descend(
     Stop reasons: "J tolerance", "J increase", "phi tolerance",
     "iteration budget".
     """
+    alpha, beta = penalties
     phi = phi0
     best_phi = best_state = best_cost = None
     cost_prev = np.inf
@@ -278,13 +282,13 @@ def descend(
             if n >= convergence.max_iter:
                 stop = "iteration budget"
                 break
-            velocity, curvature_weight = direction(phi, state)
+            velocity = ScalarField(phi.grid, -beta + direction(phi, state).values)
             state = best_state = None  # served its direction
             theta = convergence.theta0
             closest_gap = np.inf
             for _ in range(1 if paper else MAX_TRIALS):
                 trial = None  # so each trial's march is the one state alive
-                phi_next = evolve_phi(phi, velocity, theta, m, alpha=curvature_weight)
+                phi_next = evolve_phi(phi, velocity, theta, m, alpha=alpha)
                 trial = penalised_cost(phi_next, measure, penalties, m)
                 if paper or trial[0] < cost:
                     break
@@ -318,8 +322,8 @@ def optimize_region(
     convergence: Convergence = Convergence(),
     callback=None,
 ):
-    """Minimize J from phi0 by descend: the adjoint gives J, the
-    sensitivity the velocity, and alpha weighs the implicit curvature.
+    """Minimize J from phi0 by descend: the adjoint gives J and the
+    sensitivity its data velocity.
 
     convergence holds the iteration budget, stopping tolerances,
     initial step size and step policy.  Returns (best iterate by cost,
@@ -329,7 +333,7 @@ def optimize_region(
 
     def direction(phi, adjoint):
         sensitivity = solve_sensitivity(phi, adjoint, params)
-        return descent_velocity(adjoint, sensitivity, params), params.alpha
+        return descent_velocity(adjoint, sensitivity, params)
 
     return descend(
         phi0,

@@ -788,6 +788,25 @@ def test_negative_penalty_rejected_for_every_command(tmp_path, capsys):
             assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["eradicability", "optimize-eradication"])
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("model", "d", -1.0), ("model", "L", -2.0), ("agestruct", "m", -1.0)],
+)
+def test_age_model_rejection_names_its_key(
+    tmp_path, capsys, command, section, key, value
+):
+    text = AGE_TEXT if command == "eradicability" else ERADICATION_TEXT
+    text = re.sub(rf"^{key} = .*\n", "", text, flags=re.M)
+    text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{section}.{key} must be nonnegative, got {value}" in err
+    assert "agestruct section" not in err
+    assert not out.exists()
+
+
 def test_run_seed_is_an_unknown_key(tmp_path, capsys):
     text = TEST1_TEXT.replace("[run]", "[run]\nseed = 7")
     path = write_config(tmp_path, text)

@@ -13,6 +13,7 @@ from regionopt.levelset import (
     LevelSetFunction,
     Mollifier,
     circle_levelset,
+    evolve_phi,
     heaviside_mollified,
 )
 from regionopt.pde import ControlProblemParams, solve_adjoint, solve_sensitivity
@@ -48,24 +49,61 @@ def make_params(grid, L=1.0, alpha=0.4, beta=0.6, growth=3.0, **kwargs):
     )
 
 
-def test_velocity_without_effort_is_minus_beta():
+def test_data_velocity_without_effort_is_zero():
+    # The velocity is the data term's alone: descend adds -beta.
     grid = GridSpec(N=10, M=10, T=1.0)
     params = make_params(grid, L=0.0, beta=0.6)
     phi = circle_levelset(grid)
     p = solve_adjoint(phi, params)
     r = solve_sensitivity(phi, p, params)
     v = descent_velocity(p, r, params)
-    assert np.all(v.values == -0.6)
+    assert np.all(v.values == 0.0)
 
 
-def test_velocity_zero_sensitivity_is_minus_beta():
+def test_data_velocity_of_zero_sensitivity_is_zero():
     grid = GridSpec(N=10, M=10, T=1.0)
     params = make_params(grid, beta=0.25)
     phi = circle_levelset(grid)
     p = SpaceTimeField.constant(grid, 0.0)
     r = SpaceTimeField.constant(grid, 0.0)
     v = descent_velocity(p, r, params)
-    assert np.all(v.values == -0.25)
+    assert np.all(v.values == 0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.4])
+def test_descend_moves_phi_under_its_own_penalties(alpha):
+    # With L = 0 the data velocity is zero, so the accepted step is the
+    # flow of the penalties alone: velocity -beta, curvature weight alpha.
+    grid = GridSpec(N=10, M=10, T=1.0)
+    params = make_params(grid, L=0.0, alpha=alpha, beta=0.6)
+    phi0 = circle_levelset(grid)
+    convergence = Convergence(max_iter=2)
+    steps = {}
+
+    def direction(phi, adjoint):
+        sensitivity = solve_sensitivity(phi, adjoint, params)
+        return descent_velocity(adjoint, sensitivity, params)
+
+    shapeopt.descend(
+        phi0,
+        lambda phi: shapeopt._adjoint_term(phi, params),
+        direction,
+        params.mollifier,
+        Trace(),
+        penalties=(alpha, 0.6),
+        convergence=convergence,
+        callback=lambda n, phi, record: steps.setdefault(n, (phi, record.theta)),
+    )
+    phi1, theta = steps[2]
+    assert theta == convergence.theta0
+    expected = evolve_phi(
+        phi0,
+        ScalarField.constant(grid, -0.6),
+        convergence.theta0,
+        params.mollifier,
+        alpha=alpha,
+    )
+    assert np.array_equal(phi1.phi.values, expected.phi.values)
 
 
 def test_velocity_constant_integrand_pinned():

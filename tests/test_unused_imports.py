@@ -2,8 +2,9 @@
 
 No linter runs over this repository, so an import left behind when its
 last use goes away would otherwise stay unnoticed.  The scan covers the
-package, the tests and the demos; a name listed in a module's __all__
-counts as read, since re-exporting it is its use.
+package, the tests, the demos and the benchmark; a name listed in a
+module's __all__ counts as read, since re-exporting it is its use.  The
+scan only reads the files.
 """
 
 import ast
@@ -12,7 +13,7 @@ import os
 import pytest
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
-SCANNED = ("src", "tests", "demos")
+SCANNED = ("src", "tests", "demos", "perfbench")
 
 
 def _python_files():
