@@ -26,7 +26,7 @@ from .agestruct import (
     total_population,
 )
 from .config import RunConfig, gaussian_density, parse_config
-from .errors import ConfigError, ConvergenceFailure, SolverFailure
+from .errors import ConfigError, ConvergenceFailure, FieldError, SolverFailure
 from .grid import (
     GridSpec,
     ScalarField,
@@ -108,6 +108,7 @@ __all__ = [
     "parse_config",
     "gaussian_density",
     "ConfigError",
+    "FieldError",
     "SolverFailure",
     "ConvergenceFailure",
 ]

@@ -42,7 +42,7 @@ from functools import partial
 import numpy as np
 from numpy.linalg import lapack_lite
 
-from .errors import ConvergenceFailure, SolverFailure
+from .errors import ConvergenceFailure, FieldError, SolverFailure
 from .grid import GridSpec, ScalarField, simpson_integral_2d
 from .levelset import LevelSetFunction, Mollifier, heaviside_mollified
 from .pde import _ImplicitStepper
@@ -75,13 +75,13 @@ def _age_samples(spec, ages: np.ndarray, name: str) -> np.ndarray:
         if values.shape == (1,):
             values = np.full(ages.shape, values[0])
     if values.shape != ages.shape:
-        raise ValueError(
-            f"{name} samples have shape {values.shape}, expected {ages.shape}"
+        raise FieldError(
+            name, f"samples have shape {values.shape}, expected {ages.shape}"
         )
     if not np.all(np.isfinite(values)):
-        raise ValueError(f"{name} samples must be finite on the age grid")
+        raise FieldError(name, "samples must be finite on the age grid")
     if np.any(values < 0.0):
-        raise ValueError(f"{name} must be nonnegative")
+        raise FieldError(name, "must be nonnegative")
     return values
 
 
@@ -91,9 +91,11 @@ class AgeModelParams:
 
     fertility and mortality may be given as callables of age or as
     arrays of Na+1 samples; y0 as a callable (x1, x2, a) or a constant.
-    The logistic term is M(s) = logistic_slope * s.  The time step is
-    locked to the age step A/Na, so a march (n_time) needs the horizon T
-    to be an integer multiple of it; the eigenvalue never reads T.
+    The logistic term is M(s) = logistic_slope * s.  The age step A/Na
+    must be positive and beta(0) da / 2 < 1: the renewal root exists
+    only then, and the march divides by 1 minus it.  The time step is
+    locked to the age step, so a march (n_time) needs the horizon T to
+    be an integer multiple of it; the eigenvalue never reads T.
     """
 
     A: float
@@ -110,24 +112,35 @@ class AgeModelParams:
 
     def __post_init__(self):
         if not (self.A > 0.0):
-            raise ValueError(f"maximal age must be positive, got {self.A}")
-        if int(self.Na) != self.Na or self.Na < 2:
-            raise ValueError(f"Na must be an integer >= 2, got {self.Na}")
+            raise FieldError("A", f"must be positive, got {self.A}")
+        if int(self.Na) != self.Na:
+            raise FieldError("Na", f"must be an integer, got {self.Na}")
+        if self.Na < 2:
+            raise FieldError("Na", f"must be at least 2, got {self.Na}")
         self.Na = int(self.Na)
-        if not self.d >= 0.0:
-            raise ValueError(f"d must be nonnegative, got {self.d}")
-        if not self.L >= 0.0:
-            raise ValueError(f"L must be nonnegative, got {self.L}")
-        slope = self.logistic_slope
-        if not slope >= 0.0:
-            raise ValueError(f"logistic_slope must be nonnegative, got {slope}")
+        if not 0.0 < self.da < np.inf:
+            raise FieldError(
+                "A", f"gives the age step A / Na = {self.da}, not positive and finite"
+            )
+        for name in ("d", "L", "logistic_slope"):
+            value = getattr(self, name)
+            if not value >= 0.0:
+                raise FieldError(name, f"must be nonnegative, got {value}")
         if not (self.T > 0.0):
-            raise ValueError(f"horizon must be positive, got {self.T}")
+            raise FieldError("T", f"must be positive, got {self.T}")
         ages = self.ages
         self.fertility_samples = _age_samples(self.fertility, ages, "fertility")
         self.mortality_samples = _age_samples(self.mortality, ages, "mortality")
+        newborn = float(self.fertility_samples[0]) * (self.da / 2.0)
+        if newborn >= 1.0:
+            raise FieldError(
+                "fertility",
+                f"at age 0 times half the age step is {newborn:.6g} >= 1: the "
+                "renewal step is ill-posed; refine the age grid (Na) or lower "
+                "the fertility at age 0",
+            )
         if not callable(self.y0) and not float(self.y0) >= 0.0:
-            raise ValueError("y0 must be nonnegative")
+            raise FieldError("y0", "must be nonnegative")
 
     @property
     def da(self) -> float:
@@ -139,24 +152,17 @@ class AgeModelParams:
 
     @property
     def n_time(self) -> int:
-        """Time steps to T; ValueError unless T is a whole number of age steps."""
+        """Time steps to T; FieldError on Na unless T is a whole number of
+        age steps."""
         steps = self.T / self.da
         if not (steps < np.inf and abs(steps - round(steps)) <= 1.0e-9):
-            raise ValueError(
-                f"T = {self.T} is not an integer multiple of the age step "
-                f"{self.da} (time step is locked to the age step)"
+            raise FieldError(
+                "Na",
+                f"sets the age step A / Na = {self.da}, and T = {self.T} is not "
+                "an integer multiple of the age step (the time step is locked "
+                "to it)",
             )
         return int(round(steps))
-
-    def check_renewal_step(self) -> None:
-        """Raise ValueError unless beta(0) da / 2 < 1; renewal root and step need it."""
-        newborn = float(self.fertility_samples[0]) * (self.da / 2.0)
-        if newborn >= 1.0:
-            raise ValueError(
-                f"fertility at age 0 times half the age step is {newborn:.6g} "
-                ">= 1: the renewal step is ill-posed; refine the age grid (Na) "
-                "or lower the fertility at age 0"
-            )
 
     def initial_density(self, grid: GridSpec) -> np.ndarray:
         x1, x2 = grid.mesh()
@@ -206,14 +212,13 @@ def lotka_root(params: AgeModelParams) -> float:
     Solves int beta(a) exp(-int_0^a mu - r a) da = 1 by composite
     trapezoid on the age grid.  With b_k = w_k beta_k exp(-int_0^{a_k} mu)
     the left-hand side b_0 + sum_{k>=1} b_k exp(-r a_k) falls strictly
-    from +inf to b_0 = beta(0) da / 2, so check_renewal_step raises
-    ValueError unless b_0 < 1.  As every a_k >= da, the root lies between
+    from +inf to b_0 = beta(0) da / 2, and AgeModelParams holds b_0 < 1,
+    so the root exists.  As every a_k >= da, the root lies between
     0 and ln(S / (1 - b_0)) / da, S = sum_{k>=1} b_k, and that bracket is
     bisected until its ends are adjacent floats, the sum compared in
     log-sum-exp form so that no exponential overflows.  Without births
     past age 0 (S = 0) every cohort dies out or ages past A, and r* is -inf.
     """
-    params.check_renewal_step()
     beta = params.fertility_samples
     mu = params.mortality_samples
     da = params.da
@@ -398,7 +403,6 @@ def solve_age_structured(effort: ScalarField, model: AgeModelParams) -> AgeDensi
     """
     if np.any(effort.values < 0.0):
         raise ValueError("effort must be nonnegative")
-    model.check_renewal_step()
     grid = effort.grid
     dt = model.da
     beta = model.fertility_samples

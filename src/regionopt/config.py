@@ -4,22 +4,22 @@ Configuration files are INI-style text: ``key = value`` lines grouped
 under ``[section]`` headers.  Coefficient entries accept a plain number,
 a named preset, or a path to a CSV file (resolved relative to the
 configuration file), so one format covers both uniform textbook runs
-and spatially varying data.  Everything is validated here, before any
-solve starts; problems raise :class:`~regionopt.errors.ConfigError`
-with a message naming the offending key.
+and spatially varying data.  Everything is validated before any solve
+starts; problems raise :class:`~regionopt.errors.ConfigError` with a
+message naming the offending key.  The model constructors own the
+checks of their fields: a field one rejects is named by its key.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .agestruct import AgeModelParams
-from .errors import ConfigError
+from .errors import ConfigError, FieldError
 from .grid import GridSpec, ScalarField, read_field_csv, read_node_csv
 from .levelset import (
     LevelSetFunction,
@@ -69,6 +69,10 @@ _KEYS = {
         "m": (float, ()),
     },
 }
+
+# model field -> config key: the names agree but for the logistic slope.
+_FIELD_KEYS = {key: f"{section}.{key}" for section in _KEYS for key in _KEYS[section]}
+_FIELD_KEYS["logistic_slope"] = "agestruct.m"
 
 
 def gaussian_density(grid: GridSpec) -> ScalarField:
@@ -131,21 +135,13 @@ def _read(raw, reader, what):
     return value
 
 
-@contextmanager
-def _rejected(prefix):
-    """Re-raise a ValueError of the model calls inside as ConfigError(prefix + it)."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(f"{prefix}{exc}") from None
-
-
 def _coefficient(value, base_dir, section, key, constant, read, presets=None):
     """Resolve a number, a preset name or a table path; None if the key is absent.
 
-    A table path is taken relative to the config file.  A table that
-    cannot be read or decoded and a table ``read`` rejects with any
-    other ValueError map to one ConfigError each, for every key.
+    A table path is taken relative to the config file, and the value is
+    read(load), where load(reader, *args) is reader(path, *args) with a
+    table that cannot be read or decoded, or that reader rejects with any
+    other ValueError, raised as one ConfigError each.
     """
     raw = value[section].get(key)
     if raw is None:
@@ -159,12 +155,16 @@ def _coefficient(value, base_dir, section, key, constant, read, presets=None):
         return presets[raw]()
     path = raw if os.path.isabs(raw) else os.path.join(base_dir, raw)
     if os.path.isfile(path):
-        try:
-            return read(path)
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"{what}: cannot read {raw}: {exc}") from None
-        except ValueError as exc:
-            raise ConfigError(f"{what}: bad table {raw}: {exc}") from None
+
+        def load(reader, *args):
+            try:
+                return reader(path, *args)
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"{what}: cannot read {raw}: {exc}") from None
+            except ValueError as exc:
+                raise ConfigError(f"{what}: bad table {raw}: {exc}") from None
+
+        return read(load)
     names = ", ".join(sorted(presets)) or "none"
     raise ConfigError(
         f"{what} must be a number, a preset ({names}), "
@@ -181,6 +181,8 @@ def parse_config(path) -> RunConfig:
     """
     try:
         return _parse_config(path)
+    except FieldError as exc:
+        raise ConfigError(f"{_FIELD_KEYS[exc.field]} {exc.complaint}") from None
     except MemoryError as exc:
         raise ConfigError(
             f"the config asks for more memory than is available: {exc}"
@@ -236,21 +238,11 @@ def _parse_config(path) -> RunConfig:
     every = value["run"]["snapshot_every"]
     if every < 1:
         raise ConfigError(f"run.snapshot_every must be >= 1, got {every}")
-    with _rejected("grid section rejected: "):
-        grid = GridSpec(**value["grid"])
-
+    grid = GridSpec(**value["grid"])
     model, penalty, age = value["model"], value["penalty"], value["agestruct"]
     d, L, u = model["d"], model["L"], model["u"]
-    with _rejected("convergence."):
-        convergence = Convergence(**value["convergence"])
-    for key, weight in penalty.items():
-        if not weight >= 0.0:
-            raise ConfigError(f"penalty.{key} must be nonnegative, got {weight}")
-
-    mollifier = None
-    if "eps" in value["mollifier"]:
-        with _rejected("mollifier.eps rejected: "):
-            mollifier = Mollifier(value["mollifier"]["eps"])
+    convergence = Convergence(**value["convergence"])
+    mollifier = Mollifier(**value["mollifier"]) if value["mollifier"] else None
 
     def field(section, key, presets=None):
         return _coefficient(
@@ -259,7 +251,7 @@ def _parse_config(path) -> RunConfig:
             section,
             key,
             lambda number: ScalarField.constant(grid, number),
-            lambda table: read_field_csv(table, grid),
+            lambda load: load(read_field_csv, grid),
             presets,
         )
 
@@ -278,40 +270,26 @@ def _parse_config(path) -> RunConfig:
 
     control = None
     if command in _HARVEST:
-        with _rejected("model/penalty settings rejected: "):
-            control = ControlProblemParams(
-                d=d,
-                a=growth,
-                y0=initial_density,
-                L=L,
-                mollifier=mollifier,
-                **penalty,
-            )
-            control.check_time_step()
+        control = ControlProblemParams(
+            d=d, a=growth, y0=initial_density, L=L, mollifier=mollifier, **penalty
+        )
+        control.check_time_step()
         if not 0.0 <= u <= L:
             raise ConfigError(f"model.u must lie in [0, L] = [0, {L}], got {u}")
 
     age_model = None
     if command in _AGE:
-        signed = {"model.d": d, "model.L": L, "agestruct.m": age.get("m", 0.0)}
-        for what, number in signed.items():
-            if not number >= 0.0:
-                raise ConfigError(f"{what} must be nonnegative, got {number}")
-        A, Na = age["A"], age["Na"]
-        if not A > 0.0:
-            raise ConfigError(f"agestruct.A must be positive, got {A}")
-        if Na < 2:
-            raise ConfigError(f"agestruct.Na must be at least 2, got {Na}")
-        ages = np.linspace(0.0, A, Na + 1)
+        # No model type holds the penalties of the age commands.
+        for key, weight in penalty.items():
+            if not weight >= 0.0:
+                raise ConfigError(f"penalty.{key} must be nonnegative, got {weight}")
+
+        def age_table(load):
+            # Read by AgeModelParams, on the age grid it has checked.
+            return lambda ages: load(read_node_csv, ("age",), (ages,))
+
         fertility, mortality = (
-            _coefficient(
-                value,
-                base_dir,
-                "agestruct",
-                key,
-                float,
-                lambda table: read_node_csv(table, ("age",), (ages,)),
-            )
+            _coefficient(value, base_dir, "agestruct", key, float, age_table)
             for key in ("fertility", "mortality")
         )
         # m and y0 are passed only when given: AgeModelParams holds their defaults.
@@ -320,27 +298,23 @@ def _parse_config(path) -> RunConfig:
             # The age model spreads a spatial density uniformly in age.
             y0_values = initial_density.values
             optional["y0"] = lambda x1, x2, a: y0_values
-        with _rejected("agestruct section rejected: "):
-            age_model = AgeModelParams(
-                A=A,
-                Na=Na,
-                fertility=fertility,
-                mortality=mortality,
-                d=d,
-                L=L,
-                T=grid.T,
-                **optional,
-            )
-        # Only the age-structured march reads the horizon (in whole age
-        # steps) and y0.  Both age commands need beta(0) da / 2 < 1: the
-        # renewal root exists only then, and the march divides by 1 minus it.
+        age_model = AgeModelParams(
+            age["A"], age["Na"], fertility, mortality, d, L, grid.T, **optional
+        )
+        # Only the age-structured march reads y0 and the horizon, in whole
+        # age steps, and it holds one density of them all in memory.
         if command == "optimize-eradication":
             if np.any(initial_density.values < 0.0):
                 raise ConfigError("model.y0 must be nonnegative")
-            with _rejected("agestruct section rejected: "):
-                age_model.n_time
-        with _rejected("agestruct.fertility rejected: "):
-            age_model.check_renewal_step()
+            levels = (age_model.n_time + 1) * (age_model.Na + 1)
+            size = 8 * levels * (grid.N + 1) ** 2
+            memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+            if size > memory:
+                raise ConfigError(
+                    f"grid.T = {grid.T} spans {age_model.n_time:.6g} age steps: the "
+                    f"age density would take {size / 2**30:.3g} GiB, more than "
+                    f"the {memory / 2**30:.3g} GiB of physical memory"
+                )
 
     return RunConfig(
         **value["run"],

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FieldError
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -42,11 +44,11 @@ class GridSpec:
 
     def __post_init__(self):
         if self.N < 4 or self.N % 2 != 0:
-            raise ValueError(f"N must be even and >= 4, got {self.N}")
+            raise FieldError("N", f"must be even and >= 4, got {self.N}")
         if self.M < 2 or self.M % 2 != 0:
-            raise ValueError(f"M must be even and >= 2, got {self.M}")
+            raise FieldError("M", f"must be even and >= 2, got {self.M}")
         if not (0.0 < self.T < np.inf):
-            raise ValueError(f"T must be positive and finite, got {self.T}")
+            raise FieldError("T", f"must be positive and finite, got {self.T}")
 
     @property
     def h(self) -> float:

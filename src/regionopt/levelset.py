@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverFailure
+from .errors import FieldError, SolverFailure
 from .grid import GridSpec, ScalarField, gradient_magnitude, simpson_integral_2d
 
 
@@ -45,7 +45,7 @@ class Mollifier:
 
     def __post_init__(self):
         if not (self.eps > 0.0):
-            raise ValueError(f"mollifier width must be positive, got {self.eps}")
+            raise FieldError("eps", f"must be positive, got {self.eps}")
 
 
 @dataclass

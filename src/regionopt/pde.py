@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import SolverFailure
+from .errors import FieldError, SolverFailure
 from .grid import GridSpec, ScalarField, SpaceTimeField
 from .levelset import (
     LevelSetFunction,
@@ -82,15 +82,15 @@ class ControlProblemParams:
 
     def __post_init__(self):
         if not (self.d > 0.0):
-            raise ValueError(f"d must be positive, got {self.d}")
-        if self.L < 0.0:
-            raise ValueError(f"L must be nonnegative, got {self.L}")
-        if self.alpha < 0.0 or self.beta < 0.0:
-            raise ValueError("penalty weights must be nonnegative")
+            raise FieldError("d", f"must be positive, got {self.d}")
+        for name in ("L", "alpha", "beta"):
+            value = getattr(self, name)
+            if value < 0.0:
+                raise FieldError(name, f"must be nonnegative, got {value}")
         if self.a.grid != self.y0.grid:
             raise ValueError("a and y0 live on different grids")
         if np.any(self.y0.values < 0.0) or not np.any(self.y0.values > 0.0):
-            raise ValueError("y0 must be nonnegative and not identically zero")
+            raise FieldError("y0", "must be nonnegative and not identically zero")
 
     @property
     def grid(self) -> GridSpec:
@@ -102,7 +102,7 @@ class ControlProblemParams:
         return self.d * g.dt / (g.h * g.h)
 
     def check_time_step(self) -> None:
-        """Raise ValueError unless dt * a < 1 on interior nodes (M-matrix step)."""
+        """Raise FieldError on M unless dt * a < 1 on interior nodes (M-matrix)."""
         grid = self.grid
         a_max = float(self.a.values[1:-1, 1:-1].max())
         if grid.dt * a_max >= 1.0:
@@ -113,9 +113,10 @@ class ControlProblemParams:
                 while grid.T / M * a_max >= 1.0:
                     M += 2
                 need = f"grid.M >= {M}"
-            raise ValueError(
-                f"dt * max(a) = grid.T / grid.M * max(a) is {grid.dt * a_max:.6g} "
-                f">= 1: the implicit step loses positivity; use {need}"
+            raise FieldError(
+                "M",
+                f"is too small: dt * max(a) = T / M * max(a) is {grid.dt * a_max:.6g} "
+                f">= 1, and the implicit step loses positivity; use {need}",
             )
 
 

@@ -29,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import SolverFailure
+from .errors import FieldError, SolverFailure
 from .grid import ScalarField, SpaceTimeField, simpson_integral_2d, simpson_weights
 from .levelset import (
     LevelSetFunction,
@@ -77,13 +77,13 @@ class Convergence:
 
     def __post_init__(self):
         if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+            raise FieldError("max_iter", f"must be >= 1, got {self.max_iter}")
         if self.step not in STEP_POLICIES:
             policies = ", ".join(STEP_POLICIES)
-            raise ValueError(f"step must be one of {policies}; got {self.step!r}")
+            raise FieldError("step", f"must be one of {policies}; got {self.step!r}")
         for key in ("eps1", "eps2", "theta0"):
             if not getattr(self, key) > 0.0:
-                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
+                raise FieldError(key, f"must be positive, got {getattr(self, key)}")
 
 
 @dataclass

@@ -25,7 +25,7 @@ from regionopt.agestruct import (
     solve_eradication_adjoint,
     total_population,
 )
-from regionopt.errors import ConvergenceFailure, SolverFailure
+from regionopt.errors import ConvergenceFailure, FieldError, SolverFailure
 from regionopt.grid import GridSpec, ScalarField
 from regionopt.levelset import LevelSetFunction, Mollifier, circle_levelset
 from regionopt.pde import ROUNDOFF, _ImplicitStepper
@@ -599,14 +599,21 @@ def test_model_validation():
         basic_model(d=-0.5)
     with pytest.raises(ValueError):
         basic_model(mortality=lambda a: a - 10.0)
-    grid = spatial_grid(N=4)
-    # The horizon and the renewal step are checked by the march that uses them.
+    # beta(0) da / 2 = 12.5 >= 1: no renewal root and no renewal step, so
+    # the model is rejected when it is built.
+    with pytest.raises(ValueError, match="renewal step is ill-posed"):
+        basic_model(Na=2, fertility=50.0)
+    # The horizon is checked by the march that uses it: the verdict has none.
     off_horizon = basic_model(T=0.93)
     with pytest.raises(ValueError, match="integer multiple of the age step"):
-        solve_age_structured(ScalarField.constant(grid, 0.0), off_horizon)
-    heavy_newborns = basic_model(Na=2, fertility=50.0)
-    with pytest.raises(ValueError):
-        solve_age_structured(ScalarField.constant(grid, 0.0), heavy_newborns)
+        solve_age_structured(ScalarField.constant(spatial_grid(N=4), 0.0), off_horizon)
+
+
+def test_model_rejects_age_step_that_underflows():
+    # A / Na rounds to 0: no age step, so no march and no renewal root.
+    with pytest.raises(FieldError, match="age step A / Na = 0.0") as excinfo:
+        basic_model(A=5e-324, Na=10)
+    assert excinfo.value.field == "A"
 
 
 def test_negative_effort_rejected():
