@@ -71,7 +71,7 @@ def _age_samples(spec, ages: np.ndarray, name: str) -> np.ndarray:
         values = np.asarray(spec(ages), dtype=float)
         values = np.broadcast_to(values, ages.shape).copy()
     else:
-        values = np.atleast_1d(np.asarray(spec, dtype=float))
+        values = np.array(spec, dtype=float, ndmin=1)
         if values.shape == (1,):
             values = np.full(ages.shape, values[0])
     if values.shape != ages.shape:
@@ -82,6 +82,7 @@ def _age_samples(spec, ages: np.ndarray, name: str) -> np.ndarray:
         raise FieldError(name, "samples must be finite on the age grid")
     if np.any(values < 0.0):
         raise FieldError(name, "must be nonnegative")
+    values.flags.writeable = False  # checked once: the consumers trust them
     return values
 
 

@@ -39,13 +39,16 @@ from .grid import GridSpec, ScalarField, gradient_magnitude, simpson_integral_2d
 
 @dataclass(frozen=True)
 class Mollifier:
-    """Regularization width eps > 0 for the smoothed Heaviside/delta pair."""
+    """Regularization width eps > 0 for the smoothed Heaviside/delta pair;
+    eps^2 must not underflow, as the delta divides by eps^2 + z^2."""
 
     eps: float
 
     def __post_init__(self):
-        if not (self.eps > 0.0):
-            raise FieldError("eps", f"must be positive, got {self.eps}")
+        if not (self.eps > 0.0 and self.eps * self.eps > 0.0):
+            raise FieldError(
+                "eps", f"must be positive with a nonzero square, got {self.eps}"
+            )
 
 
 @dataclass

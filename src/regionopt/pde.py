@@ -85,7 +85,7 @@ class ControlProblemParams:
             raise FieldError("d", f"must be positive, got {self.d}")
         for name in ("L", "alpha", "beta"):
             value = getattr(self, name)
-            if value < 0.0:
+            if not value >= 0.0:
                 raise FieldError(name, f"must be nonnegative, got {value}")
         if self.a.grid != self.y0.grid:
             raise ValueError("a and y0 live on different grids")

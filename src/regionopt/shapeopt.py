@@ -153,7 +153,7 @@ def penalised_cost(phi: LevelSetFunction, measure, penalties, m: Mollifier):
     cost is their sum in that order.
     """
     alpha, beta = penalties
-    if alpha < 0.0 or beta < 0.0:
+    if not (alpha >= 0.0 and beta >= 0.0):
         raise ValueError("penalty weights must be nonnegative")
     data, state = measure(phi)
     area = region_area(phi, m)

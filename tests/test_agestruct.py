@@ -616,6 +616,17 @@ def test_model_rejects_age_step_that_underflows():
     assert excinfo.value.field == "A"
 
 
+def test_model_samples_are_read_only_copies():
+    # The constructor checks the samples once (beta(0) da / 2 < 1 among
+    # them), so they can change neither in place nor through the caller.
+    fertility = np.full(21, 2.0)
+    model = basic_model(fertility=fertility)
+    fertility[0] = 50.0
+    assert model.fertility_samples[0] == 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        model.fertility_samples[0] = 50.0
+
+
 def test_negative_effort_rejected():
     grid = spatial_grid(N=4)
     model = basic_model(Na=4)

@@ -9,7 +9,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from regionopt import agestruct, cli, shapeopt
 from regionopt import config as config_module
@@ -1118,10 +1118,13 @@ def test_output_directory_from_config(tmp_path, monkeypatch):
         (AGE_TEXT, "d = 1.0", "d = nan", "model.d"),
         (AGE_TEXT, "L = 2.0", "L = nan", "model.L"),
         (AGE_TEXT, "L = 2.0", "L = inf", "model.L"),
-        # Finite values that once ended in a traceback (exit 1).
+        # Finite values that once ended in a traceback (exit 1) or in a
+        # divide by zero partway through a descent (exit 3).
         (ERADICATION_TEXT, "T = 0.5", "T = 1e300", "grid.T = 1e+300 spans 1e+301 age"),
         (ERADICATION_TEXT, "A = 1.0", "A = 1e-300", "grid.T = 0.5 spans 5e+300 age"),
         (ERADICATION_TEXT, "A = 1.0", "A = 5e-324", "agestruct.A gives the age step"),
+        (ERADICATION_TEXT, "eps = 1.0", "eps = 1e-300", "mollifier.eps must be"),
+        (TEST1_TEXT, "eps = 1.0", "eps = 1e-300", "mollifier.eps must be"),
         (TEST1_TEXT, "alpha = 0.4", "alpha = inf", "penalty.alpha"),
         (
             TEST1_TEXT,
@@ -1164,6 +1167,8 @@ def test_output_directory_from_config(tmp_path, monkeypatch):
         "eradication-grid.T-1e300",
         "agestruct.A-1e-300",
         "agestruct.A-5e-324",
+        "eradication-mollifier.eps-1e-300",
+        "mollifier.eps-1e-300",
         "penalty.alpha-inf",
         "model.a-inf",
         "model.y0-nan",
@@ -1196,7 +1201,19 @@ FLOAT_KEYS = [
     for key, value in items.items()
     if isinstance(value, float) or key in ("y0", "init")
 ]
-FLOAT_POOL = (0.5, 2.0, 0.0, -1.0, math.inf, -math.inf, math.nan, 1e308)
+FLOAT_POOL = (
+    0.5,
+    2.0,
+    0.0,
+    -1.0,
+    math.inf,
+    -math.inf,
+    math.nan,
+    1e308,
+    1e300,
+    1e-300,
+    5e-324,
+)
 INT_KEYS = [("grid", "N"), ("grid", "M"), ("agestruct", "Na")]
 INT_POOL = (2, 4, 8, 3, 1, 0, -1)
 
@@ -1214,6 +1231,11 @@ INT_POOL = (2, 4, 8, 3, 1, 0, -1)
         max_size=3,
     ),
 )
+# Three configs that once ended in a traceback, which the 150 drawn
+# examples need not reach.
+@example(command="optimize-eradication", overrides=[(("grid", "T"), 1e300)])
+@example(command="optimize-eradication", overrides=[(("agestruct", "A"), 1e-300)])
+@example(command="optimize-eradication", overrides=[(("agestruct", "A"), 5e-324)])
 def test_random_configs_exit_with_a_known_code(command, overrides):
     sections = {name: dict(items) for name, items in RANDOM_BASE.items()}
     sections["run"]["command"] = command

@@ -5,7 +5,7 @@ import pytest
 from test_cli import TEST1_TEXT, write_config
 
 from regionopt.cli import main
-from regionopt.errors import SolverFailure
+from regionopt.errors import FieldError, SolverFailure
 from regionopt.grid import GridSpec, ScalarField
 from regionopt.levelset import (
     LevelSetFunction,
@@ -53,6 +53,15 @@ def test_mollifier_validation():
         Mollifier(0.0)
     with pytest.raises(ValueError):
         Mollifier(-1.0)
+
+
+def test_mollifier_rejects_width_whose_square_underflows():
+    # delta_mollified divides by eps^2 + z^2, which is 0 at z = 0 if eps^2 is.
+    with pytest.raises(FieldError, match="^eps must be positive") as excinfo:
+        Mollifier(1.0e-300)
+    assert excinfo.value.field == "eps"
+    # A subnormal square still divides to a finite peak 1 / (pi eps).
+    assert np.isfinite(delta_mollified(0.0, Mollifier(1.0e-160)))
 
 
 def test_heaviside_midpoint_and_tails():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regionopt.errors import SolverFailure
+from regionopt.errors import FieldError, SolverFailure
 from regionopt.grid import (
     GridSpec,
     ScalarField,
@@ -565,6 +565,22 @@ def test_params_validation():
             alpha=0.0,
             beta=0.0,
             mollifier=Mollifier(1.0),
+        )
+
+
+@pytest.mark.parametrize("name", ["L", "alpha", "beta"])
+def test_params_reject_nan_bound_and_weights(name):
+    # NaN passes every ordered test but "not x >= 0", so each field has it.
+    grid = GridSpec(N=4, M=4, T=0.5)
+    settings = dict(L=1.0, alpha=0.0, beta=0.0)
+    settings[name] = np.nan
+    with pytest.raises(FieldError, match=f"^{name} must be nonnegative, got nan$"):
+        ControlProblemParams(
+            d=1.0,
+            a=ScalarField.constant(grid, 0.0),
+            y0=ScalarField.constant(grid, 1.0),
+            mollifier=Mollifier(1.0),
+            **settings,
         )
 
 

@@ -116,6 +116,15 @@ def test_velocity_constant_integrand_pinned():
     assert np.allclose(v.values, 0.75, rtol=1e-14, atol=1e-14)
 
 
+@pytest.mark.parametrize("penalties", [(np.nan, 0.0), (0.0, np.nan), (-1.0, 0.0)])
+def test_cost_rejects_negative_or_nan_weights(penalties):
+    grid = GridSpec(N=8, M=2, T=1.0)
+    with pytest.raises(ValueError, match="penalty weights must be nonnegative"):
+        shapeopt.penalised_cost(
+            circle_levelset(grid), lambda phi: (0.0, None), penalties, Mollifier(1.0)
+        )
+
+
 def test_cost_zero_without_control_and_penalties():
     grid = GridSpec(N=10, M=10, T=1.0)
     params = make_params(grid, L=0.0, alpha=0.0, beta=0.0)
