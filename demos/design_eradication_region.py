@@ -36,14 +36,14 @@ model = AgeModelParams(
     L=1.0,
     T=1.0,
     y0=lambda x1, x2, a: bump,
+    alpha=0.1,
+    beta=0.4,
+    mollifier=Mollifier(1.0),
 )
-m = Mollifier(1.0)
 
 best, trace, density = optimize_eradication_region(
     checkerboard_levelset(grid),
     model,
-    penalties=(0.1, 0.4),
-    m=m,
     convergence=Convergence(max_iter=25),
 )
 

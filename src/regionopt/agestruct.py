@@ -88,7 +88,8 @@ def _age_samples(spec, ages: np.ndarray, name: str) -> np.ndarray:
 
 @dataclass
 class AgeModelParams:
-    """Data of the age-structured model on the age grid.
+    """Data of the age-structured model on the age grid, and of its
+    region design.
 
     fertility and mortality may be given as callables of age or as
     arrays of Na+1 samples; y0 as a callable (x1, x2, a) or a constant.
@@ -96,7 +97,9 @@ class AgeModelParams:
     must be positive and beta(0) da / 2 < 1: the renewal root exists
     only then, and the march divides by 1 minus it.  The time step is
     locked to the age step, so a march (n_time) needs the horizon T to
-    be an integer multiple of it; the eigenvalue never reads T.
+    be an integer multiple of it; the eigenvalue never reads T.  alpha
+    and beta (>= 0) weigh the interface length and region area in Psi,
+    and mollifier gives H_eps; only the region design reads the three.
     """
 
     A: float
@@ -108,6 +111,9 @@ class AgeModelParams:
     T: float
     y0: object = 1.0
     logistic_slope: float = 0.0
+    alpha: float = 0.0
+    beta: float = 0.0
+    mollifier: Mollifier | None = None
     fertility_samples: np.ndarray = field(init=False, repr=False)
     mortality_samples: np.ndarray = field(init=False, repr=False)
 
@@ -123,7 +129,7 @@ class AgeModelParams:
             raise FieldError(
                 "A", f"gives the age step A / Na = {self.da}, not positive and finite"
             )
-        for name in ("d", "L", "logistic_slope"):
+        for name in ("d", "L", "logistic_slope", "alpha", "beta"):
             value = getattr(self, name)
             if not value >= 0.0:
                 raise FieldError(name, f"must be nonnegative, got {value}")
@@ -441,18 +447,20 @@ def total_population(density: AgeDensityField) -> np.ndarray:
     return per_time
 
 
-def _final_population(phi: LevelSetFunction, model: AgeModelParams, m: Mollifier):
-    density = solve_age_structured(mollified_effort(phi, model.L, m), model)
+def _design_mollifier(model: AgeModelParams) -> Mollifier:
+    if model.mollifier is None:
+        raise ValueError("the region design needs a mollifier; the model has none")
+    return model.mollifier
+
+
+def _final_population(phi: LevelSetFunction, model: AgeModelParams):
+    effort = mollified_effort(phi, model.L, model.mollifier)
+    density = solve_age_structured(effort, model)
     final = AgeDensityField(density.model, density.effort, density.values[-1:])
     return float(total_population(final)[0]), density
 
 
-def evaluate_psi(
-    phi: LevelSetFunction,
-    model: AgeModelParams,
-    penalties,
-    m: Mollifier,
-):
+def evaluate_psi(phi: LevelSetFunction, model: AgeModelParams):
     """Region cost Psi and its components for the eradication problem.
 
     Runs the model under the mollified effort H_eps(phi) L and returns
@@ -460,8 +468,9 @@ def evaluate_psi(
     the first being the age-space integral of the final-time density
     (trapezoid in age, Simpson in space).
     """
-    measure = partial(_final_population, model=model, m=m)
-    psi, terms, *_ = penalised_cost(phi, measure, penalties, m)
+    m = _design_mollifier(model)
+    measure = partial(_final_population, model=model)
+    psi, terms, *_ = penalised_cost(phi, measure, (model.alpha, model.beta), m)
     return psi, terms
 
 
@@ -521,17 +530,16 @@ def solve_eradication_adjoint(density: AgeDensityField) -> ScalarField:
 def optimize_eradication_region(
     phi0: LevelSetFunction,
     model: AgeModelParams,
-    penalties,
-    m: Mollifier,
     convergence: Convergence = Convergence(),
     callback=None,
 ):
     """Shape the harvesting region to minimize Psi by shapeopt.descend.
 
-    The age-structured model gives Psi, and the pairing of its dual
-    with the density the data velocity L * solve_eradication_adjoint;
-    under convergence.step = "halving" every step is gated on an actual
-    Psi decrease.  Returns (best iterate by Psi, trace, its age density).
+    The age-structured model gives Psi, with the model's penalties and
+    mollifier, and the pairing of its dual with the density the data
+    velocity L * solve_eradication_adjoint; under convergence.step =
+    "halving" every step is gated on an actual Psi decrease.  Returns
+    (best iterate by Psi, trace, its age density).
     """
 
     def direction(phi, density):
@@ -540,11 +548,11 @@ def optimize_eradication_region(
 
     return descend(
         phi0,
-        partial(_final_population, model=model, m=m),
+        partial(_final_population, model=model),
         direction,
-        m,
+        _design_mollifier(model),
         Trace(ERADICATION_TRACE_COLUMNS),
-        penalties=penalties,
+        penalties=(model.alpha, model.beta),
         convergence=convergence,
         callback=callback,
     )

@@ -126,12 +126,7 @@ def _run_optimize_eradication(config: RunConfig, out_dir: str) -> int:
     callback = _region_snapshot_callback(out_dir, config.snapshot_every)
     model = config.age_model
     best, trace, density = optimize_eradication_region(
-        config.phi0,
-        model,
-        (config.alpha, config.beta),
-        config.mollifier,
-        config.convergence,
-        callback=callback,
+        config.phi0, model, config.convergence, callback=callback
     )
     final = density.values[-1]
     for level in range(model.Na + 1):

@@ -87,9 +87,10 @@ def gaussian_density(grid: GridSpec) -> ScalarField:
 class RunConfig:
     """Validated settings for one pipeline run.
 
-    Fields not used by ``command`` are left at their defaults (None for
-    the parameter bundles), so a config only has to supply the sections
-    its pipeline reads.
+    The model of the command is built, the other left None: control for
+    the harvest commands, age_model for the age commands.  Each model
+    holds the penalties and the mollifier of its problem, so a config
+    only has to supply the sections its pipeline reads.
     """
 
     command: str
@@ -98,10 +99,7 @@ class RunConfig:
     grid: GridSpec
     phi0: LevelSetFunction
     control_level: float
-    alpha: float
-    beta: float
     convergence: Convergence
-    mollifier: Mollifier | None
     control: ControlProblemParams | None
     age_model: AgeModelParams | None
 
@@ -243,6 +241,7 @@ def _parse_config(path) -> RunConfig:
     d, L, u = model["d"], model["L"], model["u"]
     convergence = Convergence(**value["convergence"])
     mollifier = Mollifier(**value["mollifier"]) if value["mollifier"] else None
+    design = dict(penalty, mollifier=mollifier)  # held by the model of each command
 
     def field(section, key, presets=None):
         return _coefficient(
@@ -270,20 +269,13 @@ def _parse_config(path) -> RunConfig:
 
     control = None
     if command in _HARVEST:
-        control = ControlProblemParams(
-            d=d, a=growth, y0=initial_density, L=L, mollifier=mollifier, **penalty
-        )
+        control = ControlProblemParams(d=d, a=growth, y0=initial_density, L=L, **design)
         control.check_time_step()
         if not 0.0 <= u <= L:
             raise ConfigError(f"model.u must lie in [0, L] = [0, {L}], got {u}")
 
     age_model = None
     if command in _AGE:
-        # No model type holds the penalties of the age commands.
-        for key, weight in penalty.items():
-            if not weight >= 0.0:
-                raise ConfigError(f"penalty.{key} must be nonnegative, got {weight}")
-
         def age_table(load):
             # Read by AgeModelParams, on the age grid it has checked.
             return lambda ages: load(read_node_csv, ("age",), (ages,))
@@ -293,7 +285,9 @@ def _parse_config(path) -> RunConfig:
             for key in ("fertility", "mortality")
         )
         # m and y0 are passed only when given: AgeModelParams holds their defaults.
-        optional = {"logistic_slope": age["m"]} if "m" in age else {}
+        optional = dict(design)  # as the penalties and mollifier always are
+        if "m" in age:
+            optional["logistic_slope"] = age["m"]
         if initial_density is not None:
             # The age model spreads a spatial density uniformly in age.
             y0_values = initial_density.values
@@ -322,8 +316,6 @@ def _parse_config(path) -> RunConfig:
         phi0=phi0,
         control_level=u,
         convergence=convergence,
-        mollifier=mollifier,
         control=control,
         age_model=age_model,
-        **penalty,
     )

@@ -666,11 +666,8 @@ def test_positivity_failure_names_highest_failing_age_level(monkeypatch):
 
 def test_psi_zero_density_is_penalties_only():
     grid = spatial_grid(N=8)
-    model = basic_model(Na=10, y0=0.0)
-    m = Mollifier(1.0)
-    psi, (population, length_term, area_term) = evaluate_psi(
-        circle_levelset(grid), model, (0.3, 0.7), m
-    )
+    model = basic_model(Na=10, y0=0.0, alpha=0.3, beta=0.7, mollifier=Mollifier(1.0))
+    psi, (population, length_term, area_term) = evaluate_psi(circle_levelset(grid), model)
     assert population == 0.0
     assert psi == length_term + area_term
     assert area_term > 0.0
@@ -678,11 +675,11 @@ def test_psi_zero_density_is_penalties_only():
 
 def test_psi_far_outside_components():
     grid = spatial_grid(N=8)
-    model = basic_model(Na=10)
     m = Mollifier(1.0)
     beta_weight = 0.7
+    model = basic_model(Na=10, alpha=0.3, beta=beta_weight, mollifier=m)
     psi, (population, length_term, area_term) = evaluate_psi(
-        uniform_phi(grid, -1000.0), model, (0.3, beta_weight), m
+        uniform_phi(grid, -1000.0), model
     )
     assert length_term == 0.0
     from regionopt.levelset import heaviside_mollified
@@ -696,10 +693,10 @@ def test_more_effort_never_raises_population_term():
     grid = spatial_grid(N=8)
     m = Mollifier(1.0)
     phi = circle_levelset(grid)
-    weak = basic_model(Na=10, L=1.0)
-    strong = basic_model(Na=10, L=2.0)
-    _, parts_weak = evaluate_psi(phi, weak, (0.0, 0.0), m)
-    _, parts_strong = evaluate_psi(phi, strong, (0.0, 0.0), m)
+    weak = basic_model(Na=10, L=1.0, mollifier=m)
+    strong = basic_model(Na=10, L=2.0, mollifier=m)
+    _, parts_weak = evaluate_psi(phi, weak)
+    _, parts_strong = evaluate_psi(phi, strong)
     assert parts_strong[0] <= parts_weak[0] + 1e-12
 
 
@@ -812,9 +809,7 @@ def test_descent_builds_one_effort_per_forward_march(monkeypatch):
     grid = spatial_grid(N=8)
     _, trace, _ = optimize_eradication_region(
         circle_levelset(grid),
-        basic_model(Na=10, T=0.5),
-        (0.1, 0.1),
-        Mollifier(1.0),
+        basic_model(Na=10, T=0.5, alpha=0.1, beta=0.1, mollifier=Mollifier(1.0)),
         Convergence(max_iter=3),
     )
     assert len(trace.records) >= 2
@@ -823,12 +818,10 @@ def test_descent_builds_one_effort_per_forward_march(monkeypatch):
 
 def test_loop_trivial_stop_by_tolerance():
     grid = spatial_grid(N=8)
-    model = basic_model(Na=10, L=0.0)
+    model = basic_model(Na=10, L=0.0, mollifier=Mollifier(1.0))
     best, trace, _ = optimize_eradication_region(
         circle_levelset(grid),
         model,
-        (0.0, 0.0),
-        Mollifier(1.0),
         Convergence(max_iter=10),
     )
     assert len(trace.records) == 1
@@ -837,12 +830,10 @@ def test_loop_trivial_stop_by_tolerance():
 
 def test_loop_budget_of_one():
     grid = spatial_grid(N=8)
-    model = basic_model(Na=10)
+    model = basic_model(Na=10, alpha=0.1, beta=0.1, mollifier=Mollifier(1.0))
     _, trace, _ = optimize_eradication_region(
         circle_levelset(grid),
         model,
-        (0.1, 0.1),
-        Mollifier(1.0),
         Convergence(max_iter=1),
     )
     assert len(trace.records) == 1
@@ -851,12 +842,10 @@ def test_loop_budget_of_one():
 
 def test_heavy_area_penalty_shrinks_region():
     grid = spatial_grid(N=10)
-    model = basic_model(Na=10, T=0.5)
+    model = basic_model(Na=10, T=0.5, beta=5.0, mollifier=Mollifier(1.0))
     best, trace, _ = optimize_eradication_region(
         uniform_phi(grid, 1.0),
         model,
-        (0.0, 5.0),
-        Mollifier(1.0),
         Convergence(max_iter=6),
     )
     areas = [r.region_area for r in trace.records]
@@ -868,12 +857,10 @@ def test_heavy_area_penalty_shrinks_region():
 
 def test_eradication_trace_csv(tmp_path):
     grid = spatial_grid(N=8)
-    model = basic_model(Na=10, T=0.5)
+    model = basic_model(Na=10, T=0.5, alpha=0.1, beta=0.1, mollifier=Mollifier(1.0))
     _, trace, _ = optimize_eradication_region(
         circle_levelset(grid),
         model,
-        (0.1, 0.1),
-        Mollifier(1.0),
         Convergence(max_iter=3),
     )
     path = tmp_path / "trace.csv"
@@ -889,15 +876,15 @@ def test_eradication_trace_csv(tmp_path):
 
 def test_best_state_is_the_density_of_the_best_iterate():
     grid = spatial_grid(N=8)
-    model = basic_model(Na=10, T=0.5)
     m = Mollifier(1.0)
+    model = basic_model(Na=10, T=0.5, alpha=0.1, beta=0.1, mollifier=m)
     best, trace, density = optimize_eradication_region(
-        circle_levelset(grid), model, (0.1, 0.1), m, Convergence(max_iter=3)
+        circle_levelset(grid), model, Convergence(max_iter=3)
     )
     assert len(trace.records) >= 2
     fresh = solve_age_structured(mollified_effort(best, model.L, m), model)
     assert np.array_equal(density.values, fresh.values)
-    psi, terms = evaluate_psi(best, model, (0.1, 0.1), m)
+    psi, terms = evaluate_psi(best, model)
     assert (psi, terms) == (trace.best().cost, trace.best().terms)
 
 
@@ -908,8 +895,8 @@ def test_descent_holds_one_density_at_a_time(step):
     # density plus the dual's few levels, not the accepted iterate's
     # density beside the trial's (about 2.25 densities).
     grid = spatial_grid(N=12)
-    model = basic_model(T=2.0)
     m = Mollifier(1.0)
+    model = basic_model(T=2.0, alpha=0.1, beta=0.1, mollifier=m)
     phi0 = circle_levelset(grid)
     density = solve_age_structured(mollified_effort(phi0, model.L, m), model)
     nbytes = density.values.nbytes  # the march above warms the DCT cache
@@ -918,7 +905,7 @@ def test_descent_holds_one_density_at_a_time(step):
     try:
         base = tracemalloc.get_traced_memory()[0]
         _, trace, _ = optimize_eradication_region(
-            phi0, model, (0.1, 0.1), m, Convergence(max_iter=4, step=step)
+            phi0, model, Convergence(max_iter=4, step=step)
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -935,11 +922,11 @@ def test_descent_ending_on_an_increase_returns_the_best_density(step):
     # released with its direction, so it is marched once more, to the
     # same bits.
     grid = spatial_grid(N=8)
-    model = basic_model(Na=10, T=0.5)
     m = Mollifier(1.0)
+    model = basic_model(Na=10, T=0.5, beta=0.5, mollifier=m)
     convergence = Convergence(max_iter=20, theta0=100.0, eps1=1.0e-9, step=step)
     best, trace, density = optimize_eradication_region(
-        circle_levelset(grid), model, (0.0, 0.5), m, convergence
+        circle_levelset(grid), model, convergence
     )
     assert trace.stop_reason == "J increase"
     if step == "paper":
@@ -969,9 +956,7 @@ def test_halving_descent_on_budget_marches_once_per_evaluated_phi(monkeypatch):
     grid = spatial_grid(N=8)
     _, trace, _ = optimize_eradication_region(
         circle_levelset(grid),
-        basic_model(Na=10, T=0.5),
-        (0.1, 0.1),
-        Mollifier(1.0),
+        basic_model(Na=10, T=0.5, alpha=0.1, beta=0.1, mollifier=Mollifier(1.0)),
         Convergence(max_iter=4),
     )
     assert trace.stop_reason == "iteration budget"
