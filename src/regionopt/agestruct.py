@@ -86,7 +86,7 @@ def _age_samples(spec, ages: np.ndarray, name: str) -> np.ndarray:
     return values
 
 
-@dataclass
+@dataclass(frozen=True)
 class AgeModelParams:
     """Data of the age-structured model on the age grid, and of its
     region design.
@@ -100,6 +100,8 @@ class AgeModelParams:
     be an integer multiple of it; the eigenvalue never reads T.  alpha
     and beta (>= 0) weigh the interface length and region area in Psi,
     and mollifier gives H_eps; only the region design reads the three.
+    Frozen, so no field can change after the checks: a new model is a
+    new instance (dataclasses.replace), checked again.
     """
 
     A: float
@@ -124,7 +126,7 @@ class AgeModelParams:
             raise FieldError("Na", f"must be an integer, got {self.Na}")
         if self.Na < 2:
             raise FieldError("Na", f"must be at least 2, got {self.Na}")
-        self.Na = int(self.Na)
+        object.__setattr__(self, "Na", int(self.Na))
         if not 0.0 < self.da < np.inf:
             raise FieldError(
                 "A", f"gives the age step A / Na = {self.da}, not positive and finite"
@@ -136,8 +138,9 @@ class AgeModelParams:
         if not (self.T > 0.0):
             raise FieldError("T", f"must be positive, got {self.T}")
         ages = self.ages
-        self.fertility_samples = _age_samples(self.fertility, ages, "fertility")
-        self.mortality_samples = _age_samples(self.mortality, ages, "mortality")
+        for name in ("fertility", "mortality"):
+            samples = _age_samples(getattr(self, name), ages, name)
+            object.__setattr__(self, f"{name}_samples", samples)
         newborn = float(self.fertility_samples[0]) * (self.da / 2.0)
         if newborn >= 1.0:
             raise FieldError(

@@ -52,9 +52,9 @@ CG_MAX_ITER = 100
 ROUNDOFF = 16.0  # least attainable residual, in units of eps * max |row sum|
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControlProblemParams:
-    """Model data of the harvest problem.
+    """Model data of the harvest problem; frozen, so its checks hold.
 
     Attributes
     ----------

@@ -1,6 +1,7 @@
 """Tests for the age-structured eradicability and region-design module."""
 
 import csv
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -607,6 +608,81 @@ def test_model_validation():
     off_horizon = basic_model(T=0.93)
     with pytest.raises(ValueError, match="integer multiple of the age step"):
         solve_age_structured(ScalarField.constant(spatial_grid(N=4), 0.0), off_horizon)
+
+
+@pytest.mark.parametrize(
+    "overrides, field, complaint",
+    [
+        (
+            {"fertility": np.ones(5)},
+            "fertility",
+            "samples have shape (5,), expected (21,)",
+        ),
+        (
+            {"mortality": np.full(21, np.nan)},
+            "mortality",
+            "samples must be finite on the age grid",
+        ),
+        ({"Na": 2.5}, "Na", "must be an integer, got 2.5"),
+        ({"T": 0.0}, "T", "must be positive, got 0.0"),
+        ({"y0": -1.0}, "y0", "must be nonnegative"),
+        ({"alpha": -0.1}, "alpha", "must be nonnegative, got -0.1"),
+        ({"beta": np.nan}, "beta", "must be nonnegative, got nan"),
+    ],
+    ids=["sample-shape", "non-finite-samples", "fractional-Na", "T", "y0", "alpha", "beta"],
+)
+def test_model_rejection_names_its_field(overrides, field, complaint):
+    with pytest.raises(FieldError) as excinfo:
+        basic_model(**overrides)
+    assert (excinfo.value.field, excinfo.value.complaint) == (field, complaint)
+
+
+@pytest.mark.parametrize(
+    "y0, message",
+    [
+        (lambda x1, x2, a: np.full_like(x1, np.nan), "y0 must be finite"),
+        (lambda x1, x2, a: x1 - 0.5, "y0 must be nonnegative"),
+    ],
+    ids=["non-finite", "negative"],
+)
+def test_initial_density_checks_a_callable_y0(y0, message):
+    # A callable y0 is sampled only on a spatial grid, so the march checks it.
+    model = basic_model(Na=4, y0=y0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        model.initial_density(spatial_grid(N=4))
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("fertility_samples", np.full(21, 50.0)),
+        ("fertility", 50.0),
+        ("Na", 1),
+        ("alpha", -1.0),
+    ],
+)
+def test_model_fields_cannot_be_reassigned(name, value):
+    # The checks run once, in the constructor.  Fertility samples of 50
+    # set afterwards (beta(0) da / 2 = 1.25 >= 1) would give lotka_root a
+    # NaN bracket that its bisection never leaves, so every field is
+    # frozen, and a changed model is a new one, checked again.
+    model = basic_model()
+    root = lotka_root(model)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(model, name, value)
+    assert lotka_root(model) == root
+    if name != "fertility_samples":
+        with pytest.raises(FieldError, match=f"^{name} "):
+            dataclasses.replace(model, **{name: value})
+
+
+def test_region_design_needs_a_mollifier():
+    grid = spatial_grid(N=4)
+    model = basic_model(Na=4)
+    with pytest.raises(ValueError, match="needs a mollifier"):
+        evaluate_psi(circle_levelset(grid), model)
+    with pytest.raises(ValueError, match="needs a mollifier"):
+        optimize_eradication_region(circle_levelset(grid), model)
 
 
 def test_model_rejects_age_step_that_underflows():

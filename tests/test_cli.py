@@ -778,6 +778,30 @@ def test_unstable_time_step_rejected_at_parse(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unstable_time_step_names_the_first_m_past_rounding(tmp_path, capsys):
+    # T * max(a) rounds to 13.999999999999998, so the first guess is
+    # M = 14, where dt * a = 0.3 / 14 * a is 1.0 exactly: the message
+    # steps past it to M = 16.
+    text = FORWARD_TEXT.replace("a = 0.0", "a = 46.666666666666664")
+    text = text.replace("M = 100", "M = 10").replace("T = 1.0", "T = 0.3")
+    out = tmp_path / "o"
+    assert main(["--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 2
+    assert "use grid.M >= 16" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["command = forward\n", FORWARD_TEXT.replace("N = 10", "N = 10\nN = 12")],
+    ids=["no-section-header", "duplicate-key"],
+)
+def test_malformed_config_exits_2(tmp_path, capsys, text):
+    out = tmp_path / "o"
+    assert main(["--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 2
+    assert "malformed config file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_negative_penalty_rejected_for_every_command(tmp_path, capsys):
     for text in (TEST1_TEXT, ERADICATION_TEXT):
         for key in ("alpha", "beta"):

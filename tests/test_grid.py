@@ -8,6 +8,7 @@ from regionopt.grid import (
     gradient_magnitude,
     read_field_csv,
     simpson_integral_2d,
+    simpson_weights,
     write_field_csv,
 )
 
@@ -70,6 +71,13 @@ def test_simpson_linearity_on_random_fields():
             ScalarField(g, v)
         )
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 21])
+def test_simpson_weights_need_an_even_count_of_at_least_two(n):
+    message = f"^Simpson rule needs an even interval count >= 2, got {n}$"
+    with pytest.raises(ValueError, match=message):
+        simpson_weights(n, 0.1)
 
 
 def test_scalarfield_shape_and_finiteness():

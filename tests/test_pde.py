@@ -8,6 +8,7 @@ Spatially uniform problems reduce every solver to a scalar recurrence
 with a known closed form, which pins the time stepping exactly.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -40,6 +41,7 @@ from regionopt.pde import (
     solve_forward,
     solve_sensitivity,
 )
+from regionopt.shapeopt import descent_velocity
 
 GROWTH_RATE = 3.0
 FAR_INSIDE = 1000.0
@@ -582,6 +584,86 @@ def test_params_reject_nan_bound_and_weights(name):
             mollifier=Mollifier(1.0),
             **settings,
         )
+
+
+def test_params_reject_a_and_y0_on_different_grids():
+    grid = GridSpec(N=4, M=4, T=0.5)
+    with pytest.raises(ValueError, match="^a and y0 live on different grids$"):
+        ControlProblemParams(
+            d=1.0,
+            a=ScalarField.constant(grid, 0.0),
+            y0=ScalarField.constant(GridSpec(N=6, M=4, T=0.5), 1.0),
+            L=1.0,
+            alpha=0.0,
+            beta=0.0,
+            mollifier=Mollifier(1.0),
+        )
+
+
+@pytest.mark.parametrize("name, value", [("L", -1.0), ("alpha", np.nan), ("d", 0.0)])
+def test_params_fields_cannot_be_reassigned(name, value):
+    # The checks run once, in the constructor: a field set afterwards
+    # would bypass them, so every field is frozen.
+    params = make_params(GridSpec(N=4, M=4, T=0.5))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(params, name, value)
+    with pytest.raises(FieldError, match=f"^{name} must be"):
+        dataclasses.replace(params, **{name: value})
+
+
+# (solve, message): solve(params, on, off) calls one solver with the
+# fields on the problem grid (on) or on another grid (off), each a dict
+# of a level set "phi" and a space-time field "time".
+OFF_GRID_CALLS = {
+    "adjoint-phi": (
+        lambda params, on, off: solve_adjoint(off["phi"], params),
+        "phi is not on the problem grid",
+    ),
+    "sensitivity-phi": (
+        lambda params, on, off: solve_sensitivity(off["phi"], on["time"], params),
+        "phi/adjoint are not on the problem grid",
+    ),
+    "sensitivity-adjoint": (
+        lambda params, on, off: solve_sensitivity(on["phi"], off["time"], params),
+        "phi/adjoint are not on the problem grid",
+    ),
+    "forward-phi": (
+        lambda params, on, off: solve_forward(off["phi"], on["time"], params),
+        "phi/control are not on the problem grid",
+    ),
+    "forward-control": (
+        lambda params, on, off: solve_forward(on["phi"], off["time"], params),
+        "phi/control are not on the problem grid",
+    ),
+    "forward-forcing": (
+        lambda params, on, off: solve_forward(
+            on["phi"], on["time"], params, forcing=off["time"]
+        ),
+        "forcing is not on the problem grid",
+    ),
+    "velocity-adjoint": (
+        lambda params, on, off: descent_velocity(off["time"], on["time"], params),
+        "inputs are not on the problem grid",
+    ),
+    "velocity-sensitivity": (
+        lambda params, on, off: descent_velocity(on["time"], off["time"], params),
+        "inputs are not on the problem grid",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(OFF_GRID_CALLS))
+def test_solvers_reject_fields_off_the_problem_grid(case):
+    solve, message = OFF_GRID_CALLS[case]
+    grid = GridSpec(N=4, M=4, T=0.5)
+
+    def fields(g):
+        return {"phi": uniform_levelset(g, 1.0), "time": SpaceTimeField.constant(g, 0.0)}
+
+    # Another M alone makes another grid: the time axes differ.
+    off = fields(GridSpec(N=4, M=6, T=0.5))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solve(make_params(grid), fields(grid), off)
 
 
 def test_forward_rejects_unstable_time_step():
