@@ -285,15 +285,15 @@ def _parse_config(path) -> RunConfig:
             for key in ("fertility", "mortality")
         )
         # m and y0 are passed only when given: AgeModelParams holds their defaults.
-        optional = dict(design)  # as the penalties and mollifier always are
+        keywords = dict(design)  # the design fields always
         if "m" in age:
-            optional["logistic_slope"] = age["m"]
+            keywords["logistic_slope"] = age["m"]
         if initial_density is not None:
             # The age model spreads a spatial density uniformly in age.
             y0_values = initial_density.values
-            optional["y0"] = lambda x1, x2, a: y0_values
+            keywords["y0"] = lambda x1, x2, a: y0_values
         age_model = AgeModelParams(
-            age["A"], age["Na"], fertility, mortality, d, L, grid.T, **optional
+            age["A"], age["Na"], fertility, mortality, d, L, grid.T, **keywords
         )
         # Only the age-structured march reads y0 and the horizon, in whole
         # age steps, and it holds one density of them all in memory.
