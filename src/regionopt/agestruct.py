@@ -26,10 +26,11 @@ batched solve on full-grid levels.  The principal eigenvalue comes from
 a block-1 LOBPCG that factorizes no operator: its basis is one n x 3
 block, orthonormalized in place by Householder QR from NumPy's LAPACK
 (numpy.linalg.lapack_lite), its products go through the step solver's
-five-point stencil with the operator's own main diagonal, and its
-preconditioner is the step solver's DCT inverse at a fixed shift, run
-in single precision: it only picks the search direction, and lambda_1
-is left to the double precision Rayleigh-Ritz step and residual test.
+five-point stencil with the operator's own main diagonal, written into
+buffers allocated once per solve (apply's out), and its preconditioner
+is the step solver's DCT inverse at a fixed shift, run in single
+precision: it only picks the search direction, and lambda_1 is left to
+the double precision Rayleigh-Ritz step and residual test.
 Mortality is sampled finitely on the age grid; whatever is transported
 past the maximal age A flows out of the system.
 """
@@ -45,7 +46,7 @@ from numpy.linalg import lapack_lite
 from .errors import ConvergenceFailure, FieldError, SolverFailure
 from .grid import GridSpec, ScalarField, simpson_integral_2d
 from .levelset import LevelSetFunction, Mollifier, heaviside_mollified
-from .pde import _ImplicitStepper
+from .pde import _ImplicitStepper, lap_diagonal, roundoff
 from .shapeopt import Convergence, Trace, descend, penalised_cost
 
 EIGEN_TOL = 1.0e-8
@@ -274,10 +275,11 @@ def eigen_roundoff(effort: ScalarField, d: float) -> float:
     the largest absolute row sum) with the main diagonal of -d lap + u.
     The residual of a unit vector bounds |lambda - theta| for this
     symmetric operator, so it bounds the error of lambda_1 as well.
+    Built from pde.lap_diagonal alone, so it costs no stepper.
     """
     grid = effort.grid
-    stepper = _ImplicitStepper(grid.N, d / (grid.h * grid.h))
-    return stepper.roundoff(stepper.lap_diag + effort.values[1:-1, 1:-1]).item()
+    lap_diag = lap_diagonal(grid.N, d / (grid.h * grid.h))
+    return roundoff(lap_diag + effort.values[1:-1, 1:-1], lap_diag).item()
 
 
 def principal_eigenvalue(effort: ScalarField, d: float) -> float:
@@ -292,12 +294,16 @@ def principal_eigenvalue(effort: ScalarField, d: float) -> float:
     rounding can cost steps, while the float64 Rayleigh-Ritz step and
     residual test decide lambda_1.  The three columns live in one n x 3
     block, orthonormalized in place by LAPACK Householder QR
-    (lapack_lite's dgeqrf, then dorgqr over the same memory).  Stops at
-    a relative eigenresidual of 1e-8, or at eigen_roundoff (the
-    round-off of one product) where that is larger (large d / h^2).  A
-    negative d or effort raises ValueError; running out of
-    EIGEN_MAX_ITER steps raises ConvergenceFailure, and non-finite
-    values or a failed projection raise SolverFailure.
+    (lapack_lite's dgeqrf, then dorgqr over the same memory).  The
+    working set is allocated once per solve: that block, a block of its
+    images, x, its image, one residual/update vector and the float32
+    unit residual; every product, residual, cast and Ritz combination
+    is written into them (out=).  Stops at a relative eigenresidual of
+    1e-8, or at eigen_roundoff (the round-off of one product) where that
+    is larger (large d / h^2).  A negative d or effort raises
+    ValueError; running out of EIGEN_MAX_ITER steps raises
+    ConvergenceFailure, and non-finite values or a failed projection
+    raise SolverFailure.
     """
     if d < 0.0 or np.any(effort.values < 0.0):
         raise ValueError("d and the effort must be nonnegative")
@@ -306,12 +312,11 @@ def principal_eigenvalue(effort: ScalarField, d: float) -> float:
     stepper = _ImplicitStepper(grid.N, d / (grid.h * grid.h))
     interior = effort.values[1:-1, 1:-1]
     diagonal = stepper.lap_diag + interior
-    floor = stepper.roundoff(diagonal).item()  # eigen_roundoff's floor
+    floor = roundoff(diagonal, stepper.lap_diag).item()  # eigen_roundoff's floor
 
-    def product(v: np.ndarray) -> np.ndarray:
-        """The operator applied to a vector, or to each column at once."""
-        blocks = stepper.apply(diagonal, v.T.reshape(-1, n1, n1))
-        return blocks.reshape(v.shape[::-1]).T
+    def product(rows: np.ndarray, out: np.ndarray) -> None:
+        """The operator applied to a vector, or to each row of a block, into out."""
+        stepper.apply(diagonal, rows.reshape(-1, n1, n1), out=out.reshape(-1, n1, n1))
 
     # Scaled to a least value of 1 and capped at the float32 range, the
     # spectrum casts without overflow, and so does the unit residual.
@@ -321,13 +326,17 @@ def principal_eigenvalue(effort: ScalarField, d: float) -> float:
     # rows x, T r, update (none at step 0): C-ordered, so block[:k].T is
     # the Fortran n x k matrix that LAPACK factors in place
     block = np.empty((3, n))
+    images = np.empty((3, n))  # the operator applied to block's rows
     tau = np.empty(3)
     work = np.empty(192)  # three columns at any LAPACK block size up to 64
     x = np.full(n, 1.0 / n1)
-    image = product(x)
+    image = np.empty(n)
+    r = np.empty(n)  # residual, then the update
+    unit = np.empty(n, dtype=np.float32)
+    product(x, image)
     value = float(x @ image)
     for step in range(EIGEN_MAX_ITER + 1):
-        r = image - value * x
+        np.subtract(image, np.multiply(value, x, out=r), out=r)
         residual = float(np.linalg.norm(r))
         if not np.isfinite(residual):
             raise SolverFailure("eigen iteration produced non-finite values")
@@ -336,28 +345,28 @@ def principal_eigenvalue(effort: ScalarField, d: float) -> float:
         if step == EIGEN_MAX_ITER:
             break
         block[0] = x
-        unit = (r / residual).astype(np.float32).reshape(n1, n1)
-        block[1] = stepper.precondition(eigs, unit).ravel()
+        np.divide(r, residual, out=unit)
+        block[1] = stepper.precondition(eigs, unit.reshape(n1, n1)).ravel()
         k = 3 if step else 2
         info = lapack_lite.dgeqrf(n, k, block, n, tau, work, work.size, 0)["info"]
         if info == 0:
             info = lapack_lite.dorgqr(n, k, k, block, n, tau, work, work.size, 0)["info"]
         if info:
             raise SolverFailure(f"eigen Rayleigh-Ritz step failed: LAPACK info {info}")
+        product(block[:k], images[:k])
         basis = block[:k].T
-        images = product(basis)
         try:
-            values, vectors = np.linalg.eigh(basis.T @ images)
+            values, vectors = np.linalg.eigh(basis.T @ images[:k].T)
         except np.linalg.LinAlgError as exc:
             raise SolverFailure(f"eigen Rayleigh-Ritz step failed: {exc}") from exc
         coeffs = vectors[:, 0]
         # basis[:, 0] is +-x, so the rest of the Ritz vector is the update;
         # both are formed before the next step overwrites the block.
-        update = basis[:, 1:] @ coeffs[1:, None]
-        x = basis @ coeffs
-        image = images @ coeffs
+        np.matmul(basis[:, 1:], coeffs[1:, None], out=r.reshape(n, 1))
+        np.matmul(basis, coeffs, out=x)
+        np.matmul(images[:k].T, coeffs, out=image)
         value = float(values[0])
-        block[2] = update[:, 0]
+        block[2] = r
     raise ConvergenceFailure(
         f"eigenvalue iteration stagnated after {EIGEN_MAX_ITER} steps: "
         f"residual {residual:.3e} at value {value:.6e}"

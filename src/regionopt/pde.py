@@ -25,7 +25,7 @@ Gaussian-elimination oracle.  The step solver takes and returns
 full-grid levels and fills in the Neumann ghost nodes.  Its stencil is
 the one representation of lam L + diag(w) for any diagonal w: the eigen
 solver of the agestruct module multiplies through it with its own main
-diagonal.
+diagonal, into its own buffers.
 
 Nonlinear reaction terms are lagged at the previously computed time
 level, so every step stays linear.
@@ -34,7 +34,7 @@ level, so every step stays linear.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -120,6 +120,23 @@ class ControlProblemParams:
             )
 
 
+def lap_diagonal(N: int, lam: float) -> np.ndarray:
+    """Diagonal of lam L on the (N-1)^2 interior block: lam times each
+    node's count of interior neighbors."""
+    deg = np.zeros(N - 1)  # interior neighbors along one axis
+    deg[1:] += 1.0
+    deg[:-1] += 1.0
+    return lam * (deg[:, None] + deg[None, :])
+
+
+def roundoff(diagonal: np.ndarray, lap_diag: np.ndarray) -> np.ndarray:
+    """ROUNDOFF units of round-off of one stencil product with main
+    diagonal diagonal: eps times the largest absolute row sum |diagonal|
+    + lap_diag of each block, shaped (..., 1, 1)."""
+    row_sum = np.abs(diagonal) + lap_diag
+    return ROUNDOFF * np.finfo(float).eps * row_sum.max(axis=(-2, -1), keepdims=True)
+
+
 @lru_cache(maxsize=None)
 def dct_matrix(n: int, dtype: np.dtype) -> np.ndarray:
     """Orthonormal DCT-II matrix; its rows are the eigenvectors of the
@@ -146,43 +163,41 @@ class _ImplicitStepper:
     def __init__(self, N: int, lam: float):
         n1 = N - 1
         self.lam = lam
-        deg = np.zeros(n1)  # interior neighbors along one axis
-        deg[1:] += 1.0
-        deg[:-1] += 1.0
-        self.lap_diag = lam * (deg[:, None] + deg[None, :])  # diagonal of lam L
-        self.main = 1.0 + self.lap_diag
+        self.lap_diag = lap_diagonal(N, lam)
         eig = 4.0 * np.sin(0.5 * np.pi * np.arange(n1) / n1) ** 2
         self.lap_eigs = lam * (eig[:, None] + eig[None, :])
-        self._bordered = {}  # batch shape -> zero-bordered buffer
+        self._bordered = np.zeros(0)  # zero-bordered blocks, grown on demand
 
-    def apply(self, diagonal: np.ndarray, x: np.ndarray) -> np.ndarray:
+    @cached_property
+    def main(self) -> np.ndarray:
+        """Main diagonal of I + lam L, built when a linear solve first reads it."""
+        return 1.0 + self.lap_diag
+
+    def apply(self, diagonal: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
         """The product (lam L + diag(w)) x from its main diagonal
-        lap_diag + w: diagonal * x minus lam times each interior neighbor.
+        lap_diag + w: diagonal * x minus lam times each interior neighbor,
+        written into out when given.
 
         lam x is written into the interior of a zero-bordered buffer, and
         its four shifted views are subtracted in the order i-1, i+1, j-1,
         j+1; a border node subtracts +0.0, which leaves every bit
-        unchanged.  The stepper keeps one buffer per batch shape and never
-        writes its border: only the first call of a shape allocates it.
+        unchanged.  The stepper keeps one flat buffer, whose leading
+        blocks serve every batch shape, and never writes a border: only a
+        batch larger than any before allocates.
         """
-        y = diagonal * x
         n = x.shape[-1]
-        if x.shape not in self._bordered:
-            self._bordered[x.shape] = np.zeros(x.shape[:-2] + (n + 2, n + 2))
-        bordered = self._bordered[x.shape]
+        size = x.size // (n * n) * (n + 2) ** 2
+        if self._bordered.size < size:
+            self._bordered = None  # release the smaller buffer first
+            self._bordered = np.zeros(size)
+        bordered = self._bordered[:size].reshape(x.shape[:-2] + (n + 2, n + 2))
         np.multiply(self.lam, x, out=bordered[..., 1:-1, 1:-1])
+        y = np.multiply(diagonal, x, out=out)
         y -= bordered[..., :-2, 1:-1]
         y -= bordered[..., 2:, 1:-1]
         y -= bordered[..., 1:-1, :-2]
         y -= bordered[..., 1:-1, 2:]
         return y
-
-    def roundoff(self, diagonal: np.ndarray) -> np.ndarray:
-        """ROUNDOFF units of round-off of one apply with this main
-        diagonal: eps times the largest absolute row sum |diagonal| +
-        lap_diag of each block, shaped (..., 1, 1)."""
-        row_sum = np.abs(diagonal) + self.lap_diag
-        return ROUNDOFF * np.finfo(float).eps * row_sum.max(axis=(-2, -1), keepdims=True)
 
     def precondition(self, denominator: np.ndarray, r: np.ndarray) -> np.ndarray:
         """The exact inverse of shift I + lam L applied to r, in the DCT
@@ -207,7 +222,7 @@ def linear_solve(stepper: _ImplicitStepper, e1: np.ndarray, rhs: np.ndarray):
     1 + mean(E1), so a uniform E1 is solved by the initial guess alone.
     Each batch member has its own reductions and stops once its max-norm
     residual is at most CG_TOL * max(|rhs|, 1), or at the round-off
-    floor stepper.roundoff * max|x| of one stencil product where that is
+    floor roundoff * max|x| of one stencil product where that is
     larger (large lam), with x the initial guess.  Convergence is
     checked before each preconditioning, so a solve of k >= 1
     iterations costs k + 1 preconditioner calls and k + 2 stencil
@@ -220,7 +235,7 @@ def linear_solve(stepper: _ImplicitStepper, e1: np.ndarray, rhs: np.ndarray):
     scale = np.maximum(np.abs(rhs).max(axis=axes, keepdims=True), 1.0)
     denominator = 1.0 + np.mean(e1, axis=axes, keepdims=True) + stepper.lap_eigs
     diagonal = stepper.main + e1
-    unit = stepper.roundoff(diagonal)
+    unit = roundoff(diagonal, stepper.lap_diag)
     x = stepper.precondition(denominator, rhs)
     tolerance = np.maximum(CG_TOL * scale, unit * np.abs(x).max(axis=axes, keepdims=True))
     r = rhs - stepper.apply(diagonal, x)

@@ -29,7 +29,7 @@ from regionopt.agestruct import (
 from regionopt.errors import ConvergenceFailure, FieldError, SolverFailure
 from regionopt.grid import GridSpec, ScalarField
 from regionopt.levelset import LevelSetFunction, Mollifier, circle_levelset
-from regionopt.pde import ROUNDOFF, _ImplicitStepper
+from regionopt.pde import ROUNDOFF, _ImplicitStepper, dct_matrix
 from regionopt.shapeopt import Convergence
 
 from neumann_oracle import neumann_operator
@@ -342,10 +342,12 @@ def test_eigen_step_work_and_in_place_orthonormalization(monkeypatch):
     for name, counts in blocks.items():
         method = getattr(_ImplicitStepper, name)
 
-        def recorded(self, first, x, _method=method, _counts=counts, _seen=dtypes[name]):
+        def recorded(
+            self, first, x, _method=method, _counts=counts, _seen=dtypes[name], **out
+        ):
             _counts.append(1 if x.ndim == 2 else x.shape[0])
             _seen.add((first.dtype, x.dtype))
-            return _method(self, first, x)
+            return _method(self, first, x, **out)
 
         monkeypatch.setattr(_ImplicitStepper, name, recorded)
 
@@ -409,6 +411,62 @@ def test_eigen_non_finite_operator_is_solver_failure():
     phi = circle_levelset(grid)
     with pytest.raises(SolverFailure, match="non-finite"):
         principal_eigenvalue(sharp_effort(phi, 2.0), np.nan)
+
+
+def test_eigen_solve_is_pure():
+    # The solver writes only into its own buffers: two solves on one
+    # effort agree to the bit, the effort (whose interior it reads through
+    # a view) keeps every bit, and the shared DCT matrix stays read-only.
+    grid = spatial_grid(N=24)
+    effort = sharp_effort(circle_levelset(grid), 20.0)
+    before = effort.values.copy()
+    first = principal_eigenvalue(effort, 1.0)
+    q = dct_matrix(grid.N - 1, np.dtype(np.float32))  # the one it preconditioned with
+    second = principal_eigenvalue(effort, 1.0)
+    assert first.hex() == second.hex()
+    assert np.array_equal(effort.values.view(np.uint64), before.view(np.uint64))
+    assert dct_matrix(grid.N - 1, np.dtype(np.float32)) is q
+    assert not q.flags.writeable
+
+
+def test_eigen_working_set_is_fixed():
+    # The solver allocates its working set once per solve, so on a
+    # sweep-like two-disc region at N = 128 (L = 20, d = 1) its peak stays
+    # within 20 vectors of (N-1)^2 doubles, about 17 here.
+    grid = spatial_grid(N=128)
+    phi = LevelSetFunction.from_function(
+        grid,
+        lambda x1, x2: np.maximum(
+            0.2 - np.hypot(x1 - 0.35, x2 - 0.4), 0.15 - np.hypot(x1 - 0.7, x2 - 0.65)
+        ),
+    )
+    effort = sharp_effort(phi, 20.0)
+    principal_eigenvalue(effort, 1.0)  # warm the DCT cache
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        principal_eigenvalue(effort, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 20 * (grid.N - 1) ** 2 * 8
+
+
+def test_verdict_builds_one_stepper(monkeypatch):
+    # The band's round-off floor is built from pde.lap_diagonal, so a
+    # verdict builds the stepper of its eigen solve and no other.
+    built = []
+
+    class Counted(_ImplicitStepper):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(agestruct, "_ImplicitStepper", Counted)
+    grid = spatial_grid(N=16)
+    report = eradicability_verdict(circle_levelset(grid), basic_model(L=4.0))
+    assert report.verdict == "NotEradicable"
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("radius, verdict", [(0.25, "NotEradicable"), (0.45, "Eradicable")])
