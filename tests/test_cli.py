@@ -646,6 +646,22 @@ PINNED_SUMMARIES = {
             "tolerance": 1e-06,
         },
     ),
+    # The full region's lambda1 = L comes out at once; a disc's takes the
+    # eigen solver's iteration, so this pins what that iteration returns.
+    "eradicability-disc": (
+        AGE_TEXT.replace("N = 10", "N = 64")
+        .replace("L = 2.0", "L = 20.0")
+        .replace("init = 1.0", "init = circle")
+        .replace("fertility = 1.0", "fertility = 2.0"),
+        {
+            "command": "eradicability",
+            "r_star": 1.59504685083,
+            "lambda1": 3.14444539746,
+            "margin": 1.54939854663,
+            "verdict": "Eradicable",
+            "tolerance": 1e-06,
+        },
+    ),
     "optimize-eradication": (
         ERADICATION_TEXT,
         {
