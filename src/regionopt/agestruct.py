@@ -23,14 +23,10 @@ The solver locks the time step to the age step, so aging is an exact
 shift along characteristics, and reuses the implicit step solver of the
 pde module for diffusion and decay, all age levels of a time step in one
 batched solve on full-grid levels.  The principal eigenvalue comes from
-a block-1 LOBPCG that factorizes no operator: its basis is one n x 3
-block, orthonormalized in place by Householder QR from NumPy's LAPACK
-(numpy.linalg.lapack_lite), its products go through the step solver's
-five-point stencil with the operator's own main diagonal, written into
-buffers allocated once per solve (apply's out), and its preconditioner
-is the step solver's DCT inverse at a fixed shift, run in single
-precision: it only picks the search direction, and lambda_1 is left to
-the double precision Rayleigh-Ritz step and residual test.
+a block-1 LOBPCG that factorizes no operator and allocates its working
+set once per solve: its products go through the step solver's stencil
+into its own buffers, and its preconditioner is the step solver's DCT
+inverse at a fixed shift, in single precision.
 Mortality is sampled finitely on the age grid; whatever is transported
 past the maximal age A flows out of the system.
 """
@@ -275,7 +271,7 @@ def eigen_roundoff(effort: ScalarField, d: float) -> float:
     the largest absolute row sum) with the main diagonal of -d lap + u.
     The residual of a unit vector bounds |lambda - theta| for this
     symmetric operator, so it bounds the error of lambda_1 as well.
-    Built from pde.lap_diagonal alone, so it costs no stepper.
+    It needs no stepper, so a verdict builds only its solve's.
     """
     grid = effort.grid
     lap_diag = lap_diagonal(grid.N, d / (grid.h * grid.h))
@@ -290,20 +286,17 @@ def principal_eigenvalue(effort: ScalarField, d: float) -> float:
     projects onto span{x, T r, p}, with T the step solver's DCT inverse
     of (mean(u) + 1e-3) I - d lap, the mean taken over the interior
     nodes (Knyazev 2001), starting from the constant vector.  T runs in
-    float32 on the unit residual: T r is only a search direction, so its
-    rounding can cost steps, while the float64 Rayleigh-Ritz step and
-    residual test decide lambda_1.  The three columns live in one n x 3
-    block, orthonormalized in place by LAPACK Householder QR
-    (lapack_lite's dgeqrf, then dorgqr over the same memory).  The
-    working set is allocated once per solve: that block, a block of its
-    images, x, its image, one residual/update vector and the float32
-    unit residual; every product, residual, cast and Ritz combination
-    is written into them (out=).  Stops at a relative eigenresidual of
-    1e-8, or at eigen_roundoff (the round-off of one product) where that
-    is larger (large d / h^2).  A negative d or effort raises
-    ValueError; running out of EIGEN_MAX_ITER steps raises
-    ConvergenceFailure, and non-finite values or a failed projection
-    raise SolverFailure.
+    float32 on the unit residual: it only picks a search direction, and
+    the float64 Rayleigh-Ritz step and residual test decide lambda_1.
+    The working set is allocated once per solve: the n x 3 block of the
+    three columns (orthonormalized in place by lapack_lite's dgeqrf and
+    dorgqr), a block of their images, x, its image, one residual/update
+    vector and the float32 unit residual; every product, residual, cast
+    and Ritz combination is written into them (out=).  Stops at a
+    relative eigenresidual of 1e-8, or at eigen_roundoff where that is
+    larger (large d / h^2).  A negative d or effort raises ValueError;
+    running out of EIGEN_MAX_ITER steps raises ConvergenceFailure, and
+    non-finite values or a failed projection raise SolverFailure.
     """
     if d < 0.0 or np.any(effort.values < 0.0):
         raise ValueError("d and the effort must be nonnegative")

@@ -175,15 +175,14 @@ class _ImplicitStepper:
 
     def apply(self, diagonal: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
         """The product (lam L + diag(w)) x from its main diagonal
-        lap_diag + w: diagonal * x minus lam times each interior neighbor,
-        written into out when given.
+        lap_diag + w, into out if given: diagonal * x minus lam times
+        each interior neighbor.
 
         lam x is written into the interior of a zero-bordered buffer, and
         its four shifted views are subtracted in the order i-1, i+1, j-1,
         j+1; a border node subtracts +0.0, which leaves every bit
-        unchanged.  The stepper keeps one flat buffer, whose leading
-        blocks serve every batch shape, and never writes a border: only a
-        batch larger than any before allocates.
+        unchanged.  One flat buffer, never written on a border, serves
+        every batch shape: only a batch larger than any before allocates.
         """
         n = x.shape[-1]
         size = x.size // (n * n) * (n + 2) ** 2
