@@ -97,6 +97,7 @@ class AgeModelParams:
     be an integer multiple of it; the eigenvalue never reads T.  alpha
     and beta (>= 0) weigh the interface length and region area in Psi,
     and mollifier gives H_eps; only the region design reads the three.
+    d, L, T, logistic_slope, alpha and beta must be finite.
     Frozen, so no field can change after the checks: a new model is a
     new instance (dataclasses.replace), checked again.
     """
@@ -132,8 +133,12 @@ class AgeModelParams:
             value = getattr(self, name)
             if not value >= 0.0:
                 raise FieldError(name, f"must be nonnegative, got {value}")
+            if value == np.inf:
+                raise FieldError(name, "must be finite, got inf")
         if not (self.T > 0.0):
             raise FieldError("T", f"must be positive, got {self.T}")
+        if self.T == np.inf:
+            raise FieldError("T", "must be finite, got inf")
         ages = self.ages
         for name in ("fertility", "mortality"):
             samples = _age_samples(getattr(self, name), ages, name)
@@ -305,7 +310,7 @@ def principal_eigenvalue(effort: ScalarField, d: float) -> float:
     stepper = _ImplicitStepper(grid.N, d / (grid.h * grid.h))
     interior = effort.values[1:-1, 1:-1]
     diagonal = stepper.lap_diag + interior
-    floor = roundoff(diagonal, stepper.lap_diag).item()  # eigen_roundoff's floor
+    floor = eigen_roundoff(effort, d)
 
     def product(rows: np.ndarray, out: np.ndarray) -> None:
         """The operator applied to a vector, or to each row of a block, into out."""
@@ -452,12 +457,6 @@ def total_population(density: AgeDensityField) -> np.ndarray:
     return per_time
 
 
-def _design_mollifier(model: AgeModelParams) -> Mollifier:
-    if model.mollifier is None:
-        raise ValueError("the region design needs a mollifier; the model has none")
-    return model.mollifier
-
-
 def _final_population(phi: LevelSetFunction, model: AgeModelParams):
     effort = mollified_effort(phi, model.L, model.mollifier)
     density = solve_age_structured(effort, model)
@@ -473,9 +472,8 @@ def evaluate_psi(phi: LevelSetFunction, model: AgeModelParams):
     the first being the age-space integral of the final-time density
     (trapezoid in age, Simpson in space).
     """
-    m = _design_mollifier(model)
     measure = partial(_final_population, model=model)
-    psi, terms, *_ = penalised_cost(phi, measure, (model.alpha, model.beta), m)
+    psi, terms, *_ = penalised_cost(phi, model, measure)
     return psi, terms
 
 
@@ -553,11 +551,10 @@ def optimize_eradication_region(
 
     return descend(
         phi0,
+        model,
         partial(_final_population, model=model),
         direction,
-        _design_mollifier(model),
         Trace(ERADICATION_TRACE_COLUMNS),
-        penalties=(model.alpha, model.beta),
-        convergence=convergence,
-        callback=callback,
+        convergence,
+        callback,
     )

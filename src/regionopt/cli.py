@@ -50,7 +50,7 @@ def _region_snapshot_callback(out_dir: str, every: int):
 def _run_forward(config: RunConfig, out_dir: str) -> int:
     grid = config.grid
     control = SpaceTimeField.constant(grid, config.control_level)
-    state = solve_forward(config.phi0, control, config.control)
+    state = solve_forward(config.phi0, control, config.model)
     h2 = grid.h * grid.h
     interior = state.values[:, 1:-1, 1:-1]
     masses = h2 * interior.sum(axis=(1, 2))
@@ -99,7 +99,7 @@ def _write_descent(config: RunConfig, out_dir: str, best, trace, extra) -> None:
 def _run_optimize_region(config: RunConfig, out_dir: str) -> int:
     callback = _region_snapshot_callback(out_dir, config.snapshot_every)
     best, trace, _ = optimize_region(
-        config.phi0, config.control, config.convergence, callback=callback
+        config.phi0, config.model, config.convergence, callback=callback
     )
     length = format(trace.best().region_length, ".17g")
     _write_descent(config, out_dir, best, trace, [("final_region_length", length)])
@@ -107,7 +107,7 @@ def _run_optimize_region(config: RunConfig, out_dir: str) -> int:
 
 
 def _run_eradicability(config: RunConfig, out_dir: str) -> int:
-    report = eradicability_verdict(config.phi0, config.age_model)
+    report = eradicability_verdict(config.phi0, config.model)
     _write_summary(
         out_dir,
         [
@@ -124,7 +124,7 @@ def _run_eradicability(config: RunConfig, out_dir: str) -> int:
 
 def _run_optimize_eradication(config: RunConfig, out_dir: str) -> int:
     callback = _region_snapshot_callback(out_dir, config.snapshot_every)
-    model = config.age_model
+    model = config.model
     best, trace, density = optimize_eradication_region(
         config.phi0, model, config.convergence, callback=callback
     )

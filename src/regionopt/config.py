@@ -87,10 +87,10 @@ def gaussian_density(grid: GridSpec) -> ScalarField:
 class RunConfig:
     """Validated settings for one pipeline run.
 
-    The model of the command is built, the other left None: control for
-    the harvest commands, age_model for the age commands.  Each model
-    holds the penalties and the mollifier of its problem, so a config
-    only has to supply the sections its pipeline reads.
+    model is the problem of the command: ControlProblemParams for the
+    harvest commands, AgeModelParams for the age commands.  It holds the
+    penalties and the mollifier of its problem, so a config only has to
+    supply the sections its pipeline reads.
     """
 
     command: str
@@ -100,8 +100,7 @@ class RunConfig:
     phi0: LevelSetFunction
     control_level: float
     convergence: Convergence
-    control: ControlProblemParams | None
-    age_model: AgeModelParams | None
+    model: ControlProblemParams | AgeModelParams
 
 
 def _finite_or_none(raw, what):
@@ -267,15 +266,12 @@ def _parse_config(path) -> RunConfig:
     growth = field("model", "a")
     initial_density = field("model", "y0", {"gaussian": lambda: gaussian_density(grid)})
 
-    control = None
     if command in _HARVEST:
-        control = ControlProblemParams(d=d, a=growth, y0=initial_density, L=L, **design)
-        control.check_time_step()
+        problem = ControlProblemParams(d=d, a=growth, y0=initial_density, L=L, **design)
+        problem.check_time_step()
         if not 0.0 <= u <= L:
             raise ConfigError(f"model.u must lie in [0, L] = [0, {L}], got {u}")
-
-    age_model = None
-    if command in _AGE:
+    else:
         def age_table(load):
             # Read by AgeModelParams, on the age grid it has checked.
             return lambda ages: load(read_node_csv, ("age",), (ages,))
@@ -292,7 +288,7 @@ def _parse_config(path) -> RunConfig:
             # The age model spreads a spatial density uniformly in age.
             y0_values = initial_density.values
             keywords["y0"] = lambda x1, x2, a: y0_values
-        age_model = AgeModelParams(
+        problem = AgeModelParams(
             age["A"], age["Na"], fertility, mortality, d, L, grid.T, **keywords
         )
         # Only the age-structured march reads y0 and the horizon, in whole
@@ -300,12 +296,12 @@ def _parse_config(path) -> RunConfig:
         if command == "optimize-eradication":
             if np.any(initial_density.values < 0.0):
                 raise ConfigError("model.y0 must be nonnegative")
-            levels = (age_model.n_time + 1) * (age_model.Na + 1)
+            levels = (problem.n_time + 1) * (problem.Na + 1)
             size = 8 * levels * (grid.N + 1) ** 2
             memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
             if size > memory:
                 raise ConfigError(
-                    f"grid.T = {grid.T} spans {age_model.n_time:.6g} age steps: the "
+                    f"grid.T = {grid.T} spans {problem.n_time:.6g} age steps: the "
                     f"age density would take {size / 2**30:.3g} GiB, more than "
                     f"the {memory / 2**30:.3g} GiB of physical memory"
                 )
@@ -316,6 +312,5 @@ def _parse_config(path) -> RunConfig:
         phi0=phi0,
         control_level=u,
         convergence=convergence,
-        control=control,
-        age_model=age_model,
+        model=problem,
     )

@@ -59,15 +59,15 @@ class ControlProblemParams:
     Attributes
     ----------
     d : float
-        Diffusion coefficient, d > 0.
+        Diffusion coefficient, finite and > 0.
     a : ScalarField
         Intrinsic growth rate a(x).
     y0 : ScalarField
         Initial density, y0 >= 0 and not identically zero.
     L : float
-        Harvesting effort bound, u in [0, L].
+        Harvesting effort bound, finite; u in [0, L].
     alpha, beta : float
-        Interface-length and region-area penalty weights, >= 0.
+        Interface-length and region-area penalty weights, finite and >= 0.
     mollifier : Mollifier
         Regularization used for both phi and 1 + p.
     """
@@ -83,10 +83,12 @@ class ControlProblemParams:
     def __post_init__(self):
         if not (self.d > 0.0):
             raise FieldError("d", f"must be positive, got {self.d}")
-        for name in ("L", "alpha", "beta"):
+        for name in ("d", "L", "alpha", "beta"):
             value = getattr(self, name)
             if not value >= 0.0:
                 raise FieldError(name, f"must be nonnegative, got {value}")
+            if value == np.inf:
+                raise FieldError(name, "must be finite, got inf")
         if self.a.grid != self.y0.grid:
             raise ValueError("a and y0 live on different grids")
         if np.any(self.y0.values < 0.0) or not np.any(self.y0.values > 0.0):

@@ -12,10 +12,11 @@ effort.  Its shape derivative yields the nodal descent velocity
 where r is the forward sensitivity; the interface-length penalty enters
 as a curvature term treated semi-implicitly inside evolve_phi.  The loop
 (descend, shared with the eradication cost of the agestruct module)
-owns both penalties: it adds them to each iterate's data term, and
--beta and the alpha curvature to the data velocity (the L integral
-here), stops on a small decrement or an increase, otherwise steps phi
-along the velocity and repeats.  Convergence.step picks the step
+reads both penalties and the mollifier from the problem's model: it
+adds the penalties to each iterate's data term, and -beta and the
+alpha curvature to the data velocity (the L integral here), stops on a
+small decrement or an increase, otherwise steps phi along the velocity
+and repeats.  Convergence.step picks the step
 policy: under "halving" a step that increases the cost is halved and
 retried a few times before giving up; under "paper" each step is taken
 as it comes and the loop stops on the first increase.
@@ -33,7 +34,6 @@ from .errors import FieldError, SolverFailure
 from .grid import ScalarField, SpaceTimeField, simpson_integral_2d, simpson_weights
 from .levelset import (
     LevelSetFunction,
-    Mollifier,
     evolve_phi,
     heaviside_mollified,
     region_area,
@@ -145,20 +145,23 @@ def _adjoint_term(phi: LevelSetFunction, params: ControlProblemParams):
     return term, adjoint
 
 
-def penalised_cost(phi: LevelSetFunction, measure, penalties, m: Mollifier):
+def penalised_cost(phi: LevelSetFunction, model, measure):
     """Region cost of phi as (cost, terms, area, length, state).
 
+    model is the problem, ControlProblemParams or AgeModelParams: it
+    holds the penalty weights alpha and beta and the mollifier.
     measure(phi) gives (data term, state); terms = (data, alpha * length,
     beta * area) with the mollified region_area and region_length, and
-    cost is their sum in that order.
+    cost is their sum in that order.  A model without a mollifier raises
+    ValueError before measure runs.
     """
-    alpha, beta = penalties
-    if not (alpha >= 0.0 and beta >= 0.0):
-        raise ValueError("penalty weights must be nonnegative")
+    m = model.mollifier
+    if m is None:
+        raise ValueError("the region design needs a mollifier; the model has none")
     data, state = measure(phi)
     area = region_area(phi, m)
     length = region_length(phi, m)
-    terms = (data, alpha * length, beta * area)
+    terms = (data, model.alpha * length, model.beta * area)
     return data + terms[1] + terms[2], terms, area, length, state
 
 
@@ -169,8 +172,7 @@ def evaluate_J(phi: LevelSetFunction, params: ControlProblemParams):
     weighted length term, weighted area term)).
     """
     measure = partial(_adjoint_term, params=params)
-    penalties = (params.alpha, params.beta)
-    cost, terms, *_ = penalised_cost(phi, measure, penalties, params.mollifier)
+    cost, terms, *_ = penalised_cost(phi, params, measure)
     return cost, terms
 
 
@@ -203,29 +205,29 @@ def _phi_distance(a: LevelSetFunction, b: LevelSetFunction) -> float:
 
 def descend(
     phi0: LevelSetFunction,
+    model,
     measure,
     direction,
-    m: Mollifier,
     trace: Trace,
-    *,
-    penalties,
     convergence: Convergence,
     callback=None,
 ):
     """Run the outer descent loop from phi0.
 
+    model is the problem, ControlProblemParams or AgeModelParams: the
+    loop reads its penalty weights alpha and beta and its mollifier.
     measure(phi) returns (data term, solver state) and direction(phi,
-    state) the data term's velocity, a ScalarField.  The penalties =
-    (alpha, beta) enter here alone: penalised_cost adds alpha * length +
-    beta * area to each data term, and phi moves along -beta plus the
-    data velocity, with evolve_phi adding the curvature weighted by
-    alpha.  Each pass evaluates the cost, checks the stopping rules of
-    convergence (small decrement, increase, small phi change, iteration
-    budget), then moves phi one semi-implicit step of size theta0 along
-    the velocity.  Under convergence.step = "halving" a trial step that
-    does not decrease the cost is halved, with up to 5 retries; under
-    "paper" the one trial is taken as it is, so the first increase stops
-    the loop at the next pass.
+    state) the data term's velocity, a ScalarField.  The penalties enter
+    here alone: penalised_cost adds alpha * length + beta * area to each
+    data term, and phi moves along -beta plus the data velocity, with
+    evolve_phi adding the curvature weighted by alpha.  Each pass
+    evaluates the cost, checks the stopping rules of convergence (small
+    decrement, increase, small phi change, iteration budget), then moves
+    phi one semi-implicit step of size theta0 along the velocity.  Under
+    convergence.step = "halving" a trial step that does not decrease the
+    cost is halved, with up to 5 retries; under "paper" the one trial is
+    taken as it is, so the first increase stops the loop at the next
+    pass.
 
     Fills trace and returns (best_phi, trace, best_state): the iterate
     of lowest cost, whose record is trace.best(), and its solver state.
@@ -243,7 +245,7 @@ def descend(
     Stop reasons: "J tolerance", "J increase", "phi tolerance",
     "iteration budget".
     """
-    alpha, beta = penalties
+    alpha, beta, m = model.alpha, model.beta, model.mollifier
     phi = phi0
     best_phi = best_state = best_cost = None
     cost_prev = np.inf
@@ -252,7 +254,7 @@ def descend(
     n = 1
     paper = convergence.step == "paper"
     try:
-        cost, terms, area, length, state = penalised_cost(phi, measure, penalties, m)
+        cost, terms, area, length, state = penalised_cost(phi, model, measure)
         while True:
             record = IterationRecord(
                 n=n,
@@ -289,7 +291,7 @@ def descend(
             for _ in range(1 if paper else MAX_TRIALS):
                 trial = None  # so each trial's march is the one state alive
                 phi_next = evolve_phi(phi, velocity, theta, m, alpha=alpha)
-                trial = penalised_cost(phi_next, measure, penalties, m)
+                trial = penalised_cost(phi_next, model, measure)
                 if paper or trial[0] < cost:
                     break
                 closest_gap = min(closest_gap, abs(trial[0] - cost))
@@ -337,11 +339,10 @@ def optimize_region(
 
     return descend(
         phi0,
+        params,
         partial(_adjoint_term, params=params),
         direction,
-        params.mollifier,
         Trace(),
-        penalties=(params.alpha, params.beta),
-        convergence=convergence,
-        callback=callback,
+        convergence,
+        callback,
     )

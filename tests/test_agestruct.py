@@ -29,8 +29,8 @@ from regionopt.agestruct import (
 from regionopt.errors import ConvergenceFailure, FieldError, SolverFailure
 from regionopt.grid import GridSpec, ScalarField
 from regionopt.levelset import LevelSetFunction, Mollifier, circle_levelset
-from regionopt.pde import ROUNDOFF, _ImplicitStepper, dct_matrix
-from regionopt.shapeopt import Convergence
+from regionopt.pde import ROUNDOFF, ControlProblemParams, _ImplicitStepper, dct_matrix
+from regionopt.shapeopt import Convergence, evaluate_J, optimize_region
 
 from neumann_oracle import neumann_operator
 
@@ -686,8 +686,32 @@ def test_model_validation():
         ({"y0": -1.0}, "y0", "must be nonnegative"),
         ({"alpha": -0.1}, "alpha", "must be nonnegative, got -0.1"),
         ({"beta": np.nan}, "beta", "must be nonnegative, got nan"),
+        ({"d": np.inf}, "d", "must be finite, got inf"),
+        ({"L": np.inf}, "L", "must be finite, got inf"),
+        ({"T": np.inf}, "T", "must be finite, got inf"),
+        ({"logistic_slope": np.inf}, "logistic_slope", "must be finite, got inf"),
+        ({"alpha": np.inf}, "alpha", "must be finite, got inf"),
+        ({"beta": np.inf}, "beta", "must be finite, got inf"),
+        ({"d": -np.inf}, "d", "must be nonnegative, got -inf"),
+        ({"T": -np.inf}, "T", "must be positive, got -inf"),
     ],
-    ids=["sample-shape", "non-finite-samples", "fractional-Na", "T", "y0", "alpha", "beta"],
+    ids=[
+        "sample-shape",
+        "non-finite-samples",
+        "fractional-Na",
+        "T",
+        "y0",
+        "alpha",
+        "beta",
+        "d-inf",
+        "L-inf",
+        "T-inf",
+        "slope-inf",
+        "alpha-inf",
+        "beta-inf",
+        "d-minus-inf",
+        "T-minus-inf",
+    ],
 )
 def test_model_rejection_names_its_field(overrides, field, complaint):
     with pytest.raises(FieldError) as excinfo:
@@ -741,6 +765,21 @@ def test_region_design_needs_a_mollifier():
         evaluate_psi(circle_levelset(grid), model)
     with pytest.raises(ValueError, match="needs a mollifier"):
         optimize_eradication_region(circle_levelset(grid), model)
+    # The harvest design reads its mollifier through the same check.
+    params = ControlProblemParams(
+        d=1.0,
+        a=ScalarField.constant(grid, 1.0),
+        y0=ScalarField.constant(grid, 1.0),
+        L=1.0,
+        alpha=0.0,
+        beta=0.0,
+        mollifier=Mollifier(1.0),
+    )
+    params = dataclasses.replace(params, mollifier=None)
+    with pytest.raises(ValueError, match="needs a mollifier"):
+        evaluate_J(circle_levelset(grid), params)
+    with pytest.raises(ValueError, match="needs a mollifier"):
+        optimize_region(circle_levelset(grid), params)
 
 
 def test_model_rejects_age_step_that_underflows():

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from regionopt import agestruct, cli, shapeopt
 from regionopt import config as config_module
+from regionopt.agestruct import AgeModelParams
 from regionopt.cli import main, run
 from regionopt.config import gaussian_density, parse_config
 from regionopt.errors import ConfigError, SolverFailure
@@ -24,6 +25,7 @@ from regionopt.grid import (
     write_field_csv,
 )
 from regionopt.levelset import checkerboard_levelset, circle_levelset
+from regionopt.pde import ControlProblemParams
 from regionopt.shapeopt import Convergence
 
 TEST1_TEXT = """
@@ -76,7 +78,8 @@ def test_parse_reference_harvest_config(tmp_path):
     config = parse_config(write_config(tmp_path, TEST1_TEXT))
     assert config.command == "optimize-region"
     assert (config.grid.N, config.grid.M, config.grid.T) == (20, 20, 1.0)
-    params = config.control
+    params = config.model
+    assert isinstance(params, ControlProblemParams)
     assert params.d == 1.0
     assert params.L == 1.0
     assert (params.alpha, params.beta) == (0.4, 0.6)
@@ -92,7 +95,6 @@ def test_parse_reference_harvest_config(tmp_path):
         config.phi0.phi.values, expected_phi.phi.values, rtol=0, atol=0
     )
     assert config.convergence.max_iter == 200
-    assert config.age_model is None
 
 
 def test_empty_file_lists_every_missing_key(tmp_path):
@@ -204,7 +206,7 @@ def test_coefficient_from_csv_path(tmp_path):
     write_field_csv(bump, tmp_path / "growth.csv")
     text = TEST1_TEXT.replace("a = 3.0", "a = growth.csv")
     config = parse_config(write_config(tmp_path, text))
-    assert np.allclose(config.control.a.values, bump.values, rtol=1e-16, atol=0)
+    assert np.allclose(config.model.a.values, bump.values, rtol=1e-16, atol=0)
 
 
 def test_levelset_from_csv_and_constant(tmp_path):
@@ -255,11 +257,11 @@ mortality = 0.0
 
 def test_age_config_builds_model(tmp_path):
     config = parse_config(write_config(tmp_path, AGE_TEXT))
-    model = config.age_model
+    model = config.model
+    assert isinstance(model, AgeModelParams)
     assert (model.A, model.Na, model.d, model.L, model.T) == (1.0, 20, 1.0, 2.0, 1.0)
     assert np.all(model.fertility_samples == 1.0)
     assert np.all(model.mortality_samples == 0.0)
-    assert config.control is None
 
 
 def test_age_samples_from_csv(tmp_path):
@@ -272,7 +274,7 @@ def test_age_samples_from_csv(tmp_path):
     text = AGE_TEXT.replace("fertility = 1.0", "fertility = fert.csv")
     config = parse_config(write_config(tmp_path, text))
     assert np.allclose(
-        config.age_model.fertility_samples, 2.0 * ages, rtol=1e-15, atol=1e-15
+        config.model.fertility_samples, 2.0 * ages, rtol=1e-15, atol=1e-15
     )
     short = ages[:-1]
     with open(tmp_path / "short.csv", "w", newline="") as handle:
@@ -313,7 +315,7 @@ def test_age_horizon_must_match_age_step(tmp_path):
         parse_config(write_config(tmp_path, text))
     # The verdict has no horizon, so it does not check one.
     text = AGE_TEXT.replace("T = 1.0", "T = 0.93")
-    assert parse_config(write_config(tmp_path, text)).age_model.T == 0.93
+    assert parse_config(write_config(tmp_path, text)).model.T == 0.93
 
 
 def test_bad_sign_variant_rejected(tmp_path, capsys):
@@ -1019,7 +1021,7 @@ def test_table_parses_to_the_written_values(tmp_path, key):
     if key == "levelset.init":
         assert np.array_equal(config.phi0.phi.values, values)
     else:
-        assert np.array_equal(config.age_model.fertility_samples, values)
+        assert np.array_equal(config.model.fertility_samples, values)
 
 
 @pytest.mark.parametrize("key", sorted(TABLE_KINDS))

@@ -600,7 +600,21 @@ def test_params_reject_a_and_y0_on_different_grids():
         )
 
 
-@pytest.mark.parametrize("name, value", [("L", -1.0), ("alpha", np.nan), ("d", 0.0)])
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("L", -1.0),
+        ("alpha", np.nan),
+        ("d", 0.0),
+        ("alpha", -1.0),
+        ("beta", np.nan),
+        ("d", np.inf),
+        ("L", np.inf),
+        ("alpha", np.inf),
+        ("beta", np.inf),
+        ("L", -np.inf),
+    ],
+)
 def test_params_fields_cannot_be_reassigned(name, value):
     # The checks run once, in the constructor: a field set afterwards
     # would bypass them, so every field is frozen.

@@ -86,11 +86,10 @@ def test_descend_moves_phi_under_its_own_penalties(alpha):
 
     shapeopt.descend(
         phi0,
+        params,
         lambda phi: shapeopt._adjoint_term(phi, params),
         direction,
-        params.mollifier,
         Trace(),
-        penalties=(alpha, 0.6),
         convergence=convergence,
         callback=lambda n, phi, record: steps.setdefault(n, (phi, record.theta)),
     )
@@ -114,15 +113,6 @@ def test_velocity_constant_integrand_pinned():
     r = SpaceTimeField.constant(grid, 1.0)
     v = descent_velocity(p, r, params)
     assert np.allclose(v.values, 0.75, rtol=1e-14, atol=1e-14)
-
-
-@pytest.mark.parametrize("penalties", [(np.nan, 0.0), (0.0, np.nan), (-1.0, 0.0)])
-def test_cost_rejects_negative_or_nan_weights(penalties):
-    grid = GridSpec(N=8, M=2, T=1.0)
-    with pytest.raises(ValueError, match="penalty weights must be nonnegative"):
-        shapeopt.penalised_cost(
-            circle_levelset(grid), lambda phi: (0.0, None), penalties, Mollifier(1.0)
-        )
 
 
 def test_cost_zero_without_control_and_penalties():
