@@ -115,6 +115,23 @@ def test_velocity_constant_integrand_pinned():
     assert np.allclose(v.values, 0.75, rtol=1e-14, atol=1e-14)
 
 
+@pytest.mark.parametrize("penalties", [(np.nan, 0.0), (0.0, np.nan), (-1.0, 0.0)])
+def test_cost_rejects_negative_or_nan_weights(penalties):
+    # penalised_cost reads its weights from the model, so a negative or
+    # NaN weight is stopped by the constructor before any cost is formed.
+    grid = GridSpec(N=8, M=2, T=1.0)
+    alpha, beta = penalties
+    measured = []
+    with pytest.raises(ValueError, match="^(alpha|beta) must be"):
+        params = make_params(grid, alpha=alpha, beta=beta)
+        shapeopt.penalised_cost(
+            circle_levelset(grid),
+            params,
+            lambda phi: measured.append(phi) or (0.0, None),
+        )
+    assert measured == []
+
+
 def test_cost_zero_without_control_and_penalties():
     grid = GridSpec(N=10, M=10, T=1.0)
     params = make_params(grid, L=0.0, alpha=0.0, beta=0.0)
