@@ -49,20 +49,6 @@ EIGEN_TOL = 1.0e-8
 EIGEN_MAX_ITER = 500
 VERDICT_TOLERANCE = 1.0e-6
 
-ERADICATION_TRACE_COLUMNS = (
-    "n",
-    "psi",
-    "population_term",
-    "length_term",
-    "area_term",
-    "region_area",
-    "region_length",
-    "phi_change",
-    "theta",
-    "stop_reason",
-)
-
-
 def _age_samples(spec, ages: np.ndarray, name: str) -> np.ndarray:
     if callable(spec):
         values = np.asarray(spec(ages), dtype=float)
@@ -97,7 +83,7 @@ class AgeModelParams:
     be an integer multiple of it; the eigenvalue never reads T.  alpha
     and beta (>= 0) weigh the interface length and region area in Psi,
     and mollifier gives H_eps; only the region design reads the three.
-    d, L, T, logistic_slope, alpha and beta must be finite.
+    d, L, T, logistic_slope, alpha, beta and a constant y0 must be finite.
     Frozen, so no field can change after the checks: a new model is a
     new instance (dataclasses.replace), checked again.
     """
@@ -120,7 +106,7 @@ class AgeModelParams:
     def __post_init__(self):
         if not (self.A > 0.0):
             raise FieldError("A", f"must be positive, got {self.A}")
-        if int(self.Na) != self.Na:
+        if not np.isfinite(self.Na) or int(self.Na) != self.Na:
             raise FieldError("Na", f"must be an integer, got {self.Na}")
         if self.Na < 2:
             raise FieldError("Na", f"must be at least 2, got {self.Na}")
@@ -151,8 +137,11 @@ class AgeModelParams:
                 "renewal step is ill-posed; refine the age grid (Na) or lower "
                 "the fertility at age 0",
             )
-        if not callable(self.y0) and not float(self.y0) >= 0.0:
-            raise FieldError("y0", "must be nonnegative")
+        if not callable(self.y0):
+            if not float(self.y0) >= 0.0:
+                raise FieldError("y0", "must be nonnegative")
+            if float(self.y0) == np.inf:
+                raise FieldError("y0", "must be finite, got inf")
 
     @property
     def da(self) -> float:
@@ -554,7 +543,7 @@ def optimize_eradication_region(
         model,
         partial(_final_population, model=model),
         direction,
-        Trace(ERADICATION_TRACE_COLUMNS),
+        Trace("psi", "population_term"),
         convergence,
         callback,
     )

@@ -48,7 +48,7 @@ def _region_snapshot_callback(out_dir: str, every: int):
 
 
 def _run_forward(config: RunConfig, out_dir: str) -> int:
-    grid = config.grid
+    grid = config.phi0.grid
     control = SpaceTimeField.constant(grid, config.control_level)
     state = solve_forward(config.phi0, control, config.model)
     h2 = grid.h * grid.h
@@ -78,7 +78,7 @@ def _run_forward(config: RunConfig, out_dir: str) -> int:
 
 def _write_descent(config: RunConfig, out_dir: str, best, trace, extra) -> None:
     """Write trace.csv, omega_final.pgm and, last, the summary: five lines
-    both descents share (the cost keyed by the trace's cost column), then
+    both descents share (the cost keyed by the trace's cost name), then
     extra."""
     trace.write_csv(os.path.join(out_dir, "trace.csv"))
     write_region_pgm(best, os.path.join(out_dir, "omega_final.pgm"))
@@ -89,7 +89,7 @@ def _write_descent(config: RunConfig, out_dir: str, best, trace, extra) -> None:
             ("command", config.command),
             ("iterations", trace.records[-1].n),
             ("stop_reason", trace.stop_reason),
-            (f"final_{trace.columns[1]}", format(record.cost, ".17g")),
+            (f"final_{trace.cost}", format(record.cost, ".17g")),
             ("final_region_area", format(record.region_area, ".17g")),
             *extra,
         ],
@@ -131,7 +131,7 @@ def _run_optimize_eradication(config: RunConfig, out_dir: str) -> int:
     final = density.values[-1]
     for level in range(model.Na + 1):
         write_field_csv(
-            ScalarField(config.grid, final[level]),
+            ScalarField(density.grid, final[level]),
             os.path.join(out_dir, f"density_a{level:04d}.csv"),
         )
     population = total_population(density)

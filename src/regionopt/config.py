@@ -90,13 +90,12 @@ class RunConfig:
     model is the problem of the command: ControlProblemParams for the
     harvest commands, AgeModelParams for the age commands.  It holds the
     penalties and the mollifier of its problem, so a config only has to
-    supply the sections its pipeline reads.
+    supply the sections its pipeline reads.  phi0.grid is the run's grid.
     """
 
     command: str
     output: str
     snapshot_every: int
-    grid: GridSpec
     phi0: LevelSetFunction
     control_level: float
     convergence: Convergence
@@ -308,7 +307,6 @@ def _parse_config(path) -> RunConfig:
 
     return RunConfig(
         **value["run"],
-        grid=grid,
         phi0=phi0,
         control_level=u,
         convergence=convergence,

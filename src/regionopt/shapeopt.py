@@ -19,7 +19,8 @@ small decrement or an increase, otherwise steps phi along the velocity
 and repeats.  Convergence.step picks the step
 policy: under "halving" a step that increases the cost is halved and
 retried a few times before giving up; under "paper" each step is taken
-as it comes and the loop stops on the first increase.
+as it comes and the loop stops on the first increase.  The loop's one
+record is its Trace, and the iterate it returns is Trace.best()'s.
 """
 
 from __future__ import annotations
@@ -48,20 +49,6 @@ from .pde import (
 # the nominal step and up to five halvings of it
 MAX_TRIALS = 6
 STEP_POLICIES = ("halving", "paper")
-
-TRACE_COLUMNS = (
-    "n",
-    "cost",
-    "adjoint_term",
-    "length_term",
-    "area_term",
-    "region_area",
-    "region_length",
-    "phi_change",
-    "theta",
-    "stop_reason",
-)
-
 
 @dataclass(frozen=True)
 class Convergence:
@@ -101,12 +88,30 @@ class IterationRecord:
 
 @dataclass
 class Trace:
-    """Accepted iterates in order plus the reason the loop stopped;
-    columns is the CSV header."""
+    """Accepted iterates in order plus the reason the loop stopped: the
+    descent's one record.  cost and data name the cost and its data
+    term, the two CSV columns that differ between objectives; columns is
+    the CSV header."""
 
-    columns: tuple = TRACE_COLUMNS
+    cost: str = "cost"
+    data: str = "adjoint_term"
     records: list = field(default_factory=list)
     stop_reason: str | None = None
+
+    @property
+    def columns(self) -> tuple:
+        return (
+            "n",
+            self.cost,
+            self.data,
+            "length_term",
+            "area_term",
+            "region_area",
+            "region_length",
+            "phi_change",
+            "theta",
+            "stop_reason",
+        )
 
     def costs(self) -> np.ndarray:
         return np.array([r.cost for r in self.records])
@@ -229,35 +234,33 @@ def descend(
     taken as it is, so the first increase stops the loop at the next
     pass.
 
-    Fills trace and returns (best_phi, trace, best_state): the iterate
-    of lowest cost, whose record is trace.best(), and its solver state.
+    Appends one record per accepted iterate to trace, which starts empty
+    and holds the run's history, and returns (best_phi, trace, state):
+    the iterate whose record is trace.best() and its solver state.
     Solver failures re-raise with the partial trace attached as
     exc.trace.  The optional callback receives (n, phi, record) after
     each accepted iterate.
 
-    Every reference to an iterate's state is dropped once direction has
-    read it, so each trial is measured with no other solver state alive.
-    If the best iterate's state is gone when the loop stops (every
-    halving trial failed, or a "paper" step raised the cost), the last
-    trial's state is dropped and measure(best_phi) runs once more; the
-    solvers are deterministic, so it gives the same bits.
+    Each trial is measured with no other solver state alive: an
+    iterate's state is dropped once its direction is formed.  Unless the
+    loop stops at the best iterate before forming its direction, the
+    last trial's state is dropped too and measure(best_phi) runs once
+    more; the solvers are deterministic, so it gives the same bits.
 
     Stop reasons: "J tolerance", "J increase", "phi tolerance",
     "iteration budget".
     """
     alpha, beta, m = model.alpha, model.beta, model.mollifier
     phi = phi0
-    best_phi = best_state = best_cost = None
     cost_prev = np.inf
     phi_change = 0.0
     theta = 0.0
-    n = 1
     paper = convergence.step == "paper"
     try:
         cost, terms, area, length, state = penalised_cost(phi, model, measure)
         while True:
             record = IterationRecord(
-                n=n,
+                n=len(trace.records) + 1,
                 cost=cost,
                 terms=terms,
                 region_area=area,
@@ -266,13 +269,11 @@ def descend(
                 theta=theta,
             )
             trace.records.append(record)
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
+            if trace.best() is record:
                 best_phi = phi
-                best_state = state
             if callback is not None:
-                callback(n, phi, record)
-            if n > 1 and phi_change < convergence.eps2:
+                callback(record.n, phi, record)
+            if record.n > 1 and phi_change < convergence.eps2:
                 stop = "phi tolerance"
                 break
             if abs(cost - cost_prev) < convergence.eps1:
@@ -281,11 +282,11 @@ def descend(
             if cost >= cost_prev:
                 stop = "J increase"
                 break
-            if n >= convergence.max_iter:
+            if record.n >= convergence.max_iter:
                 stop = "iteration budget"
                 break
             velocity = ScalarField(phi.grid, -beta + direction(phi, state).values)
-            state = best_state = None  # served its direction
+            state = None  # served its direction
             theta = convergence.theta0
             closest_gap = np.inf
             for _ in range(1 if paper else MAX_TRIALS):
@@ -306,16 +307,15 @@ def descend(
             cost_prev = cost
             phi = phi_next
             cost, terms, area, length, state = trial
-            n += 1
-        if best_state is None:  # dropped with its direction
-            state = trial = None
-            best_state = measure(best_phi)[1]
+        if state is None or best_phi is not phi:
+            state = trial = None  # so the re-measure is the one state alive
+            state = measure(best_phi)[1]
     except SolverFailure as exc:
         trace.stop_reason = "solver failure"
         exc.trace = trace
         raise
     trace.stop_reason = stop
-    return best_phi, trace, best_state
+    return best_phi, trace, state
 
 
 def optimize_region(

@@ -13,7 +13,6 @@ from regionopt import agestruct, shapeopt
 from regionopt.agestruct import (
     AgeDensityField,
     AgeModelParams,
-    ERADICATION_TRACE_COLUMNS,
     age_trapezoid_weights,
     eradicability_verdict,
     evaluate_psi,
@@ -694,6 +693,11 @@ def test_model_validation():
         ({"beta": np.inf}, "beta", "must be finite, got inf"),
         ({"d": -np.inf}, "d", "must be nonnegative, got -inf"),
         ({"T": -np.inf}, "T", "must be positive, got -inf"),
+        ({"Na": np.inf}, "Na", "must be an integer, got inf"),
+        ({"Na": -np.inf}, "Na", "must be an integer, got -inf"),
+        ({"Na": np.nan}, "Na", "must be an integer, got nan"),
+        ({"y0": np.inf}, "y0", "must be finite, got inf"),
+        ({"y0": np.nan}, "y0", "must be nonnegative"),
     ],
     ids=[
         "sample-shape",
@@ -711,6 +715,11 @@ def test_model_validation():
         "beta-inf",
         "d-minus-inf",
         "T-minus-inf",
+        "Na-inf",
+        "Na-minus-inf",
+        "Na-nan",
+        "y0-inf",
+        "y0-nan",
     ],
 )
 def test_model_rejection_names_its_field(overrides, field, complaint):
@@ -1040,7 +1049,9 @@ def test_eradication_trace_csv(tmp_path):
     trace.write_csv(path)
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
-    assert rows[0] == list(ERADICATION_TRACE_COLUMNS)
+    assert path.read_bytes().startswith(
+        b"n,psi,population_term,length_term,area_term,region_area,region_length,phi_change,theta,stop_reason\r\n"
+    )
     assert len(rows) == len(trace.records) + 1
     assert rows[-1][-1] == trace.stop_reason
     for row, record in zip(rows[1:], trace.records):
