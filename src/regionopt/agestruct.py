@@ -34,7 +34,6 @@ past the maximal age A flows out of the system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from numpy.linalg import lapack_lite
@@ -459,11 +458,11 @@ def evaluate_psi(phi: LevelSetFunction, model: AgeModelParams):
     Runs the model under the mollified effort H_eps(phi) L and returns
     (Psi, (population term, weighted length term, weighted area term)),
     the first being the age-space integral of the final-time density
-    (trapezoid in age, Simpson in space).
+    (trapezoid in age, Simpson in space): penalised_cost's record under
+    the eradication measure, _final_population.
     """
-    measure = partial(_final_population, model=model)
-    psi, terms, *_ = penalised_cost(phi, model, measure)
-    return psi, terms
+    record, _ = penalised_cost(phi, model, _final_population)
+    return record.cost, record.terms
 
 
 def _eradication_dual_levels(density: AgeDensityField, terminal_value: float):
@@ -519,6 +518,11 @@ def solve_eradication_adjoint(density: AgeDensityField) -> ScalarField:
     return ScalarField(density.grid, integral)
 
 
+def _eradication_velocity(phi: LevelSetFunction, density, model: AgeModelParams):
+    integral = solve_eradication_adjoint(density)
+    return ScalarField(integral.grid, model.L * integral.values)
+
+
 def optimize_eradication_region(
     phi0: LevelSetFunction,
     model: AgeModelParams,
@@ -533,16 +537,11 @@ def optimize_eradication_region(
     "halving" every step is gated on an actual Psi decrease.  Returns
     (best iterate by Psi, trace, its age density).
     """
-
-    def direction(phi, density):
-        integral = solve_eradication_adjoint(density)
-        return ScalarField(integral.grid, model.L * integral.values)
-
     return descend(
         phi0,
         model,
-        partial(_final_population, model=model),
-        direction,
+        _final_population,
+        _eradication_velocity,
         Trace("psi", "population_term"),
         convergence,
         callback,

@@ -168,6 +168,14 @@ def _coefficient(value, base_dir, section, key, constant, read, presets=None):
     )
 
 
+def _check_memory(size: int, what: str) -> None:
+    """ConfigError naming what unless size bytes fit in physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if size > memory:
+        gib = f"{size / 2**30:.3g} GiB, more than the {memory / 2**30:.3g} GiB"
+        raise ConfigError(f"{what} would take {gib} of physical memory")
+
+
 def parse_config(path) -> RunConfig:
     """Parse and validate a run configuration file.
 
@@ -235,6 +243,7 @@ def _parse_config(path) -> RunConfig:
     if every < 1:
         raise ConfigError(f"run.snapshot_every must be >= 1, got {every}")
     grid = GridSpec(**value["grid"])
+    _check_memory(8 * (grid.N + 1) ** 2, f"grid.N = {grid.N}: one field")
     model, penalty, age = value["model"], value["penalty"], value["agestruct"]
     d, L, u = model["d"], model["L"], model["u"]
     convergence = Convergence(**value["convergence"])
@@ -295,15 +304,9 @@ def _parse_config(path) -> RunConfig:
         if command == "optimize-eradication":
             if np.any(initial_density.values < 0.0):
                 raise ConfigError("model.y0 must be nonnegative")
-            levels = (problem.n_time + 1) * (problem.Na + 1)
-            size = 8 * levels * (grid.N + 1) ** 2
-            memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-            if size > memory:
-                raise ConfigError(
-                    f"grid.T = {grid.T} spans {problem.n_time:.6g} age steps: the "
-                    f"age density would take {size / 2**30:.3g} GiB, more than "
-                    f"the {memory / 2**30:.3g} GiB of physical memory"
-                )
+            size = 8 * (problem.n_time + 1) * (problem.Na + 1) * (grid.N + 1) ** 2
+            steps = f"grid.T = {grid.T} spans {problem.n_time:.6g} age steps"
+            _check_memory(size, f"{steps}: the age density")
 
     return RunConfig(
         **value["run"],

@@ -228,11 +228,10 @@ def write_region_pgm(phi: LevelSetFunction, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def circle_levelset(grid: GridSpec, radius: float = 0.25, center=(0.5, 0.5)) -> LevelSetFunction:
-    """Signed-distance-like disc initializer radius - dist(x, center)."""
-    cx, cy = center
+def circle_levelset(grid: GridSpec) -> LevelSetFunction:
+    """Signed-distance-like disc initializer 0.25 - dist(x, (0.5, 0.5))."""
     return LevelSetFunction.from_function(
-        grid, lambda x1, x2: radius - np.sqrt((x1 - cx) ** 2 + (x2 - cy) ** 2)
+        grid, lambda x1, x2: 0.25 - np.sqrt((x1 - 0.5) ** 2 + (x2 - 0.5) ** 2)
     )
 
 

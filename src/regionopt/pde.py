@@ -69,7 +69,7 @@ class ControlProblemParams:
     alpha, beta : float
         Interface-length and region-area penalty weights, finite and >= 0.
     mollifier : Mollifier
-        Regularization used for both phi and 1 + p.
+        Regularization used for both phi and 1 + p; required.
     """
 
     d: float
@@ -89,6 +89,8 @@ class ControlProblemParams:
                 raise FieldError(name, f"must be nonnegative, got {value}")
             if value == np.inf:
                 raise FieldError(name, "must be finite, got inf")
+        if self.mollifier is None:
+            raise FieldError("mollifier", "is required: the solvers switch on H_eps(1 + p)")
         if self.a.grid != self.y0.grid:
             raise ValueError("a and y0 live on different grids")
         if np.any(self.y0.values < 0.0) or not np.any(self.y0.values > 0.0):

@@ -14,20 +14,21 @@ as a curvature term treated semi-implicitly inside evolve_phi.  The loop
 (descend, shared with the eradication cost of the agestruct module)
 reads both penalties and the mollifier from the problem's model: it
 adds the penalties to each iterate's data term, and -beta and the
-alpha curvature to the data velocity (the L integral here), stops on a
-small decrement or an increase, otherwise steps phi along the velocity
-and repeats.  Convergence.step picks the step
-policy: under "halving" a step that increases the cost is halved and
-retried a few times before giving up; under "paper" each step is taken
-as it comes and the loop stops on the first increase.  The loop's one
-record is its Trace, and the iterate it returns is Trace.best()'s.
+alpha curvature to the data velocity, stops on a small decrement or an
+increase, otherwise steps phi along the velocity and repeats.  A design
+is two module functions of (phi, model), here _adjoint_term (the data
+term and its adjoint) and _harvest_velocity (the L integral).
+Convergence.step picks the step policy: under "halving" a step that
+increases the cost is halved and retried a few times before giving up;
+under "paper" each step is taken as it comes and the loop stops on the
+first increase.  The loop's one record is its Trace of the records
+penalised_cost built, and the iterate it returns is Trace.best()'s.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -75,15 +76,16 @@ class Convergence:
 
 @dataclass
 class IterationRecord:
-    """One accepted iterate; terms are the three summands of cost."""
+    """One iterate's cost as penalised_cost builds it, terms its three
+    summands; descend sets n, phi_change and theta as it appends it."""
 
-    n: int
     cost: float
     terms: tuple
     region_area: float
     region_length: float
-    phi_change: float
-    theta: float
+    n: int = 0
+    phi_change: float = 0.0
+    theta: float = 0.0
 
 
 @dataclass
@@ -151,34 +153,34 @@ def _adjoint_term(phi: LevelSetFunction, params: ControlProblemParams):
 
 
 def penalised_cost(phi: LevelSetFunction, model, measure):
-    """Region cost of phi as (cost, terms, area, length, state).
+    """Region cost of phi as (record, state).
 
     model is the problem, ControlProblemParams or AgeModelParams: it
     holds the penalty weights alpha and beta and the mollifier.
-    measure(phi) gives (data term, state); terms = (data, alpha * length,
-    beta * area) with the mollified region_area and region_length, and
-    cost is their sum in that order.  A model without a mollifier raises
-    ValueError before measure runs.
+    measure(phi, model) gives (data term, state); the IterationRecord
+    holds terms = (data, alpha * length, beta * area) with the mollified
+    region_area and region_length, and cost, their sum in that order.  A
+    model without a mollifier raises ValueError before measure runs.
     """
     m = model.mollifier
     if m is None:
         raise ValueError("the region design needs a mollifier; the model has none")
-    data, state = measure(phi)
+    data, state = measure(phi, model)
     area = region_area(phi, m)
     length = region_length(phi, m)
     terms = (data, model.alpha * length, model.beta * area)
-    return data + terms[1] + terms[2], terms, area, length, state
+    return IterationRecord(data + terms[1] + terms[2], terms, area, length), state
 
 
 def evaluate_J(phi: LevelSetFunction, params: ControlProblemParams):
     """Cost of the region {phi > 0} and its three components.
 
     Solves the adjoint internally and returns (J, (adjoint term,
-    weighted length term, weighted area term)).
+    weighted length term, weighted area term)): penalised_cost's record
+    under the harvest measure, _adjoint_term.
     """
-    measure = partial(_adjoint_term, params=params)
-    cost, terms, *_ = penalised_cost(phi, params, measure)
-    return cost, terms
+    record, _ = penalised_cost(phi, params, _adjoint_term)
+    return record.cost, record.terms
 
 
 def descent_velocity(
@@ -203,6 +205,11 @@ def descent_velocity(
     return ScalarField(grid, params.L * integral)
 
 
+def _harvest_velocity(phi: LevelSetFunction, adjoint, params: ControlProblemParams):
+    sensitivity = solve_sensitivity(phi, adjoint, params)
+    return descent_velocity(adjoint, sensitivity, params)
+
+
 def _phi_distance(a: LevelSetFunction, b: LevelSetFunction) -> float:
     diff = a.phi.values - b.phi.values
     return float(np.sqrt(simpson_integral_2d(ScalarField(a.grid, diff * diff))))
@@ -220,11 +227,12 @@ def descend(
     """Run the outer descent loop from phi0.
 
     model is the problem, ControlProblemParams or AgeModelParams: the
-    loop reads its penalty weights alpha and beta and its mollifier.
-    measure(phi) returns (data term, solver state) and direction(phi,
-    state) the data term's velocity, a ScalarField.  The penalties enter
-    here alone: penalised_cost adds alpha * length + beta * area to each
-    data term, and phi moves along -beta plus the data velocity, with
+    loop reads its penalty weights alpha and beta and its mollifier, and
+    calls the objective's two functions with it: measure(phi, model)
+    returns (data term, solver state) and direction(phi, state, model)
+    the data term's velocity, a ScalarField.  The penalties enter here
+    alone: penalised_cost adds alpha * length + beta * area to each data
+    term, and phi moves along -beta plus the data velocity, with
     evolve_phi adding the curvature weighted by alpha.  Each pass
     evaluates the cost, checks the stopping rules of convergence (small
     decrement, increase, small phi change, iteration budget), then moves
@@ -234,18 +242,19 @@ def descend(
     taken as it is, so the first increase stops the loop at the next
     pass.
 
-    Appends one record per accepted iterate to trace, which starts empty
-    and holds the run's history, and returns (best_phi, trace, state):
-    the iterate whose record is trace.best() and its solver state.
-    Solver failures re-raise with the partial trace attached as
-    exc.trace.  The optional callback receives (n, phi, record) after
-    each accepted iterate.
+    Appends to trace, which starts empty and holds the run's history,
+    the record penalised_cost built for each accepted iterate, with n,
+    phi_change and theta set here (0.0 for the first iterate's last
+    two), and returns (best_phi, trace, state): the iterate whose record
+    is trace.best() and its solver state.  Solver failures re-raise with
+    the partial trace attached as exc.trace.  The optional callback
+    receives (n, phi, record) after each accepted iterate.
 
     Each trial is measured with no other solver state alive: an
     iterate's state is dropped once its direction is formed.  Unless the
     loop stops at the best iterate before forming its direction, the
-    last trial's state is dropped too and measure(best_phi) runs once
-    more; the solvers are deterministic, so it gives the same bits.
+    last trial's state is dropped too and measure(best_phi, model) runs
+    once more; the solvers are deterministic, so it gives the same bits.
 
     Stop reasons: "J tolerance", "J increase", "phi tolerance",
     "iteration budget".
@@ -253,39 +262,29 @@ def descend(
     alpha, beta, m = model.alpha, model.beta, model.mollifier
     phi = phi0
     cost_prev = np.inf
-    phi_change = 0.0
-    theta = 0.0
     paper = convergence.step == "paper"
     try:
-        cost, terms, area, length, state = penalised_cost(phi, model, measure)
+        record, state = penalised_cost(phi, model, measure)
         while True:
-            record = IterationRecord(
-                n=len(trace.records) + 1,
-                cost=cost,
-                terms=terms,
-                region_area=area,
-                region_length=length,
-                phi_change=phi_change,
-                theta=theta,
-            )
+            record.n = len(trace.records) + 1
             trace.records.append(record)
             if trace.best() is record:
                 best_phi = phi
             if callback is not None:
                 callback(record.n, phi, record)
-            if record.n > 1 and phi_change < convergence.eps2:
+            if record.n > 1 and record.phi_change < convergence.eps2:
                 stop = "phi tolerance"
                 break
-            if abs(cost - cost_prev) < convergence.eps1:
+            if abs(record.cost - cost_prev) < convergence.eps1:
                 stop = "J tolerance"
                 break
-            if cost >= cost_prev:
+            if record.cost >= cost_prev:
                 stop = "J increase"
                 break
             if record.n >= convergence.max_iter:
                 stop = "iteration budget"
                 break
-            velocity = ScalarField(phi.grid, -beta + direction(phi, state).values)
+            velocity = ScalarField(phi.grid, -beta + direction(phi, state, model).values)
             state = None  # served its direction
             theta = convergence.theta0
             closest_gap = np.inf
@@ -293,9 +292,9 @@ def descend(
                 trial = None  # so each trial's march is the one state alive
                 phi_next = evolve_phi(phi, velocity, theta, m, alpha=alpha)
                 trial = penalised_cost(phi_next, model, measure)
-                if paper or trial[0] < cost:
+                if paper or trial[0].cost < record.cost:
                     break
-                closest_gap = min(closest_gap, abs(trial[0] - cost))
+                closest_gap = min(closest_gap, abs(trial[0].cost - record.cost))
                 theta *= 0.5
             else:
                 # No step decreased the cost; the non-decrease rule fires,
@@ -303,13 +302,14 @@ def descend(
                 # some trial landed within the tolerance.
                 stop = "J tolerance" if closest_gap < convergence.eps1 else "J increase"
                 break
-            phi_change = _phi_distance(phi_next, phi)
-            cost_prev = cost
+            cost_prev = record.cost
+            record, state = trial
+            record.phi_change = _phi_distance(phi_next, phi)
+            record.theta = theta
             phi = phi_next
-            cost, terms, area, length, state = trial
         if state is None or best_phi is not phi:
             state = trial = None  # so the re-measure is the one state alive
-            state = measure(best_phi)[1]
+            state = measure(best_phi, model)[1]
     except SolverFailure as exc:
         trace.stop_reason = "solver failure"
         exc.trace = trace
@@ -332,17 +332,6 @@ def optimize_region(
     trace, its adjoint).  Solver failures re-raise with the partial trace
     attached as exc.trace.
     """
-
-    def direction(phi, adjoint):
-        sensitivity = solve_sensitivity(phi, adjoint, params)
-        return descent_velocity(adjoint, sensitivity, params)
-
     return descend(
-        phi0,
-        params,
-        partial(_adjoint_term, params=params),
-        direction,
-        Trace(),
-        convergence,
-        callback,
+        phi0, params, _adjoint_term, _harvest_velocity, Trace(), convergence, callback
     )

@@ -29,7 +29,7 @@ from regionopt.errors import ConvergenceFailure, FieldError, SolverFailure
 from regionopt.grid import GridSpec, ScalarField
 from regionopt.levelset import LevelSetFunction, Mollifier, circle_levelset
 from regionopt.pde import ROUNDOFF, ControlProblemParams, _ImplicitStepper, dct_matrix
-from regionopt.shapeopt import Convergence, evaluate_J, optimize_region
+from regionopt.shapeopt import Convergence
 
 from neumann_oracle import neumann_operator
 
@@ -412,6 +412,33 @@ def test_eigen_non_finite_operator_is_solver_failure():
         principal_eigenvalue(sharp_effort(phi, 2.0), np.nan)
 
 
+def test_eigen_failed_orthonormalization_is_solver_failure(monkeypatch):
+    # A disc effort, so the constant start vector is no eigenvector and the
+    # first step reaches the QR factorization.
+    class FailingLapack:
+        @staticmethod
+        def dgeqrf(*args):
+            return {"info": -7}
+
+    monkeypatch.setattr(agestruct, "lapack_lite", FailingLapack)
+    grid = spatial_grid(N=10)
+    message = "eigen Rayleigh-Ritz step failed: LAPACK info -7"
+    with pytest.raises(SolverFailure, match=f"^{message}$"):
+        principal_eigenvalue(sharp_effort(circle_levelset(grid), 2.0), 1.0)
+
+
+def test_eigen_failed_projection_is_solver_failure(monkeypatch):
+    def failing(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    grid = spatial_grid(N=10)
+    message = "eigen Rayleigh-Ritz step failed: Eigenvalues did not converge"
+    with pytest.raises(SolverFailure, match=f"^{message}$") as excinfo:
+        principal_eigenvalue(sharp_effort(circle_levelset(grid), 2.0), 1.0)
+    assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
+
+
 def test_eigen_solve_is_pure():
     # The solver writes only into its own buffers: two solves on one
     # effort agree to the bit, the effort (whose interior it reads through
@@ -774,7 +801,8 @@ def test_region_design_needs_a_mollifier():
         evaluate_psi(circle_levelset(grid), model)
     with pytest.raises(ValueError, match="needs a mollifier"):
         optimize_eradication_region(circle_levelset(grid), model)
-    # The harvest design reads its mollifier through the same check.
+    # The harvest solvers switch on H_eps(1 + p) with or without a
+    # design, so the harvest model rejects a missing mollifier when built.
     params = ControlProblemParams(
         d=1.0,
         a=ScalarField.constant(grid, 1.0),
@@ -784,11 +812,9 @@ def test_region_design_needs_a_mollifier():
         beta=0.0,
         mollifier=Mollifier(1.0),
     )
-    params = dataclasses.replace(params, mollifier=None)
-    with pytest.raises(ValueError, match="needs a mollifier"):
-        evaluate_J(circle_levelset(grid), params)
-    with pytest.raises(ValueError, match="needs a mollifier"):
-        optimize_region(circle_levelset(grid), params)
+    with pytest.raises(FieldError, match="^mollifier is required") as excinfo:
+        dataclasses.replace(params, mollifier=None)
+    assert excinfo.value.field == "mollifier"
 
 
 def test_model_rejects_age_step_that_underflows():

@@ -1113,18 +1113,38 @@ def test_out_of_memory_is_a_solver_failure(tmp_path, capsys, monkeypatch):
 
 
 def test_config_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch):
-    # The error an oversized grid raises, injected: nothing is allocated.
+    # The error an oversized array raises, injected on a small grid that
+    # passes the memory checks of parse_config: nothing is allocated.
     def oversized(cls, grid, value):
         raise MemoryError("Unable to allocate 29.1 TiB for an array")
 
     monkeypatch.setattr(ScalarField, "constant", classmethod(oversized))
-    path = write_config(tmp_path, AGE_TEXT.replace("N = 10", "N = 2000000"))
+    path = write_config(tmp_path, AGE_TEXT.replace("N = 10", "N = 20"))
     out = tmp_path / "o"
     assert main(["--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error: the config asks for more memory than is available" in err
     assert "Unable to allocate 29.1 TiB" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [TEST1_TEXT, FORWARD_TEXT, AGE_TEXT, ERADICATION_TEXT],
+    ids=["optimize-region", "forward", "eradicability", "optimize-eradication"],
+)
+def test_grid_too_large_for_memory_rejected_at_parse(tmp_path, monkeypatch, text):
+    # One field of 401^2 doubles (1.23 MiB) does not fit in a reported
+    # 1 MiB, so every command stops at the grid, before any field is built.
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
+    monkeypatch.setattr(config_module.os, "sysconf", pages.__getitem__)
+    path = write_config(tmp_path, re.sub(r"^N = \d+$", "N = 400", text, flags=re.M))
+    message = (
+        "grid.N = 400: one field would take 0.0012 GiB, more than the "
+        "0.000977 GiB of physical memory"
+    )
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(path)
 
 
 def test_ill_posed_renewal_step_rejected_at_parse(tmp_path, capsys):

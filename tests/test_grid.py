@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,35 @@ def test_field_csv_skips_comments_and_blank_lines_and_reads_crlf(tmp_path):
     edited = tmp_path / "edited.csv"
     edited.write_bytes(b"\n".join(lines))
     assert np.array_equal(read_field_csv(edited, g).values, f.values)
+
+
+def test_field_csv_bad_row_after_blank_line_names_its_file_line(tmp_path):
+    g = GridSpec(4, 2, 1.0)
+    path = tmp_path / "field.csv"
+    write_field_csv(ScalarField.constant(g, 1.0), path)
+    lines = path.read_text().split("\n")
+    lines.insert(3, "")  # file line 4, skipped as the reader skips it
+    lines[5] += "x"  # file line 6
+    path.write_text("\n".join(lines))
+    message = f"{path}: line 6: could not convert '1x' to a number"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_field_csv(path, g)
+
+
+def test_field_csv_row_only_numpy_rejects_keeps_numpy_message(tmp_path):
+    # 1_0 is a number to Python's float() but not to NumPy's reader, so no
+    # row is found at fault and the message is NumPy's own.
+    g = GridSpec(4, 2, 1.0)
+    path = tmp_path / "field.csv"
+    write_field_csv(ScalarField.constant(g, 1.0), path)
+    lines = path.read_text().split("\n")
+    lines[2] = lines[2].rsplit(",", 1)[0] + ",1_0"
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValueError) as numpy_error:
+        np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
+    with pytest.raises(ValueError) as excinfo:
+        read_field_csv(path, g)
+    assert str(excinfo.value) == f"{path}: {numpy_error.value}"
 
 
 def test_field_csv_rejects_wrong_grid(tmp_path):

@@ -79,14 +79,14 @@ def test_descend_moves_phi_under_its_own_penalties(alpha):
     convergence = Convergence(max_iter=2)
     steps = {}
 
-    def direction(phi, adjoint):
-        sensitivity = solve_sensitivity(phi, adjoint, params)
-        return descent_velocity(adjoint, sensitivity, params)
+    def direction(phi, adjoint, model):
+        sensitivity = solve_sensitivity(phi, adjoint, model)
+        return descent_velocity(adjoint, sensitivity, model)
 
     shapeopt.descend(
         phi0,
         params,
-        lambda phi: shapeopt._adjoint_term(phi, params),
+        shapeopt._adjoint_term,
         direction,
         Trace(),
         convergence=convergence,
@@ -126,7 +126,7 @@ def test_cost_rejects_negative_or_nan_weights(penalties):
         shapeopt.penalised_cost(
             circle_levelset(grid),
             params,
-            lambda phi: measured.append(phi) or (0.0, None),
+            lambda phi, model: measured.append(phi) or (0.0, None),
         )
     assert measured == []
 
