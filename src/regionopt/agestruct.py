@@ -39,7 +39,7 @@ import numpy as np
 from numpy.linalg import lapack_lite
 
 from .errors import ConvergenceFailure, FieldError, SolverFailure
-from .grid import GridSpec, ScalarField, simpson_integral_2d
+from .grid import GridSpec, ScalarField, _integer, simpson_integral_2d
 from .levelset import LevelSetFunction, Mollifier, heaviside_mollified
 from .pde import _ImplicitStepper, lap_diagonal, roundoff
 from .shapeopt import Convergence, Trace, descend, penalised_cost
@@ -49,13 +49,9 @@ EIGEN_MAX_ITER = 500
 VERDICT_TOLERANCE = 1.0e-6
 
 def _age_samples(spec, ages: np.ndarray, name: str) -> np.ndarray:
-    if callable(spec):
-        values = np.asarray(spec(ages), dtype=float)
-        values = np.broadcast_to(values, ages.shape).copy()
-    else:
-        values = np.array(spec, dtype=float, ndmin=1)
-        if values.shape == (1,):
-            values = np.full(ages.shape, values[0])
+    values = np.array(spec(ages) if callable(spec) else spec, dtype=float, ndmin=1)
+    if values.shape == (1,):
+        values = np.full(ages.shape, values[0])
     if values.shape != ages.shape:
         raise FieldError(
             name, f"samples have shape {values.shape}, expected {ages.shape}"
@@ -73,8 +69,9 @@ class AgeModelParams:
     """Data of the age-structured model on the age grid, and of its
     region design.
 
-    fertility and mortality may be given as callables of age or as
-    arrays of Na+1 samples; y0 as a callable (x1, x2, a) or a constant.
+    fertility and mortality may each be a number, Na+1 samples or a
+    callable of the ages, each checked for shape on the age grid; y0 a
+    callable (x1, x2, a) or a constant.
     The logistic term is M(s) = logistic_slope * s.  The age step A/Na
     must be positive and beta(0) da / 2 < 1: the renewal root exists
     only then, and the march divides by 1 minus it.  The time step is
@@ -105,11 +102,9 @@ class AgeModelParams:
     def __post_init__(self):
         if not (self.A > 0.0):
             raise FieldError("A", f"must be positive, got {self.A}")
-        if not np.isfinite(self.Na) or int(self.Na) != self.Na:
-            raise FieldError("Na", f"must be an integer, got {self.Na}")
+        object.__setattr__(self, "Na", _integer(self.Na, "Na"))
         if self.Na < 2:
             raise FieldError("Na", f"must be at least 2, got {self.Na}")
-        object.__setattr__(self, "Na", int(self.Na))
         if not 0.0 < self.da < np.inf:
             raise FieldError(
                 "A", f"gives the age step A / Na = {self.da}, not positive and finite"

@@ -4,10 +4,13 @@ Configuration files are INI-style text: ``key = value`` lines grouped
 under ``[section]`` headers.  Coefficient entries accept a plain number,
 a named preset, or a path to a CSV file (resolved relative to the
 configuration file), so one format covers both uniform textbook runs
-and spatially varying data.  Everything is validated before any solve
-starts; problems raise :class:`~regionopt.errors.ConfigError` with a
-message naming the offending key.  The model constructors own the
-checks of their fields: a field one rejects is named by its key.
+and spatially varying data.  One reader, _read, types every key present,
+whatever the command, so a coefficient's number is checked finite there;
+its preset or table is resolved by the commands that read it.  Everything
+is validated before any solve starts; problems raise
+:class:`~regionopt.errors.ConfigError` with a message naming the
+offending key.  The model constructors own the checks of their fields: a
+field one rejects is named by its key.
 """
 
 from __future__ import annotations
@@ -39,10 +42,11 @@ _MARCHING = _HARVEST + ("optimize-eradication",)
 
 # section -> key -> (reader, the commands that require the key[, default]).
 # The reader is int, float, str or the tuple of the strings allowed; None
-# marks a coefficient (a number, a preset or a table path), resolved by
-# _coefficient once the grid is known.  A key is required without a
-# command if every command needs it.  A default stands for an absent key
-# and for a string left empty; the defaults of a model type stay with it.
+# marks a coefficient (a number, a preset or a table path): _read checks
+# its number, and the commands that read it resolve its text.  A key is
+# required without a command if every command needs it.  A default
+# stands for an absent key and for a string left empty; the defaults of a
+# model type stay with it.
 _KEYS = {
     "run": {
         "command": (COMMANDS, COMMANDS),
@@ -102,70 +106,51 @@ class RunConfig:
     model: ControlProblemParams | AgeModelParams
 
 
-def _finite_or_none(raw, what):
-    """The number raw spells, None if it spells none; ConfigError if not finite."""
-    try:
-        value = float(raw)
-    except ValueError:
-        return None
-    if not np.isfinite(value):
-        raise ConfigError(f"{what} must be a finite number, got {raw!r}")
-    return value
-
-
 def _read(raw, reader, what):
-    """raw read by reader: an int, a finite float, an allowed string, or raw."""
+    """raw read by reader: an int, a finite float, an allowed string, or
+    raw; a coefficient (reader None) is a finite float if raw spells one."""
     if isinstance(reader, tuple):
         if raw not in reader:
             raise ConfigError(f"{what} must be one of {', '.join(reader)}; got {raw!r}")
         return raw
-    if reader not in (int, float):
+    if reader is str:
         return raw
     try:
-        value = reader(raw)
-        if reader is float and not np.isfinite(value):
-            raise ValueError(raw)
+        value = (reader or float)(raw)
     except ValueError:
+        if reader is None:
+            return raw
         kind = "an integer" if reader is int else "a finite number"
         raise ConfigError(f"{what} must be {kind}, got {raw!r}") from None
+    if reader is not int and not np.isfinite(value):
+        raise ConfigError(f"{what} must be a finite number, got {raw!r}")
     return value
 
 
-def _coefficient(value, base_dir, section, key, constant, read, presets=None):
-    """Resolve a number, a preset name or a table path; None if the key is absent.
+def _table(raw, what, base_dir, presets):
+    """The loader of the table raw names, taken relative to the config file.
 
-    A table path is taken relative to the config file, and the value is
-    read(load), where load(reader, *args) is reader(path, *args) with a
-    table that cannot be read or decoded, or that reader rejects with any
-    other ValueError, raised as one ConfigError each.
+    load(reader, *args) is reader(path, *args), with a table that cannot
+    be read or decoded, or that reader rejects with any other ValueError,
+    raised as one ConfigError each.  ConfigError if raw names no file.
     """
-    raw = value[section].get(key)
-    if raw is None:
-        return None
-    what = f"{section}.{key}"
-    number = _finite_or_none(raw, what)
-    if number is not None:
-        return constant(number)
-    presets = presets or {}
-    if raw in presets:
-        return presets[raw]()
-    path = raw if os.path.isabs(raw) else os.path.join(base_dir, raw)
-    if os.path.isfile(path):
+    path = os.path.join(base_dir, raw)
+    if not os.path.isfile(path):
+        names = ", ".join(sorted(presets)) or "none"
+        raise ConfigError(
+            f"{what} must be a number, a preset ({names}), "
+            f"or an existing CSV path; got {raw!r}"
+        )
 
-        def load(reader, *args):
-            try:
-                return reader(path, *args)
-            except (OSError, UnicodeDecodeError) as exc:
-                raise ConfigError(f"{what}: cannot read {raw}: {exc}") from None
-            except ValueError as exc:
-                raise ConfigError(f"{what}: bad table {raw}: {exc}") from None
+    def load(reader, *args):
+        try:
+            return reader(path, *args)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{what}: cannot read {raw}: {exc}") from None
+        except ValueError as exc:
+            raise ConfigError(f"{what}: bad table {raw}: {exc}") from None
 
-        return read(load)
-    names = ", ".join(sorted(presets)) or "none"
-    raise ConfigError(
-        f"{what} must be a number, a preset ({names}), "
-        f"or an existing CSV path; got {raw!r}"
-    )
+    return load
 
 
 def _check_memory(size: int, what: str) -> None:
@@ -250,29 +235,27 @@ def _parse_config(path) -> RunConfig:
     mollifier = Mollifier(**value["mollifier"]) if value["mollifier"] else None
     design = dict(penalty, mollifier=mollifier)  # held by the model of each command
 
-    def field(section, key, presets=None):
-        return _coefficient(
-            value,
-            base_dir,
-            section,
-            key,
-            lambda number: ScalarField.constant(grid, number),
-            lambda load: load(read_field_csv, grid),
-            presets,
-        )
-
-    phi0 = LevelSetFunction(
-        field(
-            "levelset",
-            "init",
-            {
-                "circle": lambda: circle_levelset(grid).phi,
-                "checkerboard": lambda: checkerboard_levelset(grid).phi,
-            },
-        )
-    )
-    growth = field("model", "a")
-    initial_density = field("model", "y0", {"gaussian": lambda: gaussian_density(grid)})
+    # Every command resolves these coefficients on the run's grid.
+    shapes = {
+        "circle": lambda: circle_levelset(grid).phi,
+        "checkerboard": lambda: checkerboard_levelset(grid).phi,
+    }
+    coefficient = {}
+    for section, key, presets in (
+        ("levelset", "init", shapes),
+        ("model", "a", {}),
+        ("model", "y0", {"gaussian": lambda: gaussian_density(grid)}),
+    ):
+        raw = value[section].get(key)
+        if isinstance(raw, float):
+            raw = ScalarField.constant(grid, raw)
+        elif raw in presets:
+            raw = presets[raw]()
+        elif raw is not None:
+            raw = _table(raw, f"{section}.{key}", base_dir, presets)(read_field_csv, grid)
+        coefficient[key] = raw
+    phi0 = LevelSetFunction(coefficient["init"])
+    growth, initial_density = coefficient["a"], coefficient["y0"]
 
     if command in _HARVEST:
         problem = ControlProblemParams(d=d, a=growth, y0=initial_density, L=L, **design)
@@ -280,14 +263,14 @@ def _parse_config(path) -> RunConfig:
         if not 0.0 <= u <= L:
             raise ConfigError(f"model.u must lie in [0, L] = [0, {L}], got {u}")
     else:
-        def age_table(load):
-            # Read by AgeModelParams, on the age grid it has checked.
-            return lambda ages: load(read_node_csv, ("age",), (ages,))
-
-        fertility, mortality = (
-            _coefficient(value, base_dir, "agestruct", key, float, age_table)
-            for key in ("fertility", "mortality")
-        )
+        rates = []
+        for key in ("fertility", "mortality"):
+            rate = age[key]
+            if isinstance(rate, str):
+                load = _table(rate, f"agestruct.{key}", base_dir, {})
+                # Read by AgeModelParams, on the age grid it has checked.
+                rate = lambda ages, load=load: load(read_node_csv, ("age",), (ages,))
+            rates.append(rate)
         # m and y0 are passed only when given: AgeModelParams holds their defaults.
         keywords = dict(design)  # the design fields always
         if "m" in age:
@@ -296,9 +279,7 @@ def _parse_config(path) -> RunConfig:
             # The age model spreads a spatial density uniformly in age.
             y0_values = initial_density.values
             keywords["y0"] = lambda x1, x2, a: y0_values
-        problem = AgeModelParams(
-            age["A"], age["Na"], fertility, mortality, d, L, grid.T, **keywords
-        )
+        problem = AgeModelParams(age["A"], age["Na"], *rates, d, L, grid.T, **keywords)
         # Only the age-structured march reads y0 and the horizon, in whole
         # age steps, and it holds one density of them all in memory.
         if command == "optimize-eradication":

@@ -3,7 +3,8 @@
 Everything downstream works on the same discretization: the unit square
 split into N subintervals per side (nodes x_i = (i-1)h with h = 1/N, so
 N+1 nodes per side) and M implicit-Euler levels on [0, T].  This module
-holds the shared bookkeeping: the grid description, nodal scalar and
+holds the shared bookkeeping: the grid description (whose whole-number
+check the model types' integer fields share), nodal scalar and
 space-time fields, tensor-product composite Simpson quadrature, the
 gradient-magnitude stencil with its one-sided boundary closure, and the
 CSV node tables (fields on the grid, samples on the age grid) read and
@@ -23,6 +24,17 @@ import numpy as np
 from .errors import FieldError
 
 
+def _integer(value, field: str) -> int:
+    """A constructor's integer field as an int; FieldError naming the field
+    unless value is a whole number."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (OverflowError, ValueError):  # int(inf), int(nan)
+        pass
+    raise FieldError(field, f"must be an integer, got {value}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid on the unit square with a matching time axis.
@@ -34,6 +46,7 @@ class GridSpec:
         even (Simpson) and at least 4.
     M : int
         Number of time steps; M + 1 levels.  Must be even and at least 2.
+        N and M must be whole numbers; an integral float is stored as int.
     T : float
         Final time, finite and T > 0.
     """
@@ -43,6 +56,8 @@ class GridSpec:
     T: float
 
     def __post_init__(self):
+        for name in ("N", "M"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.N < 4 or self.N % 2 != 0:
             raise FieldError("N", f"must be even and >= 4, got {self.N}")
         if self.M < 2 or self.M % 2 != 0:

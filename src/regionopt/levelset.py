@@ -196,7 +196,7 @@ def evolve_phi(
     """
     if not (theta > 0.0):
         raise ValueError(f"step size must be positive, got {theta}")
-    if alpha < 0.0:
+    if not alpha >= 0.0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     if velocity.grid != phi.grid:
         raise ValueError("velocity and phi live on different grids")

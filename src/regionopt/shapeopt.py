@@ -33,7 +33,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FieldError, SolverFailure
-from .grid import ScalarField, SpaceTimeField, simpson_integral_2d, simpson_weights
+from .grid import (
+    ScalarField,
+    SpaceTimeField,
+    _integer,
+    simpson_integral_2d,
+    simpson_weights,
+)
 from .levelset import (
     LevelSetFunction,
     evolve_phi,
@@ -53,9 +59,9 @@ STEP_POLICIES = ("halving", "paper")
 
 @dataclass(frozen=True)
 class Convergence:
-    """descend's [convergence] settings: iteration budget, tolerances on
-    the cost decrement and the L2 change of phi, initial step size and
-    step policy (one of STEP_POLICIES)."""
+    """descend's [convergence] settings: whole-number iteration budget,
+    tolerances on the cost decrement and the L2 change of phi, initial
+    step size and step policy (one of STEP_POLICIES)."""
 
     max_iter: int = 200
     eps1: float = 1.0e-3
@@ -64,6 +70,7 @@ class Convergence:
     step: str = "halving"
 
     def __post_init__(self):
+        object.__setattr__(self, "max_iter", _integer(self.max_iter, "max_iter"))
         if self.max_iter < 1:
             raise FieldError("max_iter", f"must be >= 1, got {self.max_iter}")
         if self.step not in STEP_POLICIES:

@@ -703,6 +703,11 @@ def test_model_validation():
             "samples have shape (5,), expected (21,)",
         ),
         (
+            {"fertility": lambda a: np.ones(5)},
+            "fertility",
+            "samples have shape (5,), expected (21,)",
+        ),
+        (
             {"mortality": np.full(21, np.nan)},
             "mortality",
             "samples must be finite on the age grid",
@@ -728,6 +733,7 @@ def test_model_validation():
     ],
     ids=[
         "sample-shape",
+        "callable-sample-shape",
         "non-finite-samples",
         "fractional-Na",
         "T",

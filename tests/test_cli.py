@@ -1,6 +1,7 @@
 """Tests for configuration parsing and the command line pipelines."""
 
 import csv
+import dataclasses
 import inspect
 import math
 import os
@@ -357,8 +358,10 @@ init = circle
     [
         ("Na", "many", "agestruct.Na must be an integer, got 'many'"),
         ("m", "x", "agestruct.m must be a finite number, got 'x'"),
+        ("fertility", "inf", "agestruct.fertility must be a finite number, got 'inf'"),
+        ("mortality", "nan", "agestruct.mortality must be a finite number, got 'nan'"),
     ],
-    ids=["Na", "m"],
+    ids=["Na", "m", "fertility-inf", "mortality-nan"],
 )
 def test_age_keys_type_checked_for_forward(tmp_path, capsys, key, value, message):
     text = FORWARD_TEXT + f"\n[agestruct]\n{key} = {value}\n"
@@ -936,6 +939,31 @@ def test_readme_names_every_setting():
     table = re.search(r"^\| key \| value \|.*?\n\n", text, re.S | re.M).group(0)
     rows = re.findall(r"^\| `([^`]+)` \|", table, re.M)
     assert rows and set(rows) <= known, set(rows) - known
+    # Each row's commands and default agree with _KEYS, and with the model
+    # type's own default where the type holds it; the table has every key.
+    words = {
+        "every command": config_module.COMMANDS,
+        "harvest": config_module._HARVEST,
+        "age": config_module._AGE,
+        "descents": config_module._DESCENT,
+        "—": (),
+    }
+    words.update({f"`{command}`": (command,) for command in config_module.COMMANDS})
+    own = {f"convergence.{f.name}": f.default for f in dataclasses.fields(Convergence)}
+    own["agestruct.m"] = AgeModelParams.logistic_slope
+    cells = re.findall(r"^\| `([^`]+)` \|.* \| ([^|]+) \| ([^|]+) \|$", table, re.M)
+    assert [row[0] for row in cells] == rows and set(rows) == known
+    for name, needed_by, default in cells:
+        section, key = name.split(".")
+        entry = config_module._KEYS[section][key]
+        commands = {c for word in needed_by.split(", ") for c in words[word]}
+        assert commands == set(entry[1]), name
+        stated = entry[2] if len(entry) > 2 else own.get(name)
+        if stated is None:
+            assert default == "—", name
+        else:
+            cell = default.strip("`")
+            assert (cell if isinstance(stated, str) else float(cell)) == stated, name
 
 
 @pytest.mark.parametrize(

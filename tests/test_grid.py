@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from regionopt.errors import FieldError
 from regionopt.grid import (
     GridSpec,
     ScalarField,
@@ -33,6 +34,21 @@ def test_gridspec_validation():
         GridSpec(4, 3, 1.0)  # odd M
     with pytest.raises(ValueError):
         GridSpec(4, 2, 0.0)  # T not positive
+    for N, M, field, bad in [
+        (6.5, 2, "N", 6.5),
+        (np.nan, 2, "N", np.nan),
+        (np.inf, 2, "N", np.inf),
+        (4, 2.5, "M", 2.5),
+        (4, -np.inf, "M", -np.inf),
+    ]:
+        with pytest.raises(FieldError) as excinfo:
+            GridSpec(N, M, 1.0)
+        assert excinfo.value.field == field
+        assert excinfo.value.complaint == f"must be an integer, got {bad}"
+    # an integral float is stored as an int, so the field constructors take it
+    g = GridSpec(6.0, 2.0, 1.0)
+    assert (type(g.N), type(g.M)) == (int, int)
+    assert ScalarField.constant(g, 1.0).values.shape == (7, 7)
 
 
 def test_gridspec_steps():

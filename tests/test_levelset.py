@@ -339,6 +339,8 @@ def test_evolve_phi_validation():
         evolve_phi(phi, vel, 0.0, Mollifier(1.0))
     with pytest.raises(ValueError):
         evolve_phi(phi, vel, 0.1, Mollifier(1.0), alpha=-1.0)
+    with pytest.raises(ValueError, match="alpha must be nonnegative, got nan"):
+        evolve_phi(phi, vel, 0.1, Mollifier(1.0), alpha=np.nan)
     other = ScalarField.constant(GridSpec(6, 2, 1.0), 0.0)
     with pytest.raises(ValueError):
         evolve_phi(phi, other, 0.1, Mollifier(1.0))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from regionopt import shapeopt
-from regionopt.errors import SolverFailure
+from regionopt.errors import FieldError, SolverFailure
 from regionopt.grid import GridSpec, ScalarField, SpaceTimeField
 from regionopt.levelset import (
     LevelSetFunction,
@@ -179,6 +179,14 @@ def test_max_iter_validation():
     params = make_params(grid)
     with pytest.raises(ValueError):
         optimize_region(circle_levelset(grid), params, Convergence(max_iter=0))
+    # A NaN budget would never be reached, so it and any other non-integer
+    # are rejected; an integral float is stored as an int.
+    for bad in (np.nan, np.inf, 2.5):
+        with pytest.raises(FieldError) as excinfo:
+            Convergence(max_iter=bad)
+        assert excinfo.value.field == "max_iter"
+        assert excinfo.value.complaint == f"must be an integer, got {bad}"
+    assert type(Convergence(max_iter=3.0).max_iter) is int
 
 
 def test_loop_decreases_cost_on_small_problem():
