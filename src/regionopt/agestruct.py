@@ -39,7 +39,7 @@ import numpy as np
 from numpy.linalg import lapack_lite
 
 from .errors import ConvergenceFailure, FieldError, SolverFailure
-from .grid import GridSpec, ScalarField, _integer, simpson_integral_2d
+from .grid import GridSpec, ScalarField, _bounded, _integer, simpson_integral_2d
 from .levelset import LevelSetFunction, Mollifier, heaviside_mollified
 from .pde import _ImplicitStepper, lap_diagonal, roundoff
 from .shapeopt import Convergence, Trace, descend, penalised_cost
@@ -71,15 +71,15 @@ class AgeModelParams:
 
     fertility and mortality may each be a number, Na+1 samples or a
     callable of the ages, each checked for shape on the age grid; y0 a
-    callable (x1, x2, a) or a constant.
+    callable (x1, x2, a) or a constant, finite and >= 0.  The reals
+    follow grid's number rule with A, T > 0 and the rest >= 0.
     The logistic term is M(s) = logistic_slope * s.  The age step A/Na
-    must be positive and beta(0) da / 2 < 1: the renewal root exists
+    must not underflow and beta(0) da / 2 < 1: the renewal root exists
     only then, and the march divides by 1 minus it.  The time step is
     locked to the age step, so a march (n_time) needs the horizon T to
     be an integer multiple of it; the eigenvalue never reads T.  alpha
-    and beta (>= 0) weigh the interface length and region area in Psi,
-    and mollifier gives H_eps; only the region design reads the three.
-    d, L, T, logistic_slope, alpha, beta and a constant y0 must be finite.
+    and beta weigh the interface length and region area in Psi, and
+    mollifier gives H_eps; only the region design reads the three.
     Frozen, so no field can change after the checks: a new model is a
     new instance (dataclasses.replace), checked again.
     """
@@ -100,25 +100,17 @@ class AgeModelParams:
     mortality_samples: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (self.A > 0.0):
-            raise FieldError("A", f"must be positive, got {self.A}")
+        _bounded(self.A, "A", positive=True)
         object.__setattr__(self, "Na", _integer(self.Na, "Na"))
         if self.Na < 2:
             raise FieldError("Na", f"must be at least 2, got {self.Na}")
-        if not 0.0 < self.da < np.inf:
+        if not self.da > 0.0:
             raise FieldError(
                 "A", f"gives the age step A / Na = {self.da}, not positive and finite"
             )
         for name in ("d", "L", "logistic_slope", "alpha", "beta"):
-            value = getattr(self, name)
-            if not value >= 0.0:
-                raise FieldError(name, f"must be nonnegative, got {value}")
-            if value == np.inf:
-                raise FieldError(name, "must be finite, got inf")
-        if not (self.T > 0.0):
-            raise FieldError("T", f"must be positive, got {self.T}")
-        if self.T == np.inf:
-            raise FieldError("T", "must be finite, got inf")
+            _bounded(getattr(self, name), name)
+        _bounded(self.T, "T", positive=True)
         ages = self.ages
         for name in ("fertility", "mortality"):
             samples = _age_samples(getattr(self, name), ages, name)

@@ -4,7 +4,7 @@ Everything downstream works on the same discretization: the unit square
 split into N subintervals per side (nodes x_i = (i-1)h with h = 1/N, so
 N+1 nodes per side) and M implicit-Euler levels on [0, T].  This module
 holds the shared bookkeeping: the grid description (whose whole-number
-check the model types' integer fields share), nodal scalar and
+check and number rule every model type's fields share), nodal scalar and
 space-time fields, tensor-product composite Simpson quadrature, the
 gradient-magnitude stencil with its one-sided boundary closure, and the
 CSV node tables (fields on the grid, samples on the age grid) read and
@@ -35,6 +35,16 @@ def _integer(value, field: str) -> int:
     raise FieldError(field, f"must be an integer, got {value}")
 
 
+def _bounded(value, field: str, positive: bool = False) -> None:
+    """The number rule of every real field of the model types: FieldError
+    naming the field unless value is finite and >= 0 (> 0 if positive)."""
+    if not (value > 0.0 if positive else value >= 0.0):
+        bound = "positive" if positive else "nonnegative"
+        raise FieldError(field, f"must be {bound}, got {value}")
+    if value == np.inf:
+        raise FieldError(field, "must be finite, got inf")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid on the unit square with a matching time axis.
@@ -48,7 +58,7 @@ class GridSpec:
         Number of time steps; M + 1 levels.  Must be even and at least 2.
         N and M must be whole numbers; an integral float is stored as int.
     T : float
-        Final time, finite and T > 0.
+        Final time; by the number rule (_bounded), finite and > 0.
     """
 
     N: int
@@ -62,8 +72,7 @@ class GridSpec:
             raise FieldError("N", f"must be even and >= 4, got {self.N}")
         if self.M < 2 or self.M % 2 != 0:
             raise FieldError("M", f"must be even and >= 2, got {self.M}")
-        if not (0.0 < self.T < np.inf):
-            raise FieldError("T", f"must be positive and finite, got {self.T}")
+        _bounded(self.T, "T", positive=True)
 
     @property
     def h(self) -> float:

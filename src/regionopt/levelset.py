@@ -34,18 +34,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldError, SolverFailure
-from .grid import GridSpec, ScalarField, gradient_magnitude, simpson_integral_2d
+from .grid import GridSpec, ScalarField, _bounded, gradient_magnitude, simpson_integral_2d
 
 
 @dataclass(frozen=True)
 class Mollifier:
-    """Regularization width eps > 0 for the smoothed Heaviside/delta pair;
-    eps^2 must not underflow, as the delta divides by eps^2 + z^2."""
+    """Regularization width eps > 0 (grid's number rule) for the smoothed
+    Heaviside/delta pair; eps^2 must not underflow (the delta's divisor)."""
 
     eps: float
 
     def __post_init__(self):
-        if not (self.eps > 0.0 and self.eps * self.eps > 0.0):
+        _bounded(self.eps, "eps", positive=True)
+        if not self.eps * self.eps > 0.0:
             raise FieldError(
                 "eps", f"must be positive with a nonzero square, got {self.eps}"
             )

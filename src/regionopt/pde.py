@@ -39,7 +39,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import FieldError, SolverFailure
-from .grid import GridSpec, ScalarField, SpaceTimeField
+from .grid import GridSpec, ScalarField, SpaceTimeField, _bounded
 from .levelset import (
     LevelSetFunction,
     Mollifier,
@@ -54,20 +54,21 @@ ROUNDOFF = 16.0  # least attainable residual, in units of eps * max |row sum|
 
 @dataclass(frozen=True)
 class ControlProblemParams:
-    """Model data of the harvest problem; frozen, so its checks hold.
+    """Model data of the harvest problem, frozen so its checks hold; its
+    reals follow grid's number rule with d > 0 and L, alpha, beta >= 0.
 
     Attributes
     ----------
     d : float
-        Diffusion coefficient, finite and > 0.
+        Diffusion coefficient.
     a : ScalarField
         Intrinsic growth rate a(x).
     y0 : ScalarField
         Initial density, y0 >= 0 and not identically zero.
     L : float
-        Harvesting effort bound, finite; u in [0, L].
+        Harvesting effort bound; u in [0, L].
     alpha, beta : float
-        Interface-length and region-area penalty weights, finite and >= 0.
+        Interface-length and region-area penalty weights.
     mollifier : Mollifier
         Regularization used for both phi and 1 + p; required.
     """
@@ -81,14 +82,9 @@ class ControlProblemParams:
     mollifier: Mollifier
 
     def __post_init__(self):
-        if not (self.d > 0.0):
-            raise FieldError("d", f"must be positive, got {self.d}")
-        for name in ("d", "L", "alpha", "beta"):
-            value = getattr(self, name)
-            if not value >= 0.0:
-                raise FieldError(name, f"must be nonnegative, got {value}")
-            if value == np.inf:
-                raise FieldError(name, "must be finite, got inf")
+        _bounded(self.d, "d", positive=True)
+        for name in ("L", "alpha", "beta"):
+            _bounded(getattr(self, name), name)
         if self.mollifier is None:
             raise FieldError("mollifier", "is required: the solvers switch on H_eps(1 + p)")
         if self.a.grid != self.y0.grid:

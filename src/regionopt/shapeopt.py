@@ -36,6 +36,7 @@ from .errors import FieldError, SolverFailure
 from .grid import (
     ScalarField,
     SpaceTimeField,
+    _bounded,
     _integer,
     simpson_integral_2d,
     simpson_weights,
@@ -60,8 +61,8 @@ STEP_POLICIES = ("halving", "paper")
 @dataclass(frozen=True)
 class Convergence:
     """descend's [convergence] settings: whole-number iteration budget,
-    tolerances on the cost decrement and the L2 change of phi, initial
-    step size and step policy (one of STEP_POLICIES)."""
+    tolerances on the cost decrement and the L2 change of phi and initial
+    step size (each > 0 by grid's number rule), step policy (STEP_POLICIES)."""
 
     max_iter: int = 200
     eps1: float = 1.0e-3
@@ -77,8 +78,7 @@ class Convergence:
             policies = ", ".join(STEP_POLICIES)
             raise FieldError("step", f"must be one of {policies}; got {self.step!r}")
         for key in ("eps1", "eps2", "theta0"):
-            if not getattr(self, key) > 0.0:
-                raise FieldError(key, f"must be positive, got {getattr(self, key)}")
+            _bounded(getattr(self, key), key, positive=True)
 
 
 @dataclass

@@ -730,6 +730,8 @@ def test_model_validation():
         ({"Na": np.nan}, "Na", "must be an integer, got nan"),
         ({"y0": np.inf}, "y0", "must be finite, got inf"),
         ({"y0": np.nan}, "y0", "must be nonnegative"),
+        ({"A": np.inf}, "A", "must be finite, got inf"),
+        ({"A": np.nan}, "A", "must be positive, got nan"),
     ],
     ids=[
         "sample-shape",
@@ -753,6 +755,8 @@ def test_model_validation():
         "Na-nan",
         "y0-inf",
         "y0-nan",
+        "A-inf",
+        "A-nan",
     ],
 )
 def test_model_rejection_names_its_field(overrides, field, complaint):

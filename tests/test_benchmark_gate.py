@@ -10,16 +10,20 @@ which moves a referenced number past the gate, or flips a verdict, fails
 here first.  All of ``time-marchers`` and two regions of
 ``verdict-sweep`` get every check; the other 14 regions are compared
 with their references only, which skips the costlier independent
-eigenvalue.  Both modules are loaded by path; nothing under perfbench/
-is imported as a package.
+eigenvalue.  The traced runs also time perfbench/worker.py's scaling
+probe, which a failing public call turns into a failed run, so the probe
+runs here at its smallest size.  The modules are loaded by path; nothing
+under perfbench/ is imported as a package.
 """
 
 import importlib.util
+import math
 import os
 from pathlib import Path
 
 import pytest
 
+import regionopt
 from regionopt import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -52,3 +56,16 @@ def test_seed_zero_outputs_pass_the_benchmark_check(tmp_path, workload, picked):
         else:
             summary = check.read_summary(out)
             assert check.compare_reference(summary, references[index]) == []
+
+
+def test_scaling_probe_runs_on_the_package(monkeypatch):
+    # The probe calls solve_adjoint(phi, params) on a level set and
+    # evolve_phi(phi, velocity, 0.05, m, alpha=0.4); run.py counts a probe
+    # that does not finish as a failed attempt.
+    worker = load("worker")
+    monkeypatch.setattr(worker, "PROBE_SIZES", (20,))
+    timings = worker.probe(regionopt)
+    assert timings["N"] == [20]
+    for key in ("adjoint_step_s", "evolve_phi_s"):
+        assert len(timings[key]) == 1
+        assert 0.0 < timings[key][0] < math.inf

@@ -127,8 +127,10 @@ def test_odd_node_count_cites_parity_rule(tmp_path):
         ("N = 20", "N = x", "grid.N must be an integer, got 'x'"),
         ("T = 1.0", "T = soon", "grid.T must be a finite number, got 'soon'"),
         ("N = 20", "N = 21", "grid.N must be even and >= 4, got 21"),
+        ("T = 1.0", "T = 0", "grid.T must be positive, got 0.0"),
+        ("eps = 1.0", "eps = -1", "mollifier.eps must be positive, got -1.0"),
     ],
-    ids=["N-not-a-number", "T-not-a-number", "N-odd"],
+    ids=["N-not-a-number", "T-not-a-number", "N-odd", "T-zero", "eps-negative"],
 )
 def test_grid_key_messages(tmp_path, capsys, old, new, message):
     path = write_config(tmp_path, TEST1_TEXT.replace(old, new))

@@ -45,6 +45,15 @@ def test_gridspec_validation():
             GridSpec(N, M, 1.0)
         assert excinfo.value.field == field
         assert excinfo.value.complaint == f"must be an integer, got {bad}"
+    for T, complaint in [
+        (0.0, "must be positive, got 0.0"),
+        (-1.0, "must be positive, got -1.0"),
+        (np.nan, "must be positive, got nan"),
+        (np.inf, "must be finite, got inf"),
+    ]:
+        with pytest.raises(FieldError) as excinfo:
+            GridSpec(4, 2, T)
+        assert (excinfo.value.field, excinfo.value.complaint) == ("T", complaint)
     # an integral float is stored as an int, so the field constructors take it
     g = GridSpec(6.0, 2.0, 1.0)
     assert (type(g.N), type(g.M)) == (int, int)

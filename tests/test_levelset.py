@@ -53,6 +53,16 @@ def test_mollifier_validation():
         Mollifier(0.0)
     with pytest.raises(ValueError):
         Mollifier(-1.0)
+    # The number rule of every model type's real fields; an infinite width
+    # would make region_length NaN.
+    for eps, complaint in [
+        (0.0, "must be positive, got 0.0"),
+        (np.nan, "must be positive, got nan"),
+        (np.inf, "must be finite, got inf"),
+    ]:
+        with pytest.raises(FieldError) as excinfo:
+            Mollifier(eps)
+        assert (excinfo.value.field, excinfo.value.complaint) == ("eps", complaint)
 
 
 def test_mollifier_rejects_width_whose_square_underflows():

@@ -187,6 +187,18 @@ def test_max_iter_validation():
         assert excinfo.value.field == "max_iter"
         assert excinfo.value.complaint == f"must be an integer, got {bad}"
     assert type(Convergence(max_iter=3.0).max_iter) is int
+    # The real settings follow the number rule: an infinite tolerance would
+    # stop every descent at its second record, an infinite step make phi
+    # non-finite.
+    for key in ("eps1", "eps2", "theta0"):
+        for bad, complaint in [
+            (0.0, "must be positive, got 0.0"),
+            (np.nan, "must be positive, got nan"),
+            (np.inf, "must be finite, got inf"),
+        ]:
+            with pytest.raises(FieldError) as excinfo:
+                Convergence(**{key: bad})
+            assert (excinfo.value.field, excinfo.value.complaint) == (key, complaint)
 
 
 def test_loop_decreases_cost_on_small_problem():
