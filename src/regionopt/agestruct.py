@@ -24,9 +24,9 @@ shift along characteristics, and reuses the implicit step solver of the
 pde module for diffusion and decay, all age levels of a time step in one
 batched solve on full-grid levels.  The principal eigenvalue comes from
 a block-1 LOBPCG that factorizes no operator and allocates its working
-set once per solve: its products go through the step solver's stencil
-into its own buffers, and its preconditioner is the step solver's DCT
-inverse at a fixed shift, in single precision.
+set once per solve: its products go through the step solver's stencil,
+one column at a time, into its own buffers, and its preconditioner is
+the step solver's DCT inverse at a fixed shift, in single precision.
 Mortality is sampled finitely on the age grid; whatever is transported
 past the maximal age A flows out of the system.
 """
@@ -41,7 +41,7 @@ from numpy.linalg import lapack_lite
 from .errors import ConvergenceFailure, FieldError, SolverFailure
 from .grid import GridSpec, ScalarField, _bounded, _integer, simpson_integral_2d
 from .levelset import LevelSetFunction, Mollifier, heaviside_mollified
-from .pde import _ImplicitStepper, lap_diagonal, roundoff
+from .pde import _ImplicitStepper, lap_diagonal, lap_eigenvalues, roundoff
 from .shapeopt import Convergence, Trace, descend, penalised_cost
 
 EIGEN_TOL = 1.0e-8
@@ -268,33 +268,43 @@ def principal_eigenvalue(effort: ScalarField, d: float) -> float:
     nodes (Knyazev 2001), starting from the constant vector.  T runs in
     float32 on the unit residual: it only picks a search direction, and
     the float64 Rayleigh-Ritz step and residual test decide lambda_1.
-    The working set is allocated once per solve: the n x 3 block of the
-    three columns (orthonormalized in place by lapack_lite's dgeqrf and
-    dorgqr), a block of their images, x, its image, one residual/update
-    vector and the float32 unit residual; every product, residual, cast
-    and Ritz combination is written into them (out=).  Stops at a
-    relative eigenresidual of 1e-8, or at eigen_roundoff where that is
-    larger (large d / h^2).  A negative d or effort raises ValueError;
-    running out of EIGEN_MAX_ITER steps raises ConvergenceFailure, and
-    non-finite values or a failed projection raise SolverFailure.
+    The working set is allocated once per solve and peaks at about 13
+    vectors of n doubles: the n x 3 block of the three columns
+    (orthonormalized in place by lapack_lite's dgeqrf and dorgqr), a
+    block of their images, x, its image, one residual/update vector, the
+    main diagonal, the float32 unit residual and spectrum, the stepper's
+    border buffer and the preconditioner's float32 temporaries.  Every
+    product, residual, cast and Ritz combination is written into them
+    (out=).  Products go one column at a time, so the border buffer
+    holds one vector, not three, and the diagonals come from pde's
+    module functions, so the stepper builds none.
+    Stops at a relative eigenresidual of 1e-8, or at eigen_roundoff
+    where that is larger (large d / h^2).  A negative d or effort raises
+    ValueError; running out of EIGEN_MAX_ITER steps raises
+    ConvergenceFailure, and non-finite values or a failed projection
+    raise SolverFailure.
     """
     if d < 0.0 or np.any(effort.values < 0.0):
         raise ValueError("d and the effort must be nonnegative")
     grid = effort.grid
     n1 = grid.N - 1
-    stepper = _ImplicitStepper(grid.N, d / (grid.h * grid.h))
+    lam = d / (grid.h * grid.h)
+    stepper = _ImplicitStepper(grid.N, lam)
     interior = effort.values[1:-1, 1:-1]
-    diagonal = stepper.lap_diag + interior
     floor = eigen_roundoff(effort, d)
+    diagonal = lap_diagonal(grid.N, lam)
+    diagonal += interior
 
-    def product(rows: np.ndarray, out: np.ndarray) -> None:
-        """The operator applied to a vector, or to each row of a block, into out."""
-        stepper.apply(diagonal, rows.reshape(-1, n1, n1), out=out.reshape(-1, n1, n1))
+    def product(vector: np.ndarray, out: np.ndarray) -> None:
+        """The operator applied to one vector, into out."""
+        stepper.apply(diagonal, vector.reshape(n1, n1), out=out.reshape(n1, n1))
 
     # Scaled to a least value of 1 and capped at the float32 range, the
     # spectrum casts without overflow, and so does the unit residual.
-    eigs = np.mean(interior) + 1.0e-3 + stepper.lap_eigs
-    eigs = np.minimum(eigs / eigs.min(), np.finfo(np.float32).max).astype(np.float32)
+    eigs = lap_eigenvalues(grid.N, lam)
+    eigs += np.mean(interior) + 1.0e-3
+    eigs /= eigs.min()
+    eigs = np.minimum(eigs, np.finfo(np.float32).max, out=eigs).astype(np.float32)
     n = n1 * n1
     # rows x, T r, update (none at step 0): C-ordered, so block[:k].T is
     # the Fortran n x k matrix that LAPACK factors in place
@@ -326,7 +336,8 @@ def principal_eigenvalue(effort: ScalarField, d: float) -> float:
             info = lapack_lite.dorgqr(n, k, k, block, n, tau, work, work.size, 0)["info"]
         if info:
             raise SolverFailure(f"eigen Rayleigh-Ritz step failed: LAPACK info {info}")
-        product(block[:k], images[:k])
+        for row in range(k):
+            product(block[row], images[row])
         basis = block[:k].T
         try:
             values, vectors = np.linalg.eigh(basis.T @ images[:k].T)
@@ -452,34 +463,38 @@ def evaluate_psi(phi: LevelSetFunction, model: AgeModelParams):
     return record.cost, record.terms
 
 
-def _eradication_dual_levels(density: AgeDensityField, terminal_value: float):
-    """Dual r of the final-population cost, marched backward in time
-    under the density's own model and effort.
+def solve_eradication_adjoint(density: AgeDensityField) -> ScalarField:
+    """The nodal integral sum_k w_k sum_a w_a r y of the eradication dual
+    r against the density y (trapezoid weights in time and age).
 
-    Yields (k, r_k, sum_a w_a r_k y_k) for k = steps down to 0, with the
-    age trapezoid weights w.  Each step sets r at (age level l, time k)
-    from (l+1, k+1) along the characteristic, with diffusion and decay
-    mu(a) + M(P) + u implicit and the sources lagged at time k+1: the
-    logistic derivative times the yielded pairing, and the fertility
-    times the newborn trace.  r starts at terminal_value, with 0 on the
-    maximal-age line at every level; each level is a new array, and the
-    march holds two.
+    The dual r of the final-population cost is marched backward in time
+    under the density's own model and effort, from 1 at the final time
+    and 0 on the maximal-age line at every level.  Each step sets r at
+    (age level l, time k) from (l+1, k+1) along the characteristic, with
+    diffusion and decay mu(a) + M(P) + u implicit and the sources lagged
+    at time k+1: the logistic derivative times the pairing sum_a w_a r y,
+    and the fertility times the newborn trace.  Each level of r is a new
+    array and the march holds two, streamed into the integral and not
+    stored, so beyond its inputs this allocates nothing of space-time
+    size.
     """
     model, effort, grid = density.model, density.effort, density.grid
     steps = density.values.shape[0] - 1
     dt = model.da
     beta = model.fertility_samples
     mu = model.mortality_samples
-    weights = age_trapezoid_weights(model.Na, model.da)
+    weights = age_trapezoid_weights(model.Na, dt)
+    time_w = age_trapezoid_weights(steps, dt)
     stepper = _ImplicitStepper(grid.N, model.d * dt / (grid.h * grid.h))
     slope = model.logistic_slope
-    r = np.full(density.values.shape[1:], float(terminal_value))
+    r = np.ones(density.values.shape[1:])
     r[model.Na] = 0.0
+    integral = np.zeros(density.values.shape[2:])
     for k in range(steps, -1, -1):
         coupling = np.tensordot(weights, r * density.values[k], axes=(0, 0))
-        yield k, r, coupling
+        integral += time_w[k] * coupling
         if k == 0:
-            return
+            break
         pressure = np.tensordot(weights, density.values[k - 1], axes=(0, 0))
         source = dt * (-slope * coupling + np.multiply.outer(beta, r[0]))
         e1 = dt * (mu[:-1, None, None] + slope * pressure + effort.values)
@@ -487,22 +502,7 @@ def _eradication_dual_levels(density: AgeDensityField, terminal_value: float):
         below[:-1] = stepper.step(e1, r[1:] + source[:-1])
         below[model.Na] = 0.0
         r = below
-
-
-def solve_eradication_adjoint(density: AgeDensityField) -> ScalarField:
-    """The nodal integral sum_k w_k sum_a w_a r y of the eradication dual
-    r against the density y (trapezoid weights in time and age).
-
-    The dual is marched under the density's model and effort, and
-    streamed (_eradication_dual_levels), not stored, so beyond its inputs
-    this allocates nothing of space-time size.
-    """
-    steps = density.values.shape[0] - 1
-    time_w = age_trapezoid_weights(steps, density.model.da)
-    integral = np.zeros(density.values.shape[2:])
-    for k, _, coupling in _eradication_dual_levels(density, 1.0):
-        integral += time_w[k] * coupling
-    return ScalarField(density.grid, integral)
+    return ScalarField(grid, integral)
 
 
 def _eradication_velocity(phi: LevelSetFunction, density, model: AgeModelParams):

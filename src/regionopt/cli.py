@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from .agestruct import (
+    AgeDensityField,
     eradicability_verdict,
     optimize_eradication_region,
     total_population,
@@ -134,7 +135,8 @@ def _run_optimize_eradication(config: RunConfig, out_dir: str) -> int:
             ScalarField(density.grid, final[level]),
             os.path.join(out_dir, f"density_a{level:04d}.csv"),
         )
-    population = total_population(density)
+    ends = AgeDensityField(density.model, density.effort, density.values[[0, -1]])
+    population = total_population(ends)
     extra = [
         ("population_initial", format(population[0], ".17g")),
         ("population_final", format(population[-1], ".17g")),

@@ -245,9 +245,11 @@ def read_node_csv(path, names, nodes) -> np.ndarray:
 
     Each coordinate column must match its node array to within
     ``np.allclose(..., atol=1e-12)``; the value column comes back in the
-    nodes' shape.  A bad table raises ValueError naming the path (and the
-    file line of a row that does not parse); a file that cannot be read
-    or decoded raises OSError or UnicodeDecodeError.
+    nodes' shape, as an array of its own (base None): a view would keep
+    the whole parsed table alive for as long as the field lives.  A bad
+    table raises ValueError naming the path (and the file line of a row
+    that does not parse); a file that cannot be read or decoded raises
+    OSError or UnicodeDecodeError.
     """
     header = ",".join((*names, "value"))
     with open(path) as fh:
@@ -277,7 +279,7 @@ def read_node_csv(path, names, nodes) -> np.ndarray:
     for name, column, node in zip(names, raw.T, nodes):
         if not np.allclose(column, np.ravel(node), atol=1e-12):
             raise ValueError(f"{path}: {name} coordinates do not match the grid")
-    return raw[:, -1].reshape(shape)
+    return raw[:, -1].reshape(shape).copy()
 
 
 def read_field_csv(path, grid: GridSpec) -> ScalarField:

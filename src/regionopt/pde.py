@@ -129,6 +129,14 @@ def lap_diagonal(N: int, lam: float) -> np.ndarray:
     return lam * (deg[:, None] + deg[None, :])
 
 
+def lap_eigenvalues(N: int, lam: float) -> np.ndarray:
+    """Eigenvalues of lam L on the (N-1)^2 interior block, in the order
+    of the dct_matrix rows that diagonalize it."""
+    n1 = N - 1
+    eig = 4.0 * np.sin(0.5 * np.pi * np.arange(n1) / n1) ** 2
+    return lam * (eig[:, None] + eig[None, :])
+
+
 def roundoff(diagonal: np.ndarray, lap_diag: np.ndarray) -> np.ndarray:
     """ROUNDOFF units of round-off of one stencil product with main
     diagonal diagonal: eps times the largest absolute row sum |diagonal|
@@ -158,19 +166,28 @@ class _ImplicitStepper:
     and linear_solve work on the (N-1)^2 interior blocks.  Any leading
     axis is a batch of independent systems.  precondition reads the
     shared dct_matrix of its input's precision; the stepper keeps none.
+    A new stepper holds lam and an empty border buffer: the (N-1)^2
+    arrays lap_diag, lap_eigs and main are built when a linear solve
+    first reads them, so the eigen solver, which only applies and
+    preconditions, builds none.
     """
 
     def __init__(self, N: int, lam: float):
-        n1 = N - 1
+        self.N = N
         self.lam = lam
-        self.lap_diag = lap_diagonal(N, lam)
-        eig = 4.0 * np.sin(0.5 * np.pi * np.arange(n1) / n1) ** 2
-        self.lap_eigs = lam * (eig[:, None] + eig[None, :])
         self._bordered = np.zeros(0)  # zero-bordered blocks, grown on demand
 
     @cached_property
+    def lap_diag(self) -> np.ndarray:
+        return lap_diagonal(self.N, self.lam)
+
+    @cached_property
+    def lap_eigs(self) -> np.ndarray:
+        return lap_eigenvalues(self.N, self.lam)
+
+    @cached_property
     def main(self) -> np.ndarray:
-        """Main diagonal of I + lam L, built when a linear solve first reads it."""
+        """Main diagonal of I + lam L."""
         return 1.0 + self.lap_diag
 
     def apply(self, diagonal: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:

@@ -206,6 +206,20 @@ def test_field_csv_roundtrip(tmp_path):
     assert path.read_text().splitlines()[0] == "x1,x2,value"
 
 
+def test_parsed_field_owns_its_values(tmp_path):
+    # The value column is copied out of the parsed table, so a field that
+    # outlives its parse (a config's) does not keep the (N+1)^2 x 3 table.
+    g = GridSpec(8, 2, 1.0)
+    values = np.random.default_rng(31).standard_normal((9, 9))
+    values[2, 3] = -0.0
+    path = tmp_path / "field.csv"
+    write_field_csv(ScalarField(g, values), path)
+    back = read_field_csv(path, g).values
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert back.base is None
+    assert np.array_equal(back.ravel().view(np.uint64), table[:, -1].view(np.uint64))
+
+
 def test_field_csv_bytes_match_per_row_format(tmp_path):
     g = GridSpec(8, 2, 1.0)
     rng = np.random.default_rng(29)

@@ -234,10 +234,13 @@ def test_matvec_is_bit_exact(N):
     i, j = np.indices((N - 1, N - 1))
     x[0] = np.where((i + j) % 2 == 0, -0.0, 0.0)
     reference = sequential_stencil(stepper.lam, diagonal, x)
-    # The eigen solver passes its columns as a batch-innermost strided view.
+    # The batch whole, as a batch-innermost strided view, and one block
+    # at a time into a given output, as the eigen solver applies it.
     strided = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -1)), -1, 0)
-    for batch in (x, strided):
-        y = stepper.apply(diagonal, batch)
+    per_block = np.empty_like(x)
+    for block, image in zip(x, per_block):
+        stepper.apply(diagonal, block, out=image)
+    for y in (stepper.apply(diagonal, x), stepper.apply(diagonal, strided), per_block):
         # Every bit, the sign of zero included: the artifacts depend on them.
         assert np.array_equal(y, reference)
         assert np.array_equal(y.view(np.uint64), reference.view(np.uint64))
