@@ -166,7 +166,7 @@ class _ImplicitStepper:
     and linear_solve work on the (N-1)^2 interior blocks.  Any leading
     axis is a batch of independent systems.  precondition reads the
     shared dct_matrix of its input's precision; the stepper keeps none.
-    A new stepper holds lam and an empty border buffer: the (N-1)^2
+    A new stepper holds N, lam and an empty border buffer: the (N-1)^2
     arrays lap_diag, lap_eigs and main are built when a linear solve
     first reads them, so the eigen solver, which only applies and
     preconditions, builds none.
